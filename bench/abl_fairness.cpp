@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
       const auto res = exp.run(*strat);
       std::string jain = "n/a";
       if (auto* fedl = dynamic_cast<core::FedLStrategy*>(strat.get())) {
-        jain = format_num(
-            core::jains_index(fedl->participation().selection_counts()));
+        jain = format_num(core::jains_index(
+            core::selection_counts(fedl->participation(), cfg.num_clients)));
       }
       table.add_row({res.trace.algorithm, jain,
                      format_num(res.trace.total_time()),

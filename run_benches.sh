@@ -1,5 +1,10 @@
 #!/bin/bash
+# Usage: ./run_benches.sh [BENCH ...]
+#
 # Runs every bench binary and collects output; used for bench_output.txt.
+# Bench names (e.g. `./run_benches.sh fig8_scale_sweep`) restrict the run
+# to those binaries under build/bench/ and skip the fig2 grid timing, so one
+# BENCH_*.json can be regenerated without rerunning everything.
 # Also emits BENCH_micro_kernels.json (google-benchmark JSON),
 # BENCH_metrics.json (the abl_parallel run's metrics-registry snapshot:
 # pool/gemm/solver/engine counters), BENCH_grid.json (figure-grid wall
@@ -13,6 +18,24 @@
 # emitters. Every emitted JSON is stamped with hardware_threads and the
 # build type so numbers are never compared across machines blindly.
 cd "$(dirname "$0")"
+
+ONLY=("$@")
+for name in "${ONLY[@]}"; do
+  if [ ! -x "build/bench/$name" ]; then
+    echo "unknown or unbuilt bench: $name (no build/bench/$name)" >&2
+    exit 2
+  fi
+done
+
+# True when the named bench is part of this run.
+selected() {
+  [ ${#ONLY[@]} -eq 0 ] && return 0
+  local name
+  for name in "${ONLY[@]}"; do
+    [ "$name" = "$1" ] && return 0
+  done
+  return 1
+}
 
 BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' build/CMakeCache.txt 2>/dev/null)
 EMIT_JSON=0
@@ -108,11 +131,11 @@ grid_bench() {
   }' > BENCH_grid.json
   stamp_json BENCH_grid.json
 }
-grid_bench
+[ ${#ONLY[@]} -eq 0 ] && grid_bench
 
 : > bench_output.txt
 for b in build/bench/*; do
-  if [ -f "$b" ] && [ -x "$b" ]; then
+  if [ -f "$b" ] && [ -x "$b" ] && selected "$(basename "$b")"; then
     echo "===== $(basename "$b") =====" >> bench_output.txt
     case "$(basename "$b")" in
       micro_kernels)

@@ -4,39 +4,17 @@
 
 namespace fedl::core {
 
-ParticipationTracker::ParticipationTracker(std::size_t num_clients)
-    : selected_(num_clients, 0), available_(num_clients, 0) {
-  FEDL_CHECK_GT(num_clients, 0u);
+double participation_rate(const ClientLearnerState& s) {
+  if (s.offered == 0) return 0.0;
+  return static_cast<double>(s.selected) / static_cast<double>(s.offered);
 }
 
-void ParticipationTracker::record(const std::vector<std::size_t>& available,
-                                  const std::vector<std::size_t>& selected) {
-  ++epochs_;
-  for (std::size_t id : available) {
-    FEDL_CHECK_LT(id, available_.size());
-    ++available_[id];
-  }
-  for (std::size_t id : selected) {
-    FEDL_CHECK_LT(id, selected_.size());
-    ++selected_[id];
-  }
-}
-
-std::size_t ParticipationTracker::selections(std::size_t client) const {
-  FEDL_CHECK_LT(client, selected_.size());
-  return selected_[client];
-}
-
-std::size_t ParticipationTracker::availabilities(std::size_t client) const {
-  FEDL_CHECK_LT(client, available_.size());
-  return available_[client];
-}
-
-double ParticipationTracker::rate(std::size_t client) const {
-  FEDL_CHECK_LT(client, selected_.size());
-  if (available_[client] == 0) return 0.0;
-  return static_cast<double>(selected_[client]) /
-         static_cast<double>(available_[client]);
+std::vector<std::size_t> selection_counts(const ClientStatePool& pool,
+                                          std::size_t num_clients) {
+  std::vector<std::size_t> counts(num_clients);
+  for (std::size_t id = 0; id < num_clients; ++id)
+    counts[id] = pool.get(id).selected;
+  return counts;
 }
 
 double jains_index(const std::vector<std::size_t>& counts) {

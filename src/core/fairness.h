@@ -3,16 +3,20 @@
 // capabilities"), in the spirit of Huang et al. [11]'s long-term fairness
 // quota on client participation rates.
 //
-// ParticipationTracker maintains each client's long-term participation rate
-// (selections / epochs available). FedLStrategy can enforce a minimum rate
-// by boosting the fractional selection of under-served clients before
-// rounding — the quota enters as a pre-rounding adjustment, so Theorem 3's
-// marginal preservation still applies to the adjusted fractions.
-// jains_index() is the standard fairness metric reported by the bench.
+// Each client's long-term participation rate (selections / epochs offered
+// as a candidate) is kept in its ClientStatePool slot (sparse_state.h), so
+// tracking it costs nothing per never-offered client. FedLStrategy can
+// enforce a minimum rate by boosting the fractional selection of
+// under-served clients before rounding — the quota enters as a pre-rounding
+// adjustment, so Theorem 3's marginal preservation still applies to the
+// adjusted fractions. jains_index() is the standard fairness metric
+// reported by the bench.
 #pragma once
 
 #include <cstddef>
 #include <vector>
+
+#include "core/sparse_state.h"
 
 namespace fedl::core {
 
@@ -24,30 +28,14 @@ struct FairnessConfig {
   std::size_t warmup_epochs = 5;
 };
 
-class ParticipationTracker {
- public:
-  explicit ParticipationTracker(std::size_t num_clients);
+// Long-term participation rate: selected / offered (0 when the client has
+// never been offered).
+double participation_rate(const ClientLearnerState& s);
 
-  // Record one epoch: who was available and who was selected.
-  void record(const std::vector<std::size_t>& available,
-              const std::vector<std::size_t>& selected);
-
-  std::size_t epochs() const { return epochs_; }
-  std::size_t selections(std::size_t client) const;
-  std::size_t availabilities(std::size_t client) const;
-  // Long-term participation rate: selections / availabilities (0 when the
-  // client has never been available).
-  double rate(std::size_t client) const;
-
-  const std::vector<std::size_t>& selection_counts() const {
-    return selected_;
-  }
-
- private:
-  std::size_t epochs_ = 0;
-  std::vector<std::size_t> selected_;
-  std::vector<std::size_t> available_;
-};
+// Dense per-client selection counts for ids [0, num_clients). O(M): for
+// reporting at small M (jains_index), never on the decide path.
+std::vector<std::size_t> selection_counts(const ClientStatePool& pool,
+                                          std::size_t num_clients);
 
 // Jain's fairness index over per-client selection counts:
 // (Σx)² / (n·Σx²) ∈ [1/n, 1]; 1 = perfectly even participation.

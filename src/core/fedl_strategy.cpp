@@ -21,8 +21,7 @@ const obs::Counter& repaired_clients() {
 FedLStrategy::FedLStrategy(std::size_t num_clients, FedLConfig cfg)
     : cfg_(cfg),
       learner_(num_clients, cfg.learner),
-      rng_(cfg.seed),
-      participation_(num_clients) {}
+      rng_(cfg.seed) {}
 
 void FedLStrategy::record_fraction(std::size_t epoch) {
   const std::size_t cap = std::max<std::size_t>(cfg_.fraction_history, 1);
@@ -49,11 +48,13 @@ Decision FedLStrategy::decide(const sim::EpochContext& ctx,
   // the shortfall. Applied pre-rounding so RDCS's marginal guarantee holds
   // for the adjusted fractions.
   if (cfg_.fairness.enabled &&
-      participation_.epochs() >= cfg_.fairness.warmup_epochs) {
+      participation().participation_epochs() >=
+          cfg_.fairness.warmup_epochs) {
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t id = last_frac_.ids[i];
       const double shortfall =
-          cfg_.fairness.min_rate - participation_.rate(id);
+          cfg_.fairness.min_rate -
+          participation_rate(participation().get(id));
       if (shortfall > 0.0) {
         last_frac_.x[i] = std::min(
             1.0, last_frac_.x[i] + cfg_.fairness.boost * shortfall /
@@ -155,7 +156,7 @@ Decision FedLStrategy::decide(const sim::EpochContext& ctx,
   for (std::size_t i = 0; i < k; ++i)
     if (rounded_x_[i] > 0.5) dec.selected.push_back(last_frac_.ids[i]);
   dec.num_iterations = rho_to_iters(last_frac_.rho, cfg_.l_max);
-  participation_.record(last_frac_.ids, dec.selected);
+  learner_.record_participation(last_frac_.ids, dec.selected);
 
   FEDL_DEBUG << "FedL: |S|=" << dec.selected.size()
              << " l=" << dec.num_iterations << " rho=" << last_frac_.rho;

@@ -51,7 +51,9 @@ class FedLStrategy : public SelectionStrategy {
   const OnlineLearner& learner() const { return learner_; }
   // Fractional decision of the last decide() call (for regret analysis).
   const FractionalDecision& last_fraction() const { return last_frac_; }
-  const ParticipationTracker& participation() const { return participation_; }
+  // Participation counts per client (ClientLearnerState::offered/selected)
+  // and the number of epochs recorded, read from the learner's pool.
+  const ClientStatePool& participation() const { return learner_.pool(); }
 
  private:
   // Remembers last_frac_ under this epoch so a delayed observe() can find
@@ -62,7 +64,6 @@ class FedLStrategy : public SelectionStrategy {
   OnlineLearner learner_;
   Rng rng_;
   FractionalDecision last_frac_;
-  ParticipationTracker participation_;
   // Ring of (epoch, fractional decision) pairs, capacity fraction_history.
   std::vector<std::pair<std::size_t, FractionalDecision>> frac_history_;
   std::size_t frac_next_ = 0;

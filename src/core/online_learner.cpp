@@ -58,6 +58,8 @@ OnlineLearner::OnlineLearner(std::size_t num_clients, LearnerConfig cfg)
       mu0_(0.0),  // μ_1 = 0 (Lemma 2's initialization)
       last_loss_(cfg.init_loss) {
   FEDL_CHECK_GT(num_clients, 0u);
+  FEDL_CHECK_LE(num_clients, IdSlotMap::kMaxId + 1)
+      << "client ids must fit the pool's 32-bit index";
   FEDL_CHECK_GT(cfg_.beta, 0.0);
   FEDL_CHECK_GT(cfg_.delta, 0.0);
   FEDL_CHECK_GE(cfg_.rho_max, 1.0);
@@ -153,7 +155,8 @@ double OnlineLearner::select_candidates(const sim::EpochContext& ctx) {
     double score = st.delta * rho_ / std::max(obs.cost, 1e-12);
     if (cfg_.width_explore > 0.0)
       score += cfg_.width_explore *
-               std::sqrt(log_t / std::max(1.0, st.seen));
+               std::sqrt(log_t /
+                         std::max(1.0, static_cast<double>(st.seen)));
     const std::pair<double, std::size_t> entry{score, i};
     if (heap_.size() < extra) {
       heap_.push_back(entry);
@@ -361,7 +364,7 @@ void OnlineLearner::observe(const sim::EpochContext& ctx,
     FEDL_CHECK_LT(id, num_clients_);
     const double iters = completed(i);
     if (iters <= 0.0) continue;  // dropped at iteration 0: nothing observed
-    pool_.touch(id).seen += 1.0;  // n_k for the width-explore bonus
+    ++pool_.touch(id).seen;  // n_k for the width-explore bonus
     if (i < outcome.client_eta.size()) {
       ClientLearnerState& st = pool_.touch(id);
       st.eta = (1.0 - cfg_.ema) * st.eta + cfg_.ema * outcome.client_eta[i];
@@ -388,8 +391,9 @@ void OnlineLearner::observe(const sim::EpochContext& ctx,
   const double h0 = outcome.train_loss_all - cfg_.theta;
   mu0_ = clamp(positive_part(mu0_ + cfg_.delta * h0), 0.0, cfg_.mu_max);
 
-  // Selected-id → outcome-index scratch (grow-only, O(1) clear): selected[i]
-  // inserts in order, so the assigned slot equals the outcome index i.
+  // Selected-id → outcome-index scratch (grow-only, cleared per epoch):
+  // selected[i] inserts in order, so the assigned slot equals the outcome
+  // index i.
   sel_index_.clear();
   for (std::size_t i = 0; i < outcome.selected.size(); ++i)
     sel_index_.insert(outcome.selected[i]);

@@ -8,7 +8,10 @@
 // per-iteration loss reduction Δ̂_k — which is exactly the "historic learning
 // results" FedL learns from. That state lives in a pooled sparse store
 // (sparse_state.h): never-seen clients read as the priors and cost nothing,
-// so the learner's footprint is O(clients ever in E_t), not O(M).
+// so the learner's footprint is O(clients ever in E_t), not O(M). The same
+// slots carry the fairness quota's participation counts, so the whole
+// strategy holds nothing sized by the roster; client ids must fit the
+// pool's 32-bit index (num_clients ≤ 2³² − 1).
 //
 // Constraint encoding for the descent step:
 //  * objective gradient ∇f_t: ∂/∂x̃_k = ρ·(τ^loc_k + τ^cm_k),
@@ -118,6 +121,15 @@ class OnlineLearner {
   // Pooled-state footprint: clients holding a slot / bytes resident.
   std::size_t active_clients() const { return pool_.active(); }
   std::size_t resident_bytes() const;
+  // Per-client state, including the participation counts (fairness.h).
+  const ClientStatePool& pool() const { return pool_; }
+
+  // Counts one non-empty decision's participation into the candidates'
+  // slots (which decide() already allocated for their x̃).
+  void record_participation(const std::vector<std::size_t>& offered,
+                            const std::vector<std::size_t>& selected) {
+    pool_.record_participation(offered, selected);
+  }
 
  private:
   // Fills cand_ with the candidate indices into ctx.available (sorted
@@ -126,7 +138,7 @@ class OnlineLearner {
 
   LearnerConfig cfg_;
   std::size_t num_clients_;
-  ClientStatePool pool_;  // x̃_k, η̂_k, Δ̂_k, μ^k per touched client
+  ClientStatePool pool_;  // x̃_k, η̂_k, Δ̂_k, μ^k, counts per touched client
   double rho_;
   double mu0_;            // μ^0: dual of the global-loss constraint h^0
   double last_loss_;      // L̂ = F_t(w^{l_t}) of the last epoch

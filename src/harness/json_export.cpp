@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/error.h"
+#include "obs/json_writer.h"
 
 namespace fedl::harness {
 namespace {
@@ -22,41 +23,8 @@ void write_number(std::ostream& os, double v) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_trace_json(std::ostream& os, const fl::TrainTrace& trace) {
-  os << "{\"algorithm\":\"" << json_escape(trace.algorithm)
+  os << "{\"algorithm\":\"" << obs::json_escape(trace.algorithm)
      << "\",\"records\":[";
   for (std::size_t i = 0; i < trace.records.size(); ++i) {
     const auto& r = trace.records[i];

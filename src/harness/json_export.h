@@ -34,7 +34,4 @@ void write_run_json_file(const std::string& path,
                          const std::vector<fl::TrainTrace>& traces,
                          const obs::MetricsSnapshot& snapshot);
 
-// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s);
-
 }  // namespace fedl::harness

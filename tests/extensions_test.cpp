@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "core/fairness.h"
 #include "core/fedl_strategy.h"
@@ -113,15 +114,15 @@ TEST(Ucb, RunsEndToEnd) {
 // --- fairness ----------------------------------------------------------------------
 
 TEST(ParticipationTracker, RatesAreSelectionsOverAvailabilities) {
-  core::ParticipationTracker tr(3);
-  tr.record({0, 1, 2}, {0});
-  tr.record({0, 1}, {0, 1});
-  EXPECT_EQ(tr.epochs(), 2u);
-  EXPECT_DOUBLE_EQ(tr.rate(0), 1.0);
-  EXPECT_DOUBLE_EQ(tr.rate(1), 0.5);
-  EXPECT_DOUBLE_EQ(tr.rate(2), 0.0);
-  EXPECT_EQ(tr.selections(0), 2u);
-  EXPECT_EQ(tr.availabilities(2), 1u);
+  core::ClientStatePool pool(core::ClientLearnerState{});
+  pool.record_participation({0, 1, 2}, {0});
+  pool.record_participation({0, 1}, {0, 1});
+  EXPECT_EQ(pool.participation_epochs(), 2u);
+  EXPECT_DOUBLE_EQ(core::participation_rate(pool.get(0)), 1.0);
+  EXPECT_DOUBLE_EQ(core::participation_rate(pool.get(1)), 0.5);
+  EXPECT_DOUBLE_EQ(core::participation_rate(pool.get(2)), 0.0);
+  EXPECT_EQ(pool.get(0).selected, 2u);
+  EXPECT_EQ(pool.get(2).offered, 1u);
 }
 
 TEST(JainsIndex, KnownValues) {
@@ -163,7 +164,7 @@ TEST(Fairness, BoostRaisesJainsIndex) {
       out.train_loss_all = 0.4;
       s.observe(ctx, d, out);
     }
-    return core::jains_index(s.participation().selection_counts());
+    return core::jains_index(core::selection_counts(s.participation(), 8));
   };
   const double fair_index = run(true);
   const double plain_index = run(false);
@@ -195,6 +196,14 @@ struct SolverCase {
   fl::LocalUpdateRule rule;
   const char* optimizer;
 };
+
+// Prints a case as rule and optimizer, e.g. "Dane_sgd"; ctest names each case
+// after it. gtest's default printer dumps the struct's bytes, whose padding and
+// string pointer differ on every run.
+void PrintTo(const SolverCase& c, std::ostream* os) {
+  static const char* const kRuleNames[] = {"Dane", "FedProx", "Sgd"};
+  *os << kRuleNames[static_cast<int>(c.rule)] << "_" << c.optimizer;
+}
 
 class LocalSolverVariants : public ::testing::TestWithParam<SolverCase> {};
 

@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "harness/json_export.h"
+#include "obs/json_writer.h"
 
 namespace fedl::harness {
 namespace {
@@ -31,11 +32,11 @@ fl::TrainTrace sample_trace() {
 }
 
 TEST(JsonEscape, EscapesSpecials) {
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(obs::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(obs::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(obs::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::json_escape("plain"), "plain");
 }
 
 TEST(JsonExport, TraceStructure) {

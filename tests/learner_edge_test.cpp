@@ -296,9 +296,9 @@ TEST(FedLEdge, ParticipationTrackerCountsEveryEpoch) {
     out.train_loss_all = 0.5;
     s.observe(ctx, d, out);
   }
-  EXPECT_EQ(s.participation().epochs(), 5u);
+  EXPECT_EQ(s.participation().participation_epochs(), 5u);
   for (std::size_t k = 0; k < 3; ++k)
-    EXPECT_EQ(s.participation().availabilities(k), 5u);
+    EXPECT_EQ(s.participation().get(k).offered, 5u);
 }
 
 TEST(FedLEdge, IterationCountRespectsLMax) {
