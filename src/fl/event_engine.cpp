@@ -207,7 +207,6 @@ bool EventEngine::run_until_flush() {
       const std::size_t stale = version_ - f.dispatch_version;
       staleness_hist().observe(static_cast<double>(stale));
       completes_counter().add();
-      ++completes_since_flush_;
       ++f.steps_done;
       buffer_.push_back(BufferedUpdate{std::move(f.result.update),
                                        f.dispatch_version,
@@ -316,7 +315,6 @@ void EventEngine::do_flush() {
              << buffer_.size() << " max_stale=" << max_stale;
   buffer_.clear();
   deadline_armed_ = false;
-  completes_since_flush_ = 0;
 }
 
 void EventEngine::resolve_pending_evals() {

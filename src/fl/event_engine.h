@@ -177,7 +177,6 @@ class EventEngine {
   std::size_t version_ = 0;   // global model version (flush count)
   std::uint64_t seq_ = 0;
   std::size_t last_dispatch_epoch_ = 0;
-  std::size_t completes_since_flush_ = 0;
 
   std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, LaterEvent>
       queue_;

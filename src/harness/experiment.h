@@ -58,11 +58,11 @@ struct ScenarioConfig {
   fl::FaultSpec faults;
   // Server aggregation rule (paper formula vs selected-mean; DESIGN.md §4).
   fl::AggregationRule aggregation = fl::AggregationRule::kSelectedMean;
-  // Event-driven (buffered-asynchronous) execution: async.enabled routes
-  // run() through the virtual-clock EventEngine (DESIGN.md §12) — cohorts
-  // overlap, aggregation happens on buffer flushes with staleness damping,
-  // and the trace gains "event" records. Off (default) is the lockstep
-  // path, byte-identical to before this mode existed.
+  // Event-driven (buffered-asynchronous) execution: async.enabled makes
+  // run() dispatch each cohort to the virtual-clock EventEngine (DESIGN.md
+  // §12) instead of resolving it in place — cohorts overlap, aggregation
+  // happens on buffer flushes with staleness damping, and the trace gains
+  // "event" records. Off (default) is lockstep.
   fl::AsyncConfig async;
   // UCB exploration bonus for the selection_width pruning score
   // (LearnerConfig::width_explore); 0 = pure exploit, bit-identical.
@@ -139,16 +139,16 @@ class Experiment {
 
   // Runs the FL procedure with the given strategy until the budget is
   // exhausted or max_epochs is reached. Rebuilds environment/engine/model
-  // from the scenario seeds so repeated runs are identical inputs.
+  // from the scenario seeds so repeated runs are identical inputs. One loop
+  // serves both execution modes: each epoch pays its cohort's rent at
+  // dispatch, then resolves the cohort in place (lockstep) or dispatches it
+  // to the event engine (cfg.async), and a reorder buffer emits resolved
+  // epochs in epoch order — records, observe(), regret, series, monitor.
   RunResult run(core::SelectionStrategy& strategy);
 
  private:
   sim::EnvironmentSpec environment_spec() const;
   nn::Model build_model() const;
-  // The event-driven variant of run() (cfg.async.enabled): decisions at
-  // flush boundaries, overlapping cohorts, epoch records emitted through a
-  // reorder buffer so the trace schema stays monotone per epoch.
-  RunResult run_async(core::SelectionStrategy& strategy);
 
   ScenarioConfig cfg_;
   data::TrainTest data_;
