@@ -329,6 +329,28 @@ TEST(AsyncHarness, CleanSeededRunFiresNoAnomalies) {
       << res.anomalies.front().detail;
 }
 
+TEST(AsyncHarness, EmptyEpochsRecordNoIterations) {
+  // In-flight clients leave E_t thin, so some epochs select nobody. No
+  // client trains in such an epoch: it records 0 iterations, as lockstep's
+  // empty run_epoch does, and the round axis does not advance.
+  harness::ScenarioConfig cfg = small_async_scenario(26);
+  cfg.availability = 0.5;
+  cfg.max_epochs = 12;
+  harness::Experiment exp(cfg);
+  auto strat = harness::make_strategy("fedavg", cfg);
+  const auto res = exp.run(*strat);
+  std::size_t empty = 0;
+  for (std::size_t i = 0; i < res.trace.records.size(); ++i) {
+    const fl::TraceRecord& r = res.trace.records[i];
+    if (r.num_selected != 0) continue;
+    ++empty;
+    EXPECT_EQ(r.num_iterations, 0u) << "epoch " << r.epoch;
+    const std::size_t prev_round = i == 0 ? 0 : res.trace.records[i - 1].round;
+    EXPECT_EQ(r.round, prev_round) << "epoch " << r.epoch;
+  }
+  EXPECT_GE(empty, 1u);
+}
+
 TEST(AsyncHarness, SurvivesMidFlightDropouts) {
   harness::ScenarioConfig cfg = small_async_scenario(25);
   cfg.faults.dropout_prob = 0.3;
