@@ -46,10 +46,6 @@ def _in_src(path):
     return path.startswith("src/")
 
 
-def _in_src_outside_parallel(path):
-    return path.startswith("src/") and not path.startswith("src/parallel/")
-
-
 def _in_src_outside_budget(path):
     return path.startswith("src/") and path not in (
         "src/core/budget.h", "src/core/budget.cpp")
@@ -274,34 +270,6 @@ Rule(
     "accumulation or trace emission breaks byte-identical traces (backed by "
     "scheduler_test serial-vs-jobs trace bit-identity)",
     _in_src, check_unordered_iteration)
-
-
-# --------------------------------------------------------------------------
-# FDL003 shared-pool — ThreadPool::shared() only inside src/parallel. All
-# other code must take WorkerLease / leased_parallel_for so the Scheduler's
-# global thread budget (J runners + sum of leases <= budget) stays true.
-
-_SHARED_POOL_RE = re.compile(r"\bThreadPool::shared\s*\(")
-
-
-def check_shared_pool(path, ctx):
-    findings = []
-    for i, line in enumerate(ctx.code_lines, 1):
-        if _SHARED_POOL_RE.search(line):
-            findings.append(
-                (i, "direct ThreadPool::shared() outside src/parallel — "
-                    "acquire a WorkerLease / use leased_parallel_for so the "
-                    "scheduler's thread budget holds"))
-    return findings
-
-
-Rule(
-    "shared-pool",
-    "unbudgeted ThreadPool::shared() use oversubscribes the machine and "
-    "bypasses the Scheduler invariant J + sum(leases) <= budget (backed by "
-    "scheduler_test budget-never-exceeded; the rule PR 6 found Conv2d "
-    "violating)",
-    _in_src_outside_parallel, check_shared_pool)
 
 
 # --------------------------------------------------------------------------

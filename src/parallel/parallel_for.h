@@ -1,88 +1,30 @@
-// Blocking data-parallel loops on top of ThreadPool — the OpenMP-style
-// "parallel for" and "parallel reduce" idioms without the pragma dependency.
+// Blocking caller-participating fan-out on top of ThreadPool: the one
+// data-parallel loop behind every scheduler-leased fan-out (the GEMM macro
+// loop, conv2d's batch loops, the FL engine's per-client phases).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <exception>
 #include <future>
 #include <vector>
 
-#include "common/error.h"
 #include "parallel/thread_pool.h"
 
 namespace fedl {
 
-// Runs body(i) for i in [begin, end) across the pool, splitting the range
-// into one contiguous chunk per worker. Blocks until every chunk finishes;
-// the first task exception (if any) is rethrown on the caller.
-template <typename Body>
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const Body& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, pool.size());
-  if (chunks <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  const std::size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * per;
-    const std::size_t hi = std::min(end, lo + per);
-    if (lo >= hi) break;
-    futs.push_back(pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
-  }
-  for (auto& f : futs) f.get();
-}
-
-// Convenience overload on the shared pool.
-template <typename Body>
-void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
-  parallel_for(ThreadPool::shared(), begin, end, body);
-}
-
-// Caller-participating variant for scheduler-leased fan-outs: splits
-// [begin, end) into `extra + 1` contiguous chunks, submits `extra` of them
-// to the pool and runs the first chunk on the calling thread (the caller
-// owns a budget slot too, so it must not idle while workers run). Blocks
-// until every chunk finishes; the first task exception is rethrown. Chunk
-// boundaries only affect which thread runs an index, never the values
-// computed — bodies must only touch per-index state.
-template <typename Body>
-void parallel_for_shared(ThreadPool& pool, std::size_t extra,
-                         std::size_t begin, std::size_t end,
-                         const Body& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, extra + 1);
-  if (chunks <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  const std::size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks - 1);
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const std::size_t lo = begin + c * per;
-    const std::size_t hi = std::min(end, lo + per);
-    if (lo >= hi) break;
-    futs.push_back(pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
-  }
-  for (std::size_t i = begin; i < std::min(end, begin + per); ++i) body(i);
-  for (auto& f : futs) f.get();
-}
-
-// Like parallel_for_shared, but the body also receives the chunk index
-// (0 = the calling thread's chunk, 1..extra = pool chunks), so callers can
-// hand each chunk a dedicated scratch slot (packed GEMM panels, model
-// replicas) without any sharing between concurrently-running chunks. The
-// chunk index never affects the values computed — only which scratch slot
-// does the work.
+// Runs body(chunk, i) for every i in [begin, end): splits the range into
+// `extra + 1` contiguous chunks, submits chunks 1..extra to the pool and
+// runs chunk 0 on the calling thread (the caller owns a budget slot too, so
+// it must not idle while workers run). The chunk index lets callers hand
+// each chunk a dedicated scratch slot (packed GEMM panels, model replicas)
+// without any sharing between concurrently-running chunks; chunk boundaries
+// only decide which thread runs an index, never the values computed.
+//
+// Blocks until every submitted chunk has finished, even when a chunk throws
+// (pool chunks hold `body` by reference, and the caller may release a
+// worker lease on return), then rethrows the exception of the
+// lowest-numbered chunk that threw.
 template <typename Body>
 void parallel_for_shared_indexed(ThreadPool& pool, std::size_t extra,
                                  std::size_t begin, std::size_t end,
@@ -97,57 +39,29 @@ void parallel_for_shared_indexed(ThreadPool& pool, std::size_t extra,
   const std::size_t per = (n + chunks - 1) / chunks;
   std::vector<std::future<void>> futs;
   futs.reserve(chunks - 1);
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const std::size_t lo = begin + c * per;
-    const std::size_t hi = std::min(end, lo + per);
-    if (lo >= hi) break;
-    futs.push_back(pool.submit([c, lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(c, i);
-    }));
+  std::exception_ptr error;
+  try {
+    for (std::size_t c = 1; c < chunks; ++c) {
+      const std::size_t lo = begin + c * per;
+      const std::size_t hi = std::min(end, lo + per);
+      if (lo >= hi) break;
+      futs.push_back(pool.submit([c, lo, hi, &body] {
+        for (std::size_t i = lo; i < hi; ++i) body(c, i);
+      }));
+    }
+    for (std::size_t i = begin; i < std::min(end, begin + per); ++i)
+      body(std::size_t{0}, i);
+  } catch (...) {
+    error = std::current_exception();
   }
-  for (std::size_t i = begin; i < std::min(end, begin + per); ++i)
-    body(std::size_t{0}, i);
-  for (auto& f : futs) f.get();
-}
-
-// Parallel reduction: each chunk folds into a thread-local accumulator of
-// type T (initialized with `identity`), then the partials are combined in
-// deterministic chunk order with `combine` — reductions over doubles give
-// the same result for a fixed pool size.
-template <typename T, typename MapFn, typename CombineFn>
-T parallel_reduce(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  T identity, const MapFn& map_into, const CombineFn& combine) {
-  if (begin >= end) return identity;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, pool.size());
-  if (chunks <= 1) {
-    T acc = identity;
-    for (std::size_t i = begin; i < end; ++i) map_into(acc, i);
-    return acc;
+  for (auto& f : futs) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
   }
-  const std::size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::future<T>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * per;
-    const std::size_t hi = std::min(end, lo + per);
-    if (lo >= hi) break;
-    futs.push_back(pool.submit([lo, hi, identity, &map_into]() -> T {
-      T acc = identity;
-      for (std::size_t i = lo; i < hi; ++i) map_into(acc, i);
-      return acc;
-    }));
-  }
-  T total = identity;
-  for (auto& f : futs) total = combine(std::move(total), f.get());
-  return total;
-}
-
-template <typename T, typename MapFn, typename CombineFn>
-T parallel_reduce(std::size_t begin, std::size_t end, T identity,
-                  const MapFn& map_into, const CombineFn& combine) {
-  return parallel_reduce(ThreadPool::shared(), begin, end, identity, map_into,
-                         combine);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace fedl

@@ -166,7 +166,9 @@ void leased_parallel_for(std::size_t begin, std::size_t end,
     Scheduler::WorkerLease lease = sched.acquire_workers(
         sched.auto_share() - 1, n - 1, /*allow_steal=*/true);
     if (lease.granted() > 0) {
-      parallel_for_shared(sched.pool(), lease.granted(), begin, end, body);
+      parallel_for_shared_indexed(
+          sched.pool(), lease.granted(), begin, end,
+          [&body](std::size_t /*chunk*/, std::size_t i) { body(i); });
       return;
     }
   }

@@ -81,9 +81,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace fedl

@@ -56,9 +56,6 @@ class ThreadPool {
     return fut;
   }
 
-  // Process-wide pool shared by the FL engine and benches. Lazily created.
-  static ThreadPool& shared();
-
  private:
   void worker_loop();
   // Metrics hooks (non-template so the obs dependency stays in the .cpp):

@@ -1,9 +1,10 @@
-// Unit tests for the thread pool and data-parallel loop helpers.
+// Unit tests for the thread pool and the caller-participating fan-out.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/parallel_for.h"
@@ -39,10 +40,6 @@ TEST(ThreadPool, DefaultSizeIsAtLeastOne) {
   EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(ThreadPool, SharedPoolIsSingleton) {
-  EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
-}
-
 TEST(ThreadPool, DestructorDrainsQueue) {
   std::atomic<int> done{0};
   {
@@ -54,81 +51,62 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   EXPECT_GE(done.load(), 0);
 }
 
+// parallel_for_shared_indexed: `extra` pool chunks plus the caller's chunk.
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, hits.size(),
-               [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for_shared_indexed(
+      pool, pool.size(), 0, hits.size(),
+      [&](std::size_t, std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   int calls = 0;
-  parallel_for(pool, 5, 5, [&](std::size_t) { ++calls; });
-  parallel_for(pool, 7, 3, [&](std::size_t) { ++calls; });
+  const auto body = [&](std::size_t, std::size_t) { ++calls; };
+  parallel_for_shared_indexed(pool, pool.size(), 5, 5, body);
+  parallel_for_shared_indexed(pool, pool.size(), 7, 3, body);
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ParallelFor, NonZeroBegin) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(20);
-  parallel_for(pool, 5, 15, [&](std::size_t i) { hits[i].fetch_add(1); });
+  parallel_for_shared_indexed(
+      pool, pool.size(), 5, 15,
+      [&](std::size_t, std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i)
     EXPECT_EQ(hits[i].load(), (i >= 5 && i < 15) ? 1 : 0);
 }
 
 TEST(ParallelFor, ExceptionInBodyRethrows) {
   ThreadPool pool(4);
-  EXPECT_THROW(parallel_for(pool, 0, 100,
-                            [&](std::size_t i) {
-                              if (i == 37) throw std::runtime_error("bad");
-                            }),
+  EXPECT_THROW(parallel_for_shared_indexed(
+                   pool, pool.size(), 0, 100,
+                   [&](std::size_t, std::size_t i) {
+                     if (i == 37) throw std::runtime_error("bad");
+                   }),
                std::runtime_error);
 }
 
-TEST(ParallelReduce, SumsCorrectly) {
-  ThreadPool pool(4);
-  const std::size_t n = 10000;
-  const double sum = parallel_reduce<double>(
-      pool, 0, n, 0.0,
-      [](double& acc, std::size_t i) { acc += static_cast<double>(i); },
-      [](double a, double b) { return a + b; });
-  EXPECT_DOUBLE_EQ(sum, static_cast<double>(n) * (n - 1) / 2.0);
-}
-
-TEST(ParallelReduce, DeterministicAcrossRuns) {
-  ThreadPool pool(4);
-  auto run = [&] {
-    return parallel_reduce<double>(
-        pool, 0, 5000, 0.0,
-        [](double& acc, std::size_t i) { acc += 1.0 / (1.0 + static_cast<double>(i)); },
-        [](double a, double b) { return a + b; });
+TEST(ParallelFor, CallerChunkThrowWaitsForPoolChunks) {
+  // The caller's chunk throws at once while both pool chunks still run the
+  // body by reference: the exception may only surface after they finish.
+  std::atomic<int> finished{0};
+  const auto body = [&](std::size_t chunk, std::size_t) {
+    if (chunk == 0) throw std::runtime_error("caller chunk");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished.fetch_add(1);
   };
-  EXPECT_EQ(run(), run());  // chunk order is fixed -> bitwise identical
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-  ThreadPool pool(2);
-  const int v = parallel_reduce<int>(
-      pool, 3, 3, -7, [](int&, std::size_t) {},
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(v, -7);
-}
-
-TEST(ParallelReduce, NonCommutativeCombineRespectsChunkOrder) {
-  ThreadPool pool(4);
-  // Concatenate chunk-local index lists; must come out in ascending order.
-  using Vec = std::vector<std::size_t>;
-  const Vec v = parallel_reduce<Vec>(
-      pool, 0, 64, Vec{},
-      [](Vec& acc, std::size_t i) { acc.push_back(i); },
-      [](Vec a, Vec b) {
-        a.insert(a.end(), b.begin(), b.end());
-        return a;
-      });
-  ASSERT_EQ(v.size(), 64u);
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_EQ(v[i], i);
+  ThreadPool pool(2);  // declared last: joins before body and counter die
+  try {
+    parallel_for_shared_indexed(pool, 2, 0, 3, body);
+    ADD_FAILURE() << "the caller chunk's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller chunk");
+    EXPECT_EQ(finished.load(), 2);
+  }
 }
 
 }  // namespace
