@@ -336,47 +336,57 @@ TEST(SparseDuals, UnavailableClientsKeepBitIdenticalState) {
 
 // --- empty-decision streak termination --------------------------------------
 
+// Both exits below run once per execution mode: event mode must stop on
+// the same streak and drain its in-flight cohorts at max_epochs.
 TEST(Termination, EmptyDecisionStreakStopsTheRun) {
-  harness::ScenarioConfig cfg;
-  cfg.num_clients = 6;
-  cfg.n_min = 2;
-  cfg.budget = 200.0;
-  cfg.max_epochs = 60;
-  cfg.train_samples = 120;
-  cfg.test_samples = 40;
-  cfg.width_scale = 0.05;
-  cfg.batch_cap = 8;
-  cfg.eval_cap = 32;
-  cfg.dane.sgd_steps = 1;
-  cfg.seed = 5;
-  cfg.availability = 1e-9;  // nobody ever shows up -> empty decisions
-  cfg.empty_decision_streak = 4;
-  harness::Experiment exp(cfg);
-  auto strat = harness::make_strategy("fedl", cfg);
-  const auto res = exp.run(*strat);
-  EXPECT_EQ(res.termination_reason, "empty_decisions");
-  EXPECT_LT(res.epochs_run, cfg.max_epochs);
-  EXPECT_LE(res.epochs_run, 4u);
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "event mode" : "lockstep");
+    harness::ScenarioConfig cfg;
+    cfg.num_clients = 6;
+    cfg.n_min = 2;
+    cfg.budget = 200.0;
+    cfg.max_epochs = 60;
+    cfg.train_samples = 120;
+    cfg.test_samples = 40;
+    cfg.width_scale = 0.05;
+    cfg.batch_cap = 8;
+    cfg.eval_cap = 32;
+    cfg.dane.sgd_steps = 1;
+    cfg.seed = 5;
+    cfg.availability = 1e-9;  // nobody ever shows up -> empty decisions
+    cfg.empty_decision_streak = 4;
+    cfg.async.enabled = async;
+    harness::Experiment exp(cfg);
+    auto strat = harness::make_strategy("fedl", cfg);
+    const auto res = exp.run(*strat);
+    EXPECT_EQ(res.termination_reason, "empty_decisions");
+    EXPECT_LT(res.epochs_run, cfg.max_epochs);
+    EXPECT_LE(res.epochs_run, 4u);
+  }
 }
 
 TEST(Termination, ReasonIsAlwaysRecorded) {
-  harness::ScenarioConfig cfg;
-  cfg.num_clients = 6;
-  cfg.n_min = 2;
-  cfg.budget = 5000.0;  // generous: max_epochs is the binding stop
-  cfg.max_epochs = 3;
-  cfg.train_samples = 120;
-  cfg.test_samples = 40;
-  cfg.width_scale = 0.05;
-  cfg.batch_cap = 8;
-  cfg.eval_cap = 32;
-  cfg.dane.sgd_steps = 1;
-  cfg.seed = 6;
-  harness::Experiment exp(cfg);
-  auto strat = harness::make_strategy("fedavg", cfg);
-  const auto res = exp.run(*strat);
-  EXPECT_EQ(res.termination_reason, "max_epochs");
-  EXPECT_EQ(res.epochs_run, 3u);
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "event mode" : "lockstep");
+    harness::ScenarioConfig cfg;
+    cfg.num_clients = 6;
+    cfg.n_min = 2;
+    cfg.budget = 5000.0;  // generous: max_epochs is the binding stop
+    cfg.max_epochs = 3;
+    cfg.train_samples = 120;
+    cfg.test_samples = 40;
+    cfg.width_scale = 0.05;
+    cfg.batch_cap = 8;
+    cfg.eval_cap = 32;
+    cfg.dane.sgd_steps = 1;
+    cfg.seed = 6;
+    cfg.async.enabled = async;
+    harness::Experiment exp(cfg);
+    auto strat = harness::make_strategy("fedavg", cfg);
+    const auto res = exp.run(*strat);
+    EXPECT_EQ(res.termination_reason, "max_epochs");
+    EXPECT_EQ(res.epochs_run, 3u);
+  }
 }
 
 }  // namespace
