@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
+#include <ostream>
+#include <vector>
 
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/engine.h"
+#include "net/bandwidth.h"
 #include "nn/factory.h"
 
 namespace fedl::fl {
@@ -51,11 +53,35 @@ struct World {
   std::unique_ptr<FlEngine> engine;
 };
 
-using MatrixParam =
-    std::tuple<LocalUpdateRule, const char* /*compressor*/,
-               net::BandwidthPolicy>;
+struct MatrixCase {
+  LocalUpdateRule rule;
+  const char* compressor;
+  net::BandwidthPolicy bw;
+};
 
-class EngineMatrix : public ::testing::TestWithParam<MatrixParam> {};
+// Prints a case as rule_compressor_bandwidth, e.g. "Dane_quant8_minmax";
+// ctest names each case after it. gtest's default printer shows the
+// compressor string's address, which moves from build to build.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  static const char* const kRuleNames[] = {"Dane", "FedProx", "Sgd"};
+  *os << kRuleNames[static_cast<int>(c.rule)] << "_" << c.compressor << "_"
+      << net::bandwidth_policy_name(c.bw);
+}
+
+std::vector<MatrixCase> matrix_cases() {
+  std::vector<MatrixCase> cases;
+  for (const LocalUpdateRule rule : {LocalUpdateRule::kDane,
+                                     LocalUpdateRule::kFedProx,
+                                     LocalUpdateRule::kSgd})
+    for (const char* compressor : {"none", "quant8", "topk10"})
+      for (const net::BandwidthPolicy bw :
+           {net::BandwidthPolicy::kEqual,
+            net::BandwidthPolicy::kMinMaxLatency})
+        cases.push_back({rule, compressor, bw});
+  return cases;
+}
+
+class EngineMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(EngineMatrix, OneEpochInvariants) {
   const auto [rule, compressor, bw] = GetParam();
@@ -86,14 +112,8 @@ TEST_P(EngineMatrix, OneEpochInvariants) {
   EXPECT_LE(out.test_accuracy, 1.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, EngineMatrix,
-    ::testing::Combine(
-        ::testing::Values(LocalUpdateRule::kDane, LocalUpdateRule::kFedProx,
-                          LocalUpdateRule::kSgd),
-        ::testing::Values("none", "quant8", "topk10"),
-        ::testing::Values(net::BandwidthPolicy::kEqual,
-                          net::BandwidthPolicy::kMinMaxLatency)));
+INSTANTIATE_TEST_SUITE_P(Matrix, EngineMatrix,
+                         ::testing::ValuesIn(matrix_cases()));
 
 TEST(EngineInterplay, CompressionShrinksUploadLatency) {
   EngineConfig plain;
