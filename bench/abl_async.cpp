@@ -8,7 +8,7 @@
 // speedup is lockstep time-to-target over the best event-mode
 // time-to-target; run_benches stamps the JSON into BENCH_async.json.
 //
-//   abl_async --ks=2,4,8 --staleness-exps=0,0.5 --budget=900 \
+//   abl_async --ks=2,4,8 --staleness-exps=0,0.5 --budget=900
 //             --json-out=BENCH_async.json
 #include <algorithm>
 #include <cmath>

@@ -11,7 +11,7 @@
 // JSON report carries decide-latency and resident-state curves; run_benches
 // stamps it into BENCH_scale.json.
 //
-//   fig8_scale_sweep --ms=1000,10000,100000,1000000 --et=1000 --width=64 \
+//   fig8_scale_sweep --ms=1000,10000,100000,1000000 --et=1000 --width=64
 //                    --epochs=6 --json-out=BENCH_scale.json
 #include <algorithm>
 #include <chrono>

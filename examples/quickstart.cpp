@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
   harness::Experiment exp(cfg);
   std::vector<fl::TrainTrace> traces;
-  for (const std::string& name : {"fedl", "fedavg"}) {
+  for (const char* name : {"fedl", "fedavg"}) {
     auto strat = harness::make_strategy(name, cfg);
     harness::RunResult res = exp.run(*strat);
     traces.push_back(std::move(res.trace));

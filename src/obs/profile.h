@@ -62,10 +62,10 @@ class Profiler {
     int tid = 0;
     std::string name;  // empty = unnamed; shown via thread_name metadata
     std::vector<Span> spans;
-    void record(const char* name, std::uint64_t start_ns,
+    void record(const char* span_name, std::uint64_t start_ns,
                 std::uint64_t dur_ns) {
       std::lock_guard<std::mutex> lock(mutex);
-      spans.push_back({name, start_ns, dur_ns});
+      spans.push_back({span_name, start_ns, dur_ns});
     }
   };
   ThreadLog* local_log();

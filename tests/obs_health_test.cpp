@@ -264,7 +264,9 @@ TEST(Monitor, DropoutWindowMustFillBeforeFiring) {
     s.num_dropped = 4.0;  // 100% dropout every epoch
     const auto anomalies = monitor.on_epoch(s);
     fired += anomalies.size();
-    if (e < 4) EXPECT_TRUE(anomalies.empty()) << "fired before window filled";
+    if (e < 4) {
+      EXPECT_TRUE(anomalies.empty()) << "fired before window filled";
+    }
   }
   EXPECT_EQ(fired, 1u);
 }
@@ -500,7 +502,9 @@ TEST(Digest, TraceRecordsChainContinuously) {
   EXPECT_EQ(prevs.front(), obs::digest_hex(obs::kFnvOffsetBasis));
   for (std::size_t i = 0; i < digests.size(); ++i) {
     EXPECT_EQ(digests[i], obs::digest_hex(res.epoch_digests[i]));
-    if (i > 0) EXPECT_EQ(prevs[i], digests[i - 1]) << "chain broken at " << i;
+    if (i > 0) {
+      EXPECT_EQ(prevs[i], digests[i - 1]) << "chain broken at " << i;
+    }
   }
   std::remove(path.c_str());
 }

@@ -282,7 +282,7 @@ TEST(ProxSolver, InfeasibleStartIsProjectedFirst) {
   FeasibleSet set;
   set.lo = {0, 0};
   set.hi = {1, 1};
-  auto obj = [](const std::vector<double>& x, std::vector<double>* g) {
+  auto obj = [](const std::vector<double>& /*x*/, std::vector<double>* g) {
     if (g) (*g) = {0.0, 0.0};
     return 0.0;
   };
