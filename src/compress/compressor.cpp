@@ -6,12 +6,12 @@
 #include "common/error.h"
 
 namespace fedl::compress {
+namespace {
 
-CompressedUpdate NoneCompressor::apply(const ParamVec& d,
-                                       std::size_t client) {
-  (void)client;
-  return {d, 32.0 * static_cast<double>(d.size())};
-}
+// Every compressed upload opens with one 64-bit header word.
+constexpr double kHeaderBits = 64.0;
+
+}  // namespace
 
 QuantizeCompressor::QuantizeCompressor(std::uint8_t bits,
                                        std::size_t num_clients,
@@ -23,11 +23,13 @@ QuantizeCompressor::QuantizeCompressor(std::uint8_t bits,
   for (std::size_t i = 0; i < num_clients; ++i) rngs_.push_back(parent.split());
 }
 
-CompressedUpdate QuantizeCompressor::apply(const ParamVec& d,
-                                           std::size_t client) {
+ParamVec QuantizeCompressor::apply(const ParamVec& d, std::size_t client) {
   FEDL_CHECK_LT(client, rngs_.size());
-  const QuantizedVec q = quantize(d, bits_, rngs_[client]);
-  return {dequantize(q), q.payload_bits()};
+  return dequantize(quantize(d, bits_, rngs_[client]));
+}
+
+double QuantizeCompressor::payload_bits(std::size_t dim) const {
+  return kHeaderBits + static_cast<double>(dim) * bits_;
 }
 
 std::string QuantizeCompressor::name() const {
@@ -39,13 +41,19 @@ TopKCompressor::TopKCompressor(double fraction, std::size_t num_clients)
   FEDL_CHECK(fraction > 0.0 && fraction <= 1.0) << "fraction=" << fraction;
 }
 
-CompressedUpdate TopKCompressor::apply(const ParamVec& d,
-                                       std::size_t client) {
+std::size_t TopKCompressor::kept(std::size_t dim) const {
+  const auto k = static_cast<std::size_t>(
+      std::ceil(fraction_ * static_cast<double>(dim)));
+  return std::min(dim, std::max<std::size_t>(1, k));
+}
+
+ParamVec TopKCompressor::apply(const ParamVec& d, std::size_t client) {
   FEDL_CHECK_LT(client, feedback_.size());
-  const std::size_t k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(fraction_ * static_cast<double>(d.size()))));
-  const SparseVec s = feedback_[client].compress(d, k);
-  return {densify(s), s.payload_bits()};
+  return densify(feedback_[client].compress(d, kept(d.size())));
+}
+
+double TopKCompressor::payload_bits(std::size_t dim) const {
+  return kHeaderBits + 64.0 * static_cast<double>(kept(dim));
 }
 
 std::string TopKCompressor::name() const {
@@ -53,8 +61,9 @@ std::string TopKCompressor::name() const {
 }
 
 CompressorPtr make_compressor(const std::string& name,
-                              std::size_t num_clients, std::uint64_t seed) {
-  if (name == "none") return std::make_unique<NoneCompressor>();
+                              std::size_t num_clients, std::uint64_t seed,
+                              double upload_bits) {
+  if (name == "none") return std::make_unique<NoneCompressor>(upload_bits);
   if (name == "quant8")
     return std::make_unique<QuantizeCompressor>(8, num_clients, seed);
   if (name == "quant4")

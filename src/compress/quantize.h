@@ -21,10 +21,6 @@ struct QuantizedVec {
   std::vector<std::int32_t> levels;  // signed level index per element
 
   std::size_t size() const { return levels.size(); }
-  // Payload size on the wire: header + bits per element.
-  double payload_bits() const {
-    return 64.0 + static_cast<double>(levels.size()) * bits;
-  }
 };
 
 // Quantizes x to `bits`-wide signed levels with stochastic rounding.

@@ -20,10 +20,6 @@ struct SparseVec {
   std::vector<float> values;
 
   std::size_t nnz() const { return indices.size(); }
-  // Wire payload: 32-bit index + 32-bit value per kept coordinate.
-  double payload_bits() const {
-    return 64.0 + 64.0 * static_cast<double>(indices.size());
-  }
 };
 
 // Keeps the k largest-|x| coordinates (all of them when k >= dim).

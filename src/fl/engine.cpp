@@ -78,8 +78,9 @@ FlEngine::FlEngine(const data::Dataset* train, const data::Dataset* test,
   FEDL_CHECK_GT(cfg_.eval_cap, 0u);
   w_ = model_.params_flat();
   test_batch_ = test_->head(cfg_.eval_cap);
-  compressor_ = compress::make_compressor(cfg_.compressor,
-                                          env_->num_clients(), cfg_.seed ^ 0x5eedULL);
+  compressor_ = compress::make_compressor(
+      cfg_.compressor, env_->num_clients(), cfg_.seed ^ 0x5eedULL,
+      env_->spec().device.upload_bits);
   selected_mask_.assign(env_->num_clients(), 0);
 }
 
@@ -251,12 +252,19 @@ void FlEngine::run_local_jobs(const std::vector<LocalTrainJob>& jobs,
     // The uplink carries d = w_local − w_base through the compressor
     // (per-client state, concurrent-safe).
     for (std::size_t p = 0; p < w_local.size(); ++p) w_local[p] -= w_[p];
-    compress::CompressedUpdate cu =
-        compressor_->apply(w_local, jobs[i].client);
-    res.payload_bits = cu.payload_bits;
-    res.update = std::move(cu.restored);
+    res.update = compressor_->apply(w_local, jobs[i].client);
   });
   trim_replicas();
+}
+
+std::vector<double> FlEngine::step_times(
+    const std::vector<std::size_t>& selected,
+    const std::vector<char>& uploaded) const {
+  FEDL_CHECK_EQ(uploaded.size(), selected.size());
+  std::vector<double> bits(selected.size());
+  for (std::size_t i = 0; i < selected.size(); ++i)
+    bits[i] = compressor_->payload_bits(uploaded[i] ? w_.size() : 0);
+  return env_->step_times(selected, bits);
 }
 
 EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
@@ -302,8 +310,6 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
     out.client_eta.assign(s, 0.0);
     out.client_loss_reduction.assign(s, 0.0);
     out.client_completed_iters.assign(s, 0);
-
-    payload_bits_.assign(s, 0.0);  // last iteration's uplink size
 
     // Fault injection: a failing client dies before completing iteration
     // drop_iter_[i] (== iterations means it survives the epoch).
@@ -402,8 +408,7 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
         out.client_eta[i] = std::max(out.client_eta[i], updates_[i].eta);
         out.client_loss_reduction[i] +=
             updates_[i].loss_before - updates_[i].loss_after;
-        payload_bits_[i] = compressed_[i].payload_bits;
-        axpy(1.0f, compressed_[i].restored, agg_);
+        axpy(1.0f, compressed_[i], agg_);
       }
       const double denom =
           cfg_.aggregation == AggregationRule::kPaperMean
@@ -413,26 +418,16 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
     }
     for (double e : out.client_eta) out.eta_max = std::max(out.eta_max, e);
 
-    // Latency & cost from the analytical model; uplink times come from the
-    // environment's configured FDMA bandwidth policy. Without compression
-    // the paper's constant payload s applies; with compression each client
-    // uploads its (smaller) compressed payload.
+    // Latency & cost from the analytical model: l step times per client,
+    // each uploading its payload on the configured FDMA split.
+    uploaded_.resize(s);
+    for (std::size_t i = 0; i < s; ++i) uploaded_[i] = drop_iter_[i] > 0;
+    const std::vector<double> step = step_times(selected, uploaded_);
     out.client_latency_s.assign(s, 0.0);
-    if (cfg_.compressor != "none") {
-      // A client that died before ever uploading still sent a header.
-      for (auto& b : payload_bits_)
-        if (b <= 0.0) b = 64.0;
-    }
-    const std::vector<double> upload =
-        cfg_.compressor == "none"
-            ? env_->realized_upload_times(selected)
-            : env_->realized_upload_times(selected, payload_bits_);
     double max_latency = 0.0;
     for (std::size_t i = 0; i < s; ++i) {
-      const std::size_t k = selected[i];
-      const auto* obs = ctx.find(k);
-      const double per_iter = obs->tau_loc + upload[i];
-      out.client_latency_s[i] = static_cast<double>(iterations) * per_iter;
+      const auto* obs = ctx.find(selected[i]);
+      out.client_latency_s[i] = static_cast<double>(iterations) * step[i];
       // A failed client costs a timeout: the server waited past its nominal
       // finish time before declaring it dead.
       if (drop_iter_[i] < iterations)

@@ -77,7 +77,6 @@ struct LocalTrainResult {
   nn::ParamVec update;          // compressed-restored d = w_local − w_base
   double eta = 0.0;             // max η over the iterations
   double loss_reduction = 0.0;  // Σ_i F_k(before) − F_k(after)
-  double payload_bits = 0.0;    // uplink size of the final update
   std::size_t completed_iters = 0;
 };
 
@@ -123,6 +122,15 @@ class FlEngine {
   // evaluates the model.
   EpochOutcome run_epoch(const std::vector<std::size_t>& selected,
                          std::size_t iterations);
+
+  // One iteration's simulated time τ^loc_k + τ^cm_k for each client of a
+  // committed cohort (parallel to `selected`) — the step-time call of both
+  // execution modes: run_epoch charges l of them per client, the event
+  // engine spaces l unit steps by them. Each upload weighs the compressor's
+  // payload_bits(num_params()); uploaded[i] == 0 marks a client that died
+  // before its first upload and so sent an empty update (payload_bits(0)).
+  std::vector<double> step_times(const std::vector<std::size_t>& selected,
+                                 const std::vector<char>& uploaded) const;
 
   const nn::ParamVec& global_params() const { return w_; }
   void set_global_params(nn::ParamVec w);
@@ -205,12 +213,12 @@ class FlEngine {
   std::vector<nn::Batch> batches_;    // per-selected-client minibatches
   std::vector<nn::ParamVec> grads_;   // per-client ∇F_k(w)
   std::vector<LocalUpdate> updates_;  // per-client DANE corrections
-  std::vector<compress::CompressedUpdate> compressed_;
+  std::vector<nn::ParamVec> compressed_;  // per-client restored uplinks
   nn::ParamVec gbar_;                 // ḡ ordered-reduction buffer
   nn::ParamVec agg_;                  // aggregation ordered-reduction buffer
   std::vector<double> weights_;       // ϑ_k per selected client
-  std::vector<double> payload_bits_;  // last uplink size per client
   std::vector<std::size_t> drop_iter_;   // fault-injection schedule
+  std::vector<char> uploaded_;           // drop_iter_ > 0, for step_times
   std::vector<std::size_t> alive_idx_;   // per-iteration survivor set
   std::vector<std::size_t> job_idx_;     // run_local_jobs fan-out index list
   std::vector<nn::ParamVec> local_w_;    // per-job local model buffers

@@ -91,12 +91,18 @@ void EventEngine::dispatch(std::size_t epoch,
   last_dispatch_epoch_ = epoch;
   dispatches_counter().add(static_cast<std::uint64_t>(s));
 
-  // The same analytical d_k(t) = l·(τ^loc + τ^cm) the lockstep engine
-  // charges, split into l unit steps — event mode's advantage must come
-  // from overlap, not from a friendlier latency model.
-  const std::vector<double> step_s =
-      env_->realized_completion_times(selected, 1);
+  // Fault injection at dispatch: an asynchronous dropout is a total loss
+  // (no barrier collects partial iterations), so a failing member trains
+  // and uploads nothing and resolves at the timeout of its nominal finish.
   const FaultSpec& faults = engine_->config().faults;
+  uploaded_.assign(s, 1);
+  for (std::size_t i = 0; i < s; ++i)
+    if (faults.dropout_prob > 0.0 && rng_.bernoulli(faults.dropout_prob))
+      uploaded_[i] = 0;
+  // The same step time the lockstep engine charges, so d_k(t) = l·(τ^loc +
+  // τ^cm) split into l unit steps — event mode's advantage must come from
+  // overlap, not from a friendlier latency model.
+  const std::vector<double> step_s = engine_->step_times(selected, uploaded_);
 
   const std::size_t cohort_idx = cohorts_.size();
   cohorts_.push_back(Cohort{});
@@ -120,11 +126,7 @@ void EventEngine::dispatch(std::size_t epoch,
     FEDL_CHECK_LT(k, inflight_mask_.size());
     FEDL_CHECK(inflight_mask_[k] == 0)
         << "client " << k << " dispatched while already in flight";
-    // Fault injection at dispatch: an asynchronous dropout is a total loss
-    // (no barrier collects partial iterations), so a failing member trains
-    // nothing and resolves at the timeout of its nominal finish time.
-    const bool dropped = faults.dropout_prob > 0.0 &&
-                         rng_.bernoulli(faults.dropout_prob);
+    const bool dropped = !uploaded_[i];
     const double nominal = static_cast<double>(iterations) * step_s[i];
     const double latency =
         dropped ? nominal * faults.timeout_multiplier : nominal;

@@ -17,8 +17,10 @@
 //    (FlEngine::run_local_jobs — scheduler-leased fan-out, bit-identical at
 //    any thread count) and completes one step latency later, where the step
 //    latency is d_k/l from the same analytical d_k = l·(τ^loc + τ^cm)
-//    run_epoch charges (the environment's realized_completion_times), so
-//    lockstep and event mode race on identical physics.
+//    run_epoch charges: both modes time a cohort with FlEngine::step_times
+//    (over EdgeEnvironment::step_times, the one latency function) at the
+//    compressor's payload, so lockstep and event mode race on identical
+//    physics.
 //  * complete: the finished step's update enters the staleness-tagged
 //    aggregation buffer (staleness = global model versions missed since the
 //    step started); the member's next step, if any, then starts from the
@@ -193,6 +195,7 @@ class EventEngine {
   std::vector<AsyncEvent> events_;
 
   // Per-dispatch scratch (grow-only).
+  std::vector<char> uploaded_;             // member index → not dropped
   std::vector<LocalTrainJob> jobs_;
   std::vector<LocalTrainResult> job_results_;
   std::vector<std::size_t> job_member_;    // job index → cohort member index

@@ -166,22 +166,7 @@ void EdgeEnvironment::advance_epoch_lazy() {
   }
 }
 
-double EdgeEnvironment::realized_tau_cm(std::size_t k,
-                                        std::size_t num_selected) const {
-  FEDL_CHECK_GT(num_selected, 0u);
-  const double rate = channel().rate_equal_share(k, num_selected);
-  return fleet().spec().upload_bits / rate;
-}
-
-std::vector<double> EdgeEnvironment::realized_upload_times(
-    const std::vector<std::size_t>& selected) const {
-  FEDL_CHECK(!selected.empty());
-  const net::Allocation alloc = net::allocate_bandwidth(
-      channel(), selected, fleet().spec().upload_bits, spec_.bandwidth);
-  return alloc.upload_time_s;
-}
-
-std::vector<double> EdgeEnvironment::realized_upload_times(
+std::vector<double> EdgeEnvironment::step_times(
     const std::vector<std::size_t>& selected,
     const std::vector<double>& payload_bits) const {
   FEDL_CHECK(!selected.empty());
@@ -195,23 +180,12 @@ std::vector<double> EdgeEnvironment::realized_upload_times(
       net::allocate_bandwidth(channel(), selected, max_bits, spec_.bandwidth);
   std::vector<double> out(selected.size());
   for (std::size_t i = 0; i < selected.size(); ++i) {
-    const double rate = channel().rate(selected[i], alloc.bandwidth_hz[i]);
-    out[i] = payload_bits[i] / rate;
-  }
-  return out;
-}
-
-std::vector<double> EdgeEnvironment::realized_completion_times(
-    const std::vector<std::size_t>& selected, std::size_t iterations) const {
-  FEDL_CHECK(!selected.empty());
-  FEDL_CHECK_GT(iterations, 0u);
-  std::vector<double> out = realized_upload_times(selected);
-  for (std::size_t i = 0; i < selected.size(); ++i) {
     const ClientObservation* obs = context_.find(selected[i]);
     FEDL_CHECK(obs != nullptr)
         << "client " << selected[i] << " not available in epoch "
         << context_.epoch;
-    out[i] = static_cast<double>(iterations) * (obs->tau_loc + out[i]);
+    const double rate = channel().rate(selected[i], alloc.bandwidth_hz[i]);
+    out[i] = obs->tau_loc + payload_bits[i] / rate;
   }
   return out;
 }

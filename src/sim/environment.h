@@ -4,8 +4,9 @@
 // streams (S5) and exposes exactly what a 0-lookahead decision maker may
 // observe at the *start* of epoch t: who is available, what they cost, how
 // much data they currently hold, and latency estimates. Realized latencies
-// (which depend on the selection itself through the FDMA share) are reported
-// only after a selection is committed, matching the paper's online model.
+// (which depend on the selection itself through the FDMA share) come from
+// step_times() only after a selection is committed, matching the paper's
+// online model.
 #pragma once
 
 #include <cstddef>
@@ -81,32 +82,16 @@ class EdgeEnvironment {
   // Sample indices client k holds in the current epoch (dense mode only).
   const std::vector<std::size_t>& client_data(std::size_t k) const;
 
-  // Realized uplink latency once the FDMA share is fixed by the committed
-  // selection of size `num_selected` (equal-share formula).
-  double realized_tau_cm(std::size_t k, std::size_t num_selected) const;
-
-  // Realized uplink latencies for the committed selection under the
-  // configured bandwidth policy (parallel to `selected`).
-  std::vector<double> realized_upload_times(
-      const std::vector<std::size_t>& selected) const;
-
-  // As above but with per-client payload sizes (update compression shrinks
-  // the constant s of the latency model). The bandwidth split is computed
-  // for the largest payload (conservative); each client's time then uses its
-  // own payload on its allocated band.
-  std::vector<double> realized_upload_times(
-      const std::vector<std::size_t>& selected,
-      const std::vector<double>& payload_bits) const;
-
-  // Simulated end-to-end completion times d_k(t) = iterations·(τ^loc_k +
-  // τ^cm_k) for a committed cohort (parallel to `selected`), under the
-  // configured bandwidth policy at the paper's constant payload s. This is
-  // the same latency model run_epoch charges synchronously; the event-driven
-  // engine samples it once at dispatch to schedule completion events on the
-  // virtual clock, so lockstep and event mode compare on identical d_k.
+  // The simulator's one latency function: each committed client's
+  // one-iteration time τ^loc_k + τ^cm_k (parallel to `selected`), where
+  // client i uploads payload_bits[i] bits (the constant s of the paper, or
+  // a compressor's smaller payload). The configured bandwidth policy splits
+  // the band for the largest payload (conservative); each client then sends
+  // its own payload on its allocated band. Lockstep charges l of these per
+  // engagement; the event engine schedules l unit steps this far apart.
   // Clients must be available in the current epoch context.
-  std::vector<double> realized_completion_times(
-      const std::vector<std::size_t>& selected, std::size_t iterations) const;
+  std::vector<double> step_times(const std::vector<std::size_t>& selected,
+                                 const std::vector<double>& payload_bits) const;
 
   // Dense-mode accessors; FEDL_CHECK in lazy mode (no materialized state).
   const DeviceFleet& fleet() const;

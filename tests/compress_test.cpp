@@ -1,8 +1,10 @@
 // Tests for the update-compression substrate: stochastic quantization
-// (unbiasedness, payload accounting), top-k sparsification + error feedback,
-// the Compressor interface, and engine integration.
+// (unbiasedness), top-k sparsification + error feedback, the Compressor
+// interface and its payload accounting, and engine integration in both
+// execution modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -12,6 +14,9 @@
 
 namespace fedl::compress {
 namespace {
+
+// The paper's constant payload s, the bits "none" uploads.
+constexpr double kUploadBits = 1e7;
 
 ParamVec random_vec(std::size_t n, Rng& rng, float scale = 1.0f) {
   ParamVec v(n);
@@ -56,12 +61,12 @@ TEST(Quantize, FewerBitsMoreError) {
 }
 
 TEST(Quantize, PayloadShrinksWithBits) {
-  Rng rng(4);
-  const ParamVec x = random_vec(1000, rng);
-  const auto q8 = quantize(x, 8, rng);
-  const auto q4 = quantize(x, 4, rng);
-  EXPECT_LT(q4.payload_bits(), q8.payload_bits());
-  EXPECT_LT(q8.payload_bits(), 32.0 * 1000 + 64.0);
+  const auto q8 = make_compressor("quant8", 1, 4, kUploadBits);
+  const auto q4 = make_compressor("quant4", 1, 4, kUploadBits);
+  EXPECT_EQ(q8->payload_bits(1000), 64.0 + 8.0 * 1000);
+  EXPECT_LT(q4->payload_bits(1000), q8->payload_bits(1000));
+  EXPECT_LT(q8->payload_bits(1000), 32.0 * 1000 + 64.0);
+  EXPECT_EQ(q4->payload_bits(0), 64.0);  // an empty update: the header alone
 }
 
 TEST(Quantize, ZeroVectorStaysZero) {
@@ -112,8 +117,17 @@ TEST(TopK, DensifyRoundTripsKeptCoordinates) {
 }
 
 TEST(TopK, PayloadProportionalToK) {
-  const ParamVec x(1000, 1.0f);
-  EXPECT_LT(top_k(x, 10).payload_bits(), top_k(x, 100).payload_bits());
+  const auto t1 = make_compressor("topk1", 1, 1, kUploadBits);
+  const auto t10 = make_compressor("topk10", 1, 1, kUploadBits);
+  EXPECT_EQ(t1->payload_bits(1000), 64.0 + 64.0 * 10);
+  EXPECT_EQ(t10->payload_bits(1000), 64.0 + 64.0 * 100);
+  EXPECT_EQ(t1->payload_bits(0), 64.0);  // an empty update: the header alone
+  // The pure payload counts exactly the coordinates apply() keeps.
+  Rng rng(11);
+  const ParamVec kept = t10->apply(random_vec(1000, rng), 0);
+  const auto nnz = std::count_if(kept.begin(), kept.end(),
+                                 [](float v) { return v != 0.0f; });
+  EXPECT_EQ(64.0 + 64.0 * static_cast<double>(nnz), t10->payload_bits(1000));
 }
 
 TEST(ErrorFeedback, ResidualCarriesDroppedMass) {
@@ -151,40 +165,41 @@ TEST(ErrorFeedback, NoLossOverTimeOnConstantSignal) {
 // --- compressor interface ---------------------------------------------------------
 
 TEST(Compressor, FactoryNamesAndErrors) {
-  EXPECT_EQ(make_compressor("none", 4, 1)->name(), "none");
-  EXPECT_EQ(make_compressor("quant8", 4, 1)->name(), "quant8");
-  EXPECT_EQ(make_compressor("quant4", 4, 1)->name(), "quant4");
-  EXPECT_EQ(make_compressor("topk10", 4, 1)->name(), "topk10");
-  EXPECT_THROW(make_compressor("zstd", 4, 1), ConfigError);
+  EXPECT_EQ(make_compressor("none", 4, 1, kUploadBits)->name(), "none");
+  EXPECT_EQ(make_compressor("quant8", 4, 1, kUploadBits)->name(), "quant8");
+  EXPECT_EQ(make_compressor("quant4", 4, 1, kUploadBits)->name(), "quant4");
+  EXPECT_EQ(make_compressor("topk10", 4, 1, kUploadBits)->name(), "topk10");
+  EXPECT_THROW(make_compressor("zstd", 4, 1, kUploadBits), ConfigError);
 }
 
 TEST(Compressor, NonePassesThrough) {
-  NoneCompressor c;
+  NoneCompressor c(kUploadBits);
   const ParamVec d = {1.0f, -2.0f};
-  const auto cu = c.apply(d, 0);
-  EXPECT_EQ(cu.restored, d);
-  EXPECT_EQ(cu.payload_bits, 64.0);
+  EXPECT_EQ(c.apply(d, 0), d);
+  // The paper's constant s, whatever the model size — even for a client
+  // that uploaded nothing.
+  EXPECT_EQ(c.payload_bits(2), kUploadBits);
+  EXPECT_EQ(c.payload_bits(0), kUploadBits);
 }
 
 TEST(Compressor, QuantizeShrinksPayload) {
   Rng rng(8);
   const ParamVec d = random_vec(1000, rng);
-  auto c = make_compressor("quant8", 1, 9);
-  const auto cu = c->apply(d, 0);
-  EXPECT_LT(cu.payload_bits, 32.0 * 1000);
-  EXPECT_EQ(cu.restored.size(), d.size());
+  auto c = make_compressor("quant8", 1, 9, kUploadBits);
+  EXPECT_LT(c->payload_bits(d.size()), 32.0 * 1000);
+  EXPECT_EQ(c->apply(d, 0).size(), d.size());
 }
 
 TEST(Compressor, TopKKeepsPerClientState) {
-  auto c = make_compressor("topk10", 2, 10);
+  auto c = make_compressor("topk10", 2, 10, kUploadBits);
   const ParamVec d(100, 0.01f);
   const auto a0 = c->apply(d, 0);
   const auto b0 = c->apply(d, 1);
   // Client 0's second call sees client 0's residual, not client 1's.
   const auto a1 = c->apply(d, 0);
-  EXPECT_EQ(a0.restored.size(), 100u);
-  EXPECT_EQ(b0.restored.size(), 100u);
-  EXPECT_EQ(a1.restored.size(), 100u);
+  EXPECT_EQ(a0.size(), 100u);
+  EXPECT_EQ(b0.size(), 100u);
+  EXPECT_EQ(a1.size(), 100u);
 }
 
 // --- engine integration --------------------------------------------------------------
@@ -211,25 +226,29 @@ TEST(Compressor, EngineRunsWithEveryCompressor) {
 }
 
 TEST(Compressor, CompressionReducesSimulatedLatency) {
-  auto run_time = [](const std::string& comp) {
-    harness::ScenarioConfig cfg;
-    cfg.num_clients = 6;
-    cfg.n_min = 2;
-    cfg.budget = 100.0;
-    cfg.max_epochs = 4;
-    cfg.train_samples = 150;
-    cfg.test_samples = 50;
-    cfg.width_scale = 0.05;
-    cfg.batch_cap = 10;
-    cfg.eval_cap = 40;
-    cfg.dane.sgd_steps = 2;
-    cfg.compressor = comp;
-    harness::Experiment exp(cfg);
-    auto strat = harness::make_strategy("fedavg", cfg);
-    return exp.run(*strat).trace.total_time();
-  };
-  // topk1 uploads ~1% of coordinates: far below the constant s payload.
-  EXPECT_LT(run_time("topk1"), run_time("none"));
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "event mode" : "lockstep");
+    auto run_time = [async](const std::string& comp) {
+      harness::ScenarioConfig cfg;
+      cfg.num_clients = 6;
+      cfg.n_min = 2;
+      cfg.budget = 100.0;
+      cfg.max_epochs = 4;
+      cfg.train_samples = 150;
+      cfg.test_samples = 50;
+      cfg.width_scale = 0.05;
+      cfg.batch_cap = 10;
+      cfg.eval_cap = 40;
+      cfg.dane.sgd_steps = 2;
+      cfg.compressor = comp;
+      cfg.async.enabled = async;
+      harness::Experiment exp(cfg);
+      auto strat = harness::make_strategy("fedavg", cfg);
+      return exp.run(*strat).trace.total_time();
+    };
+    // topk1 uploads ~1% of coordinates: far below the constant s payload.
+    EXPECT_LT(run_time("topk1"), run_time("none"));
+  }
 }
 
 }  // namespace

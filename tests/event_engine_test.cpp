@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "core/staleness.h"
 #include "data/partition.h"
@@ -58,7 +59,8 @@ TEST(Staleness, DampingDecaysPolynomially) {
 // --- EventEngine unit semantics --------------------------------------------------
 
 struct EventFixture {
-  explicit EventFixture(std::uint64_t seed, double dropout_prob = 0.0) {
+  explicit EventFixture(std::uint64_t seed, double dropout_prob = 0.0,
+                        const char* compressor = "none") {
     data = std::make_unique<data::TrainTest>(data::make_synthetic_train_test(
         data::fmnist_like_spec(300, seed), 90));
     Rng prng(seed);
@@ -81,6 +83,7 @@ struct EventFixture {
     ec.dane.sgd_steps = 2;
     ec.seed = seed + 5;
     ec.faults.dropout_prob = dropout_prob;
+    ec.compressor = compressor;
     engine = std::make_unique<FlEngine>(&data->train, &data->test, env.get(),
                                         std::move(model), ec);
   }
@@ -222,6 +225,45 @@ TEST(EventEngine, DropoutIsATotalLoss) {
   for (std::size_t i = 0; i < out.client_latency_s.size(); ++i)
     EXPECT_GT(out.client_latency_s[i], 0.0);
   EXPECT_TRUE(evt.drained());
+}
+
+TEST(EventEngine, StepLatencyEqualsLockstepUnderEveryCompressor) {
+  // One cohort at l = 1: both modes time a member with the same step-time
+  // call, so each member's d_k matches run_epoch's bit for bit — at the
+  // compressed payload too. With dropout 1 every member dies before its
+  // first upload: a compressed one pays the timeout on the 64-bit header
+  // alone, in both modes.
+  for (const char* comp : {"none", "quant8", "topk10"})
+    for (const double dropout : {0.0, 1.0}) {
+      SCOPED_TRACE(std::string(comp) + (dropout > 0.0 ? " dropout" : ""));
+      EventFixture f(15, dropout, comp);
+      f.env->advance_epoch();
+      const auto sel = f.first_available(4);
+      ASSERT_EQ(sel.size(), 4u);
+      const std::vector<double> lockstep =
+          f.engine->run_epoch(sel, 1).client_latency_s;
+
+      AsyncConfig ac;
+      ac.enabled = true;
+      ac.buffer_k = 2;
+      EventEngine evt(f.engine.get(), f.env.get(), ac, 99);
+      evt.dispatch(1, sel, 1, 1.0);
+      while (evt.run_until_flush()) {
+      }
+      const auto resolved = evt.take_resolved();
+      ASSERT_EQ(resolved.size(), 1u);
+      const EpochOutcome& out = resolved.front().outcome;
+      EXPECT_EQ(out.num_dropped, dropout > 0.0 ? sel.size() : 0u);
+      EXPECT_EQ(out.client_latency_s, lockstep);
+
+      if (dropout > 0.0 && std::string(comp) != "none") {
+        const std::vector<double> header =
+            f.env->step_times(sel, std::vector<double>(sel.size(), 64.0));
+        const double timeout = f.engine->config().faults.timeout_multiplier;
+        for (std::size_t i = 0; i < sel.size(); ++i)
+          EXPECT_DOUBLE_EQ(out.client_latency_s[i], timeout * header[i]);
+      }
+    }
 }
 
 TEST(EventEngine, DoubleDispatchOfInflightClientIsAContractViolation) {

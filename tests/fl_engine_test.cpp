@@ -153,11 +153,13 @@ TEST(Engine, EpochOutcomeBookkeeping) {
   for (std::size_t id : sel) cost += ctx.find(id)->cost;
   EXPECT_NEAR(out.cost, cost, 1e-9);
 
-  // Epoch latency = max over clients; each = l·(τ^loc + τ^cm realized).
+  // Epoch latency = max over clients; each = l·(τ^loc + τ^cm realized) at
+  // the paper's constant payload s.
+  const double s = f.env->spec().device.upload_bits;
+  const std::vector<double> step = f.env->step_times(sel, {s, s, s});
   double max_lat = 0.0;
   for (std::size_t i = 0; i < sel.size(); ++i) {
-    const double expect = 2.0 * (ctx.find(sel[i])->tau_loc +
-                                 f.env->realized_tau_cm(sel[i], 3));
+    const double expect = 2.0 * step[i];
     EXPECT_NEAR(out.client_latency_s[i], expect, 1e-9);
     max_lat = std::max(max_lat, expect);
   }

@@ -172,10 +172,25 @@ TEST(Environment, EpochCounterAdvances) {
 }
 
 TEST(Environment, RealizedTauCmGrowsWithSharers) {
+  // One step is τ^loc + s/r_k at client k's FDMA share: committing more
+  // clients to the band shrinks the share and lengthens the upload.
   data::Dataset ds = data::make_synthetic(data::fmnist_like_spec(200, 59));
   auto env = make_env(5, 59, ds);
-  env.advance_epoch();
-  EXPECT_GT(env.realized_tau_cm(0, 5), env.realized_tau_cm(0, 1));
+  std::vector<std::size_t> cohort;
+  for (int e = 0; e < 20 && cohort.size() < 2; ++e) {
+    cohort.clear();
+    for (const auto& obs : env.advance_epoch().available)
+      cohort.push_back(obs.id);
+  }
+  ASSERT_GE(cohort.size(), 2u);
+  const std::size_t k = cohort.front();
+  const double s = env.spec().device.upload_bits;
+  const double alone = env.step_times({k}, {s})[0];
+  EXPECT_DOUBLE_EQ(alone, env.context().find(k)->tau_loc +
+                              s / env.channel().rate_equal_share(k, 1));
+  const double shared =
+      env.step_times(cohort, std::vector<double>(cohort.size(), s))[0];
+  EXPECT_GT(shared, alone);
 }
 
 TEST(Environment, AvailabilityVariesOverTime) {
