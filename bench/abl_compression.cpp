@@ -1,8 +1,10 @@
 // Ablation A9: uplink update compression. With the paper's constant payload
 // s the uplink dominates slow clients' latency; stochastic quantization and
 // top-k sparsification shrink τ^cm at the cost of noisier aggregates. The
-// bench reports accuracy/time/total-latency per compressor so the
-// communication/accuracy trade-off is visible.
+// bench reports accuracy/time/total-latency per compressor in both
+// execution modes — lockstep and event mode (K=4), which time every step
+// with the same payload — so the communication/accuracy trade-off is
+// visible with and without the epoch barrier.
 #include <iostream>
 
 #include "common/config.h"
@@ -31,21 +33,26 @@ int main(int argc, char** argv) {
     base.dane.sgd_steps = 2;
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
-    std::cout << "== Table: uplink compression trade-off (FedL)\n";
-    TextTable table({"compressor", "total_time_s", "final_acc",
+    std::cout << "== Table: uplink compression trade-off (FedL), lockstep "
+                 "and event mode (K=4)\n";
+    TextTable table({"compressor", "mode", "total_time_s", "final_acc",
                      "final_loss", "epochs"});
     for (const std::string comp :
-         {"none", "quant8", "quant4", "topk10", "topk1"}) {
-      harness::ScenarioConfig cfg = base;
-      cfg.compressor = comp;
-      harness::Experiment exp(cfg);
-      auto strat = harness::make_strategy("fedl", cfg);
-      const auto res = exp.run(*strat);
-      table.add_row({comp, format_num(res.trace.total_time()),
-                     format_num(res.trace.final_accuracy()),
-                     format_num(res.trace.final_loss()),
-                     std::to_string(res.epochs_run)});
-    }
+         {"none", "quant8", "quant4", "topk10", "topk1"})
+      for (const bool async : {false, true}) {
+        harness::ScenarioConfig cfg = base;
+        cfg.compressor = comp;
+        cfg.async.enabled = async;
+        cfg.async.buffer_k = 4;
+        harness::Experiment exp(cfg);
+        auto strat = harness::make_strategy("fedl", cfg);
+        const auto res = exp.run(*strat);
+        table.add_row({comp, async ? "event" : "lockstep",
+                       format_num(res.trace.total_time()),
+                       format_num(res.trace.final_accuracy()),
+                       format_num(res.trace.final_loss()),
+                       std::to_string(res.epochs_run)});
+      }
     table.write(std::cout);
     std::cout << "\n";
     return 0;
