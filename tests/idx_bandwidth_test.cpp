@@ -100,14 +100,24 @@ TEST(Bandwidth, PolicyNamesRoundTrip) {
   EXPECT_THROW(net::parse_bandwidth_policy("tdma"), ConfigError);
 }
 
-class BandwidthPolicies
-    : public ::testing::TestWithParam<net::BandwidthPolicy> {};
+struct PolicyCase {
+  net::BandwidthPolicy policy;
+};
+
+// Prints a case as its policy ("equal", "inverse_rate", "minmax"); ctest
+// names each case after it instead of the enum's raw bytes.
+void PrintTo(const PolicyCase& c, std::ostream* os) {
+  static const char* const kNames[] = {"equal", "inverse_rate", "minmax"};
+  *os << kNames[static_cast<int>(c.policy)];
+}
+
+class BandwidthPolicies : public ::testing::TestWithParam<PolicyCase> {};
 
 TEST_P(BandwidthPolicies, ConservesTotalBandwidth) {
   auto ch = make_channel(8, 3);
   const std::vector<std::size_t> clients = {0, 2, 4, 6};
   const auto alloc =
-      net::allocate_bandwidth(ch, clients, 1e6, GetParam());
+      net::allocate_bandwidth(ch, clients, 1e6, GetParam().policy);
   ASSERT_EQ(alloc.bandwidth_hz.size(), clients.size());
   const double total = std::accumulate(alloc.bandwidth_hz.begin(),
                                        alloc.bandwidth_hz.end(), 0.0);
@@ -120,9 +130,9 @@ TEST_P(BandwidthPolicies, ConservesTotalBandwidth) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, BandwidthPolicies,
-    ::testing::Values(net::BandwidthPolicy::kEqual,
-                      net::BandwidthPolicy::kInverseRate,
-                      net::BandwidthPolicy::kMinMaxLatency));
+    ::testing::Values(PolicyCase{net::BandwidthPolicy::kEqual},
+                      PolicyCase{net::BandwidthPolicy::kInverseRate},
+                      PolicyCase{net::BandwidthPolicy::kMinMaxLatency}));
 
 TEST(Bandwidth, EqualPolicySplitsEvenly) {
   auto ch = make_channel(5, 5);

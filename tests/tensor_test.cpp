@@ -211,6 +211,15 @@ struct GemmCase {
   float alpha, beta;
 };
 
+// Prints a case as MxNxK, the transposes and the scalars, e.g.
+// "65x300x257_nt_a1_b1"; ctest names each case after it. gtest's default
+// printer dumps the struct's bytes, padding included, which change from
+// build to build.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << c.m << 'x' << c.n << 'x' << c.k << '_' << (c.ta ? 't' : 'n')
+      << (c.tb ? 't' : 'n') << "_a" << c.alpha << "_b" << c.beta;
+}
+
 class GemmVsNaive : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmVsNaive, MatchesReference) {
@@ -300,10 +309,22 @@ TEST(Im2col, PaddingProducesZeros) {
 // property the conv backward pass relies on. Parametrized over geometries
 // that exercise stride > 1, pad > 0, non-square images, and asymmetric
 // kernels (the default conv shapes only cover stride 1 / "same" padding).
-class Im2colAdjoint : public ::testing::TestWithParam<Conv2dGeometry> {};
+struct AdjointCase {
+  Conv2dGeometry g;
+};
+
+// Prints a case as channels, image, kernel, stride and pad, e.g.
+// "c3_h7w6_k3x3_s2p1"; ctest names each case after it.
+void PrintTo(const AdjointCase& c, std::ostream* os) {
+  const Conv2dGeometry& g = c.g;
+  *os << 'c' << g.in_channels << "_h" << g.in_h << 'w' << g.in_w << "_k"
+      << g.kernel_h << 'x' << g.kernel_w << "_s" << g.stride << 'p' << g.pad;
+}
+
+class Im2colAdjoint : public ::testing::TestWithParam<AdjointCase> {};
 
 TEST_P(Im2colAdjoint, HoldsForGeometry) {
-  const Conv2dGeometry g = GetParam();
+  const Conv2dGeometry g = GetParam().g;
   ASSERT_GT(g.out_h(), 0u);
   ASSERT_GT(g.out_w(), 0u);
   Rng rng(9 + g.stride * 31 + g.pad * 7 + g.kernel_h);
@@ -330,14 +351,14 @@ TEST_P(Im2colAdjoint, HoldsForGeometry) {
 INSTANTIATE_TEST_SUITE_P(
     Geometries, Im2colAdjoint,
     ::testing::Values(
-        Conv2dGeometry{3, 7, 6, 3, 3, 2, 1},   // stride 2, pad 1
-        Conv2dGeometry{1, 9, 9, 3, 3, 3, 0},   // stride 3, no pad
-        Conv2dGeometry{2, 8, 5, 3, 3, 2, 2},   // pad 2, non-square image
-        Conv2dGeometry{4, 6, 6, 5, 5, 1, 2},   // big kernel, "same"-ish
-        Conv2dGeometry{2, 10, 7, 1, 1, 2, 0},  // 1x1 kernel, stride 2
-        Conv2dGeometry{1, 5, 5, 5, 5, 1, 0},   // kernel == image
-        Conv2dGeometry{2, 7, 7, 3, 1, 2, 1},   // asymmetric 3x1 kernel
-        Conv2dGeometry{3, 4, 4, 2, 2, 2, 1})); // even kernel, stride 2, pad
+        AdjointCase{{3, 7, 6, 3, 3, 2, 1}},   // stride 2, pad 1
+        AdjointCase{{1, 9, 9, 3, 3, 3, 0}},   // stride 3, no pad
+        AdjointCase{{2, 8, 5, 3, 3, 2, 2}},   // pad 2, non-square image
+        AdjointCase{{4, 6, 6, 5, 5, 1, 2}},   // big kernel, "same"-ish
+        AdjointCase{{2, 10, 7, 1, 1, 2, 0}},  // 1x1 kernel, stride 2
+        AdjointCase{{1, 5, 5, 5, 5, 1, 0}},   // kernel == image
+        AdjointCase{{2, 7, 7, 3, 1, 2, 1}},   // asymmetric 3x1 kernel
+        AdjointCase{{3, 4, 4, 2, 2, 2, 1}})); // even kernel, stride 2, pad
 
 TEST(Im2col, StridedLdMatchesPackedAndStaysAdjoint) {
   // The whole-batch conv pipeline writes each sample's columns into a slice
