@@ -66,15 +66,6 @@ void write_traces_json_file(const std::string& path,
   if (!out) throw ConfigError("short write on JSON: " + path);
 }
 
-void write_metrics_json_file(const std::string& path,
-                             const obs::MetricsSnapshot& snapshot) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw ConfigError("cannot write JSON: " + path);
-  snapshot.write_json(out);
-  out << "\n";
-  if (!out) throw ConfigError("short write on JSON: " + path);
-}
-
 void write_run_json(std::ostream& os,
                     const std::vector<fl::TrainTrace>& traces,
                     const obs::MetricsSnapshot& snapshot) {

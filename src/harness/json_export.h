@@ -21,10 +21,6 @@ void write_traces_json(std::ostream& os,
 void write_traces_json_file(const std::string& path,
                             const std::vector<fl::TrainTrace>& traces);
 
-// Serializes a metrics snapshot (see obs/metrics.h for the JSON shape).
-void write_metrics_json_file(const std::string& path,
-                             const obs::MetricsSnapshot& snapshot);
-
 // Bundles traces and the metrics snapshot of the run that produced them:
 // {"traces": [...], "metrics": {...}}.
 void write_run_json(std::ostream& os,
