@@ -40,6 +40,10 @@ const obs::Gauge& replica_count_gauge() {
   static const obs::Gauge g("fl.replicas");
   return g;
 }
+const obs::Gauge& model_bytes_gauge() {
+  static const obs::Gauge g("fl.model_bytes");
+  return g;
+}
 
 // Per-epoch trajectory series (obs/time_series.h). Disabled recorders cost
 // one relaxed load per sample, so run_epoch stays allocation-free and
@@ -170,15 +174,19 @@ void FlEngine::trim_replicas() {
   // Shrink the replica pool back to this epoch's realized fan-out width: a
   // wide epoch must not pin worst-case replica buffers forever. The gauges
   // report what the pool actually pins (params only when copy-on-write
-  // detached them, plus gradients and activation caches).
+  // detached them, plus gradients and activation caches). fl.model_bytes is
+  // the engine's own model: the global weights plus the evaluation (and,
+  // serially, training) scratch.
   if (replicas_.size() > epoch_max_slots_) replicas_.resize(epoch_max_slots_);
   std::size_t replica_bytes = 0;
   for (const auto& r : replicas_) replica_bytes += r.owned_bytes();
   replica_bytes_gauge().set(static_cast<double>(replica_bytes));
   replica_count_gauge().set(static_cast<double>(replicas_.size()));
+  model_bytes_gauge().set(static_cast<double>(model_.owned_bytes()));
 }
 
 CohortEval FlEngine::evaluate_cohort(const std::vector<std::size_t>& selected) {
+  FEDL_PROFILE_SCOPE("fl.evaluate");
   // Selected-membership is answered by a per-client-id mask built once,
   // keeping this O(|available| + |selected|).
   CohortEval ev;

@@ -45,7 +45,9 @@ struct EngineConfig {
   AggregationRule aggregation = AggregationRule::kSelectedMean;
   FaultSpec faults;
   std::size_t batch_cap = 64;   // max samples per client minibatch
-  std::size_t eval_cap = 512;   // max samples for loss/accuracy evaluation
+  // Max samples per loss/accuracy evaluation. Memory does not grow with it:
+  // nn::Model::evaluate streams the samples through fixed slices.
+  std::size_t eval_cap = 512;
   // Uplink update compression ("none", "quant8", "quant4", "topk10",
   // "topk1"); "none" reproduces the paper's constant payload s.
   std::string compressor = "none";
@@ -179,7 +181,7 @@ class FlEngine {
   void ensure_replicas(std::size_t slots);
 
   // Trims the replica pool back to the epoch's fan-out high-water mark and
-  // refreshes the fl.replica_bytes / fl.replicas gauges.
+  // refreshes the fl.replica_bytes / fl.replicas / fl.model_bytes gauges.
   void trim_replicas();
 
   // Scratch model for fan-out slot `slot`: a shared-weight replica when

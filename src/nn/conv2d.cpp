@@ -81,7 +81,7 @@ Tensor Conv2d::forward(Tensor input, bool train) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+void Conv2d::backward_params(const Tensor& grad_output) {
   FEDL_CHECK_GT(cached_n_, 0u) << "backward before train-mode forward";
   const std::size_t n = cached_n_;
   const std::size_t oh = geom_.out_h();
@@ -91,7 +91,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::size_t colr = geom_.col_rows();
   const std::size_t colc = geom_.col_cols();
   const std::size_t ncols = n * colc;
-  const std::size_t image_elems = geom_.in_channels * geom_.in_h * geom_.in_w;
   const float* cols = cols_.data();
 
   // Gather grad_output into the channel-major layout matching cols.
@@ -136,6 +135,16 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     for (std::size_t i = 0; i < ncols; ++i) acc += row[i];
     grad_bias_[c] += static_cast<float>(acc);
   }
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  const std::size_t n = cached_n_;
+  const std::size_t colr = geom_.col_rows();
+  const std::size_t colc = geom_.col_cols();
+  const std::size_t ncols = n * colc;
+  const std::size_t image_elems = geom_.in_channels * geom_.in_h * geom_.in_w;
+  const float* dout = dout_.data();
 
   // dcols = W^T * dOut in one GEMM, then per-sample col2im (samples write
   // disjoint grad_input slices, so the fan-out is deterministic).

@@ -18,9 +18,10 @@ namespace fedl::nn {
 // is never copied. Backward is three batched stages: a deterministic
 // blocked weight-gradient reduction (fixed-size sample blocks reduced in
 // block order, so results are identical at any thread count), one GEMM for
-// the column gradients, and per-sample col2im. All scratch lives in
-// layer-owned Workspaces that are reused across iterations and deliberately
-// not propagated to clones.
+// the column gradients, and per-sample col2im. backward_params() stops
+// after the first stage, so a first layer never runs the other two or grows
+// their workspace. All scratch lives in layer-owned Workspaces that are
+// reused across iterations and deliberately not propagated to clones.
 class Conv2d : public Layer {
  public:
   // Square kernels; `pad` defaults to "same"-ish (kernel/2) when npos.
@@ -36,6 +37,7 @@ class Conv2d : public Layer {
 
   Tensor forward(Tensor input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   LayerPtr clone() const override { return std::make_unique<Conv2d>(*this); }
@@ -64,7 +66,8 @@ class Conv2d : public Layer {
   Workspace cols_;         // [col_rows, N*col_cols] train-mode column cache
   Workspace scratch_cols_;  // eval-mode columns (never aliases the cache)
   Workspace out_cols_;  // [C_out, N*col_cols] channel-major GEMM output
-  Workspace dout_;      // [C_out, N*col_cols] channel-major grad_output
+  Workspace dout_;      // [C_out, N*col_cols] channel-major grad_output,
+                        // filled by backward_params, read by backward
   Workspace dcols_;     // [col_rows, N*col_cols] column gradients
   Workspace dw_partials_;  // [num_blocks, C_out*col_rows] dW reduction
 };

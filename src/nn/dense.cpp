@@ -28,17 +28,22 @@ Tensor Dense::forward(Tensor input, bool train) {
   return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+void Dense::backward_params(const Tensor& grad_output) {
   FEDL_CHECK(!cached_input_.empty()) << "backward before train-mode forward";
   const std::size_t n = grad_output.shape()[0];
   FEDL_CHECK_EQ(grad_output.shape()[1], out_);
-  // dW += dY^T * X ; db += column sums of dY ; dX = dY * W
+  // dW += dY^T * X ; db += column sums of dY
   gemm(true, false, 1.0f, grad_output, cached_input_, 1.0f, grad_weight_);
   for (std::size_t r = 0; r < n; ++r) {
     const float* row = grad_output.data() + r * out_;
     for (std::size_t c = 0; c < out_; ++c) grad_bias_[c] += row[c];
   }
-  Tensor grad_input(Shape{n, in_});
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  // dX = dY * W
+  Tensor grad_input(Shape{grad_output.shape()[0], in_});
   gemm(false, false, 1.0f, grad_output, weight_, 0.0f, grad_input);
   return grad_input;
 }

@@ -15,6 +15,7 @@ class Dense : public Layer {
 
   Tensor forward(Tensor input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   LayerPtr clone() const override { return std::make_unique<Dense>(*this); }

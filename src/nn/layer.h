@@ -31,6 +31,14 @@ class Layer {
   // zero them via zero_grad() before a fresh accumulation).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  // The parameter-gradient half of backward() alone, for a model's first
+  // layer, whose input gradient nothing reads. Layers whose input gradient
+  // costs real work (Conv2d, Dense) override it to skip that work; backward()
+  // calls it, so the parameter-gradient code exists once.
+  virtual void backward_params(const Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   // Parameter / gradient tensors, in a stable order. Empty for stateless
   // layers.
   virtual std::vector<Tensor*> params() { return {}; }

@@ -46,6 +46,16 @@ LossResult softmax_cross_entropy(const Tensor& logits,
 double softmax_cross_entropy_value(const Tensor& logits,
                                    const std::vector<std::uint8_t>& labels,
                                    std::size_t* correct_out) {
+  double total = 0.0;
+  std::size_t correct = 0;
+  accumulate_cross_entropy(logits, labels, &total, &correct);
+  if (correct_out) *correct_out = correct;
+  return total / static_cast<double>(labels.size());
+}
+
+void accumulate_cross_entropy(const Tensor& logits,
+                              std::span<const std::uint8_t> labels,
+                              double* total, std::size_t* correct) {
   FEDL_CHECK_EQ(logits.shape().rank(), 2u);
   const std::size_t n = logits.shape()[0];
   const std::size_t c = logits.shape()[1];
@@ -53,19 +63,15 @@ double softmax_cross_entropy_value(const Tensor& logits,
   Tensor probs;
   softmax_rows(logits, probs);
   const float* p = probs.data();
-  double total = 0.0;
-  std::size_t correct = 0;
   for (std::size_t r = 0; r < n; ++r) {
     const std::size_t y = labels[r];
     FEDL_CHECK_LT(y, c);
-    total -= std::log(std::max<double>(p[r * c + y], kLogFloor));
+    *total -= std::log(std::max<double>(p[r * c + y], kLogFloor));
     std::size_t best = 0;
     for (std::size_t j = 1; j < c; ++j)
       if (p[r * c + j] > p[r * c + best]) best = j;
-    if (best == y) ++correct;
+    if (best == y) ++*correct;
   }
-  if (correct_out) *correct_out = correct;
-  return total / static_cast<double>(n);
 }
 
 }  // namespace fedl::nn

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -22,9 +23,18 @@ struct LossResult {
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  const std::vector<std::uint8_t>& labels);
 
-// Loss only (no gradient); used on evaluation paths.
+// Loss only (no gradient): the mean of accumulate_cross_entropy over one
+// batch.
 double softmax_cross_entropy_value(const Tensor& logits,
                                    const std::vector<std::uint8_t>& labels,
                                    std::size_t* correct_out = nullptr);
+
+// Subtracts each row's log-likelihood from *total and counts its top-1 hit
+// into *correct, one row at a time in row order. Model::evaluate carries one
+// (total, correct) pair across its batch slices, so a sliced pass sums in
+// exactly the order of one whole-batch call.
+void accumulate_cross_entropy(const Tensor& logits,
+                              std::span<const std::uint8_t> labels,
+                              double* total, std::size_t* correct);
 
 }  // namespace fedl::nn

@@ -1,6 +1,25 @@
 #include "nn/model.h"
 
+#include <algorithm>
+
 namespace fedl::nn {
+namespace {
+
+// `shape` with its leading (batch) dimension replaced by `rows`.
+Shape with_batch(const Shape& shape, std::size_t rows) {
+  switch (shape.rank()) {
+    case 1:
+      return Shape{rows};
+    case 2:
+      return Shape{rows, shape[1]};
+    case 3:
+      return Shape{rows, shape[1], shape[2]};
+    default:
+      return Shape{rows, shape[1], shape[2], shape[3]};
+  }
+}
+
+}  // namespace
 
 void Model::add(LayerPtr layer) {
   FEDL_CHECK(layer != nullptr);
@@ -42,11 +61,10 @@ std::size_t Model::owned_bytes() const {
   return bytes;
 }
 
-Tensor Model::forward(const Tensor& x, bool train) {
+Tensor Model::forward(Tensor x, bool train) {
   FEDL_CHECK(!layers_.empty());
-  Tensor cur = x;
-  for (auto& layer : layers_) cur = layer->forward(std::move(cur), train);
-  return cur;
+  for (auto& layer : layers_) x = layer->forward(std::move(x), train);
+  return x;
 }
 
 EvalResult Model::forward_backward(const Batch& batch) {
@@ -56,8 +74,9 @@ EvalResult Model::forward_backward(const Batch& batch) {
   LossResult lr = softmax_cross_entropy(logits, batch.y);
 
   Tensor grad = std::move(lr.grad_logits);
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    grad = (*it)->backward(grad);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i)
+    grad = layers_[i]->backward(grad);
+  layers_.front()->backward_params(grad);
 
   double loss = lr.loss;
   if (l2_reg_ > 0.0) {
@@ -78,10 +97,22 @@ EvalResult Model::forward_backward(const Batch& batch) {
 }
 
 EvalResult Model::evaluate(const Batch& batch) {
-  FEDL_CHECK_GT(batch.size(), 0u);
-  Tensor logits = forward(batch.x, /*train=*/false);
+  const std::size_t n = batch.size();
+  FEDL_CHECK_GT(n, 0u);
+  FEDL_CHECK_EQ(batch.x.shape()[0], n);
+  const std::size_t sample_elems = batch.x.numel() / n;
+  const std::span<const std::uint8_t> labels(batch.y);
+  double total = 0.0;
   std::size_t correct = 0;
-  double loss = softmax_cross_entropy_value(logits, batch.y, &correct);
+  for (std::size_t s0 = 0; s0 < n; s0 += kEvalSliceSamples) {
+    const std::size_t rows = std::min(kEvalSliceSamples, n - s0);
+    Tensor x(with_batch(batch.x.shape(), rows));
+    std::copy_n(batch.x.data() + s0 * sample_elems, rows * sample_elems,
+                x.data());
+    accumulate_cross_entropy(forward(std::move(x), /*train=*/false),
+                             labels.subspan(s0, rows), &total, &correct);
+  }
+  double loss = total / static_cast<double>(n);
   if (l2_reg_ > 0.0) {
     double sq = 0.0;
     for (auto& layer : layers_)
@@ -89,7 +120,7 @@ EvalResult Model::evaluate(const Batch& batch) {
     loss += 0.5 * l2_reg_ * sq;
   }
   return EvalResult{loss, static_cast<double>(correct) /
-                              static_cast<double>(batch.size())};
+                              static_cast<double>(n)};
 }
 
 std::size_t Model::num_params() const {

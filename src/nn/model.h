@@ -32,6 +32,13 @@ struct EvalResult {
   double accuracy = 0.0;  // top-1
 };
 
+// Model::evaluate runs its batch through the layers this many samples at a
+// time, so no activation or im2col workspace grows with the evaluated batch.
+// Per-sample logits do not depend on the rest of the batch (im2col, pooling
+// and ReLU work per sample; the GEMM's per-element k-walk is fixed by its
+// blocking), so the slice width never changes a result.
+inline constexpr std::size_t kEvalSliceSamples = 32;
+
 class Model {
  public:
   // l2_reg is the strong-convexity constant γ: loss += γ/2 ‖w‖².
@@ -67,15 +74,18 @@ class Model {
   // capacity, not the base storage) plus per-layer scratch_bytes().
   std::size_t owned_bytes() const;
 
-  // Forward pass to logits.
-  Tensor forward(const Tensor& x, bool train);
+  // Forward pass to logits. Takes the batch by value so callers that hand
+  // over a temporary (evaluate's slices) are not copied again.
+  Tensor forward(Tensor x, bool train);
 
   // Full training step bookkeeping: zeroes grads, runs forward + softmax-CE
   // + backward, leaves parameter gradients in the layers. Returns loss
-  // (including the L2 term) and batch accuracy.
+  // (including the L2 term) and batch accuracy. The first layer runs
+  // backward_params(): the gradient w.r.t. the batch itself is never used.
   EvalResult forward_backward(const Batch& batch);
 
-  // Loss/accuracy without touching gradients.
+  // Loss/accuracy without touching gradients, computed kEvalSliceSamples
+  // samples at a time; identical to one whole-batch pass.
   EvalResult evaluate(const Batch& batch);
 
   // --- flat parameter vector view ------------------------------------------

@@ -52,8 +52,12 @@ Tensor MaxPool2d::forward(Tensor input, bool train) {
       }
     }
   }
-  in_shape_ = input.shape();
-  out_shape_ = out.shape();
+  // Backward state is train-only: an eval forward between a train forward
+  // and its backward (any batch size) must leave it alone.
+  if (train) {
+    in_shape_ = input.shape();
+    out_shape_ = out.shape();
+  }
   return out;
 }
 

@@ -3,8 +3,11 @@
 // whole model's flat gradient) is verified against numerical derivatives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "nn/activations.h"
@@ -215,6 +218,38 @@ TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {
   EXPECT_EQ(gx.at(0, 0, 0, 0), 0.0f);
 }
 
+TEST(MaxPool2d, EvalForwardBetweenTrainForwardAndBackwardKeepsState) {
+  // An eval forward with another batch size between a train forward and its
+  // backward must not replace the shapes backward routes with.
+  Rng rng(23);
+  MaxPool2d p(2, 2);
+  const Tensor x = Tensor::uniform(Shape{4, 2, 4, 4}, -1.0f, 1.0f, rng);
+  p.forward(x, true);
+  p.forward(Tensor::uniform(Shape{7, 2, 4, 4}, -1.0f, 1.0f, rng), false);
+  const Tensor g = Tensor::full(Shape{4, 2, 2, 2}, 1.0f);
+  Tensor gx;
+  ASSERT_NO_THROW(gx = p.backward(g));
+  ASSERT_TRUE((gx.shape() == Shape{4, 2, 4, 4}));
+  // Each 2x2 window routes its one gradient to its maximum.
+  for (std::size_t s = 0; s < 4; ++s)
+    for (std::size_t c = 0; c < 2; ++c)
+      for (std::size_t y = 0; y < 2; ++y)
+        for (std::size_t xw = 0; xw < 2; ++xw) {
+          float best = -2.0f, routed = 0.0f, at_best = 0.0f;
+          for (std::size_t dy = 0; dy < 2; ++dy)
+            for (std::size_t dx = 0; dx < 2; ++dx) {
+              const std::size_t iy = 2 * y + dy, ix = 2 * xw + dx;
+              routed += gx.at(s, c, iy, ix);
+              if (x.at(s, c, iy, ix) > best) {
+                best = x.at(s, c, iy, ix);
+                at_best = gx.at(s, c, iy, ix);
+              }
+            }
+          EXPECT_EQ(routed, 1.0f);
+          EXPECT_EQ(at_best, 1.0f);
+        }
+}
+
 TEST(Flatten, RoundTripsShape) {
   Flatten f;
   Tensor x(Shape{2, 3, 4, 5});
@@ -223,6 +258,117 @@ TEST(Flatten, RoundTripsShape) {
   Tensor g(Shape{2, 60});
   Tensor gx = f.backward(g);
   EXPECT_TRUE((gx.shape() == Shape{2, 3, 4, 5}));
+}
+
+// --- parameter-only backward -------------------------------------------------------
+
+// Runs the same train forward on two copies of `layer`, a full backward on
+// one and backward_params on the other; returns (full, params-only)
+// scratch_bytes after checking the parameter gradients are bit-equal.
+template <typename L>
+std::pair<std::size_t, std::size_t> full_vs_params_only_backward(
+    const L& layer, const Tensor& x, Rng& rng) {
+  L full(layer), params_only(layer);
+  const Tensor out = full.forward(x, true);
+  params_only.forward(x, true);
+  const Tensor g = Tensor::uniform(out.shape(), -1.0f, 1.0f, rng);
+  full.backward(g);
+  params_only.backward_params(g);
+  const auto gf = full.grads();
+  const auto gp = params_only.grads();
+  EXPECT_EQ(gf.size(), gp.size());
+  for (std::size_t i = 0; i < gf.size(); ++i) {
+    const std::span<const float> a = std::as_const(*gf[i]).span();
+    const std::span<const float> b = std::as_const(*gp[i]).span();
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "grads()[" << i << "]";
+  }
+  return {full.scratch_bytes(), params_only.scratch_bytes()};
+}
+
+TEST(ParamsOnlyBackward, ConvMatchesFullBackwardWithoutColumnGradients) {
+  Rng rng(24);
+  // 10 samples span two dW sample blocks.
+  const std::size_t n = 10, in_c = 2, hw = 6, k = 3;
+  const Conv2d conv(in_c, 3, k, 1, 1, hw, hw, rng);
+  const Tensor x = Tensor::uniform(Shape{n, in_c, hw, hw}, -1.0f, 1.0f, rng);
+  const auto [full, params_only] = full_vs_params_only_backward(conv, x, rng);
+  // The difference is exactly the dcols workspace: [col_rows, n*col_cols].
+  EXPECT_EQ(full - params_only,
+            (in_c * k * k) * (n * conv.out_h() * conv.out_w()) *
+                sizeof(float));
+}
+
+TEST(ParamsOnlyBackward, DenseMatchesFullBackward) {
+  Rng rng(25);
+  const Dense dense(7, 5, rng);
+  const Tensor x = Tensor::uniform(Shape{9, 7}, -1.0f, 1.0f, rng);
+  const auto [full, params_only] = full_vs_params_only_backward(dense, x, rng);
+  EXPECT_EQ(full, params_only);  // dX is a temporary, not scratch
+}
+
+// --- sliced evaluation -------------------------------------------------------------
+
+// evaluate() streams kEvalSliceSamples samples at a time; its loss and
+// accuracy must equal one whole-batch pass bit for bit, for batches below,
+// at and around the slice width and spanning several slices.
+void expect_sliced_evaluate_matches_whole_batch(Model& model,
+                                                Shape sample_shape,
+                                                std::size_t classes) {
+  constexpr std::size_t S = kEvalSliceSamples;
+  Rng rng(26);
+  for (const std::size_t n : {std::size_t{1}, S - 1, S, S + 1, 5 * S + 3}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Shape shape =
+        sample_shape.rank() == 1
+            ? Shape{n, sample_shape[0]}
+            : Shape{n, sample_shape[0], sample_shape[1], sample_shape[2]};
+    const Batch b = make_random_batch(shape, classes, rng);
+    std::size_t correct = 0;
+    const double loss =
+        softmax_cross_entropy_value(model.forward(b.x, false), b.y, &correct);
+    const EvalResult r = model.evaluate(b);
+    EXPECT_EQ(r.loss, loss);
+    EXPECT_EQ(r.accuracy,
+              static_cast<double>(correct) / static_cast<double>(n));
+  }
+}
+
+TEST(SlicedEvaluate, FmnistCnnMatchesWholeBatch) {
+  Rng rng(27);
+  ModelSpec spec;
+  spec.width_scale = 0.1;
+  spec.l2_reg = 0.0;
+  Model m = make_fmnist_cnn(spec, rng);
+  expect_sliced_evaluate_matches_whole_batch(m, Shape{1, 28, 28}, 10);
+}
+
+TEST(SlicedEvaluate, CifarCnnMatchesWholeBatch) {
+  Rng rng(28);
+  ModelSpec spec;
+  spec.image_h = spec.image_w = 32;
+  spec.channels = 3;
+  spec.width_scale = 0.1;
+  spec.l2_reg = 0.0;
+  Model m = make_cifar_cnn(spec, rng);
+  expect_sliced_evaluate_matches_whole_batch(m, Shape{3, 32, 32}, 10);
+}
+
+TEST(SlicedEvaluate, MlpMatchesWholeBatch) {
+  Rng rng(29);
+  Model m = make_mlp(20, 16, 5, 0.0, rng);
+  expect_sliced_evaluate_matches_whole_batch(m, Shape{20}, 5);
+}
+
+TEST(SlicedEvaluate, ScratchDoesNotGrowWithTheBatch) {
+  Rng rng(30);
+  ModelSpec spec;
+  spec.width_scale = 0.1;
+  Model m = make_fmnist_cnn(spec, rng);
+  m.evaluate(make_random_batch(Shape{kEvalSliceSamples, 1, 28, 28}, 10, rng));
+  const std::size_t one_slice = m.owned_bytes();
+  m.evaluate(make_random_batch(Shape{160, 1, 28, 28}, 10, rng));
+  EXPECT_EQ(m.owned_bytes(), one_slice);
 }
 
 // --- model flat-vector interface -----------------------------------------------------
