@@ -130,8 +130,8 @@ void BM_CnnForward(benchmark::State& state) {
 BENCHMARK(BM_CnnForward);
 
 // Full training step (forward + backward) over a batch — exercises the
-// whole-batch conv pipeline: batched im2col, one GEMM per layer direction,
-// and the blocked deterministic weight-gradient reduction.
+// sample-block conv pipeline: per-block im2col and GEMMs, and the
+// block-ordered deterministic weight-gradient reduction.
 void BM_CnnTrainStep(benchmark::State& state) {
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
   Rng rng(2);

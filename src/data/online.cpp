@@ -24,7 +24,9 @@ void OnlineDataStream::advance_epoch() {
     const double mean =
         spec_.poisson_mean_frac * static_cast<double>(part.size());
     std::size_t count = static_cast<std::size_t>(rng_.poisson(mean));
-    count = std::clamp<std::size_t>(count, spec_.min_samples, part.size());
+    // At least min_samples, but never more than the partition holds: a
+    // client with fewer samples reports all of them, each once.
+    count = std::min(std::max(count, spec_.min_samples), part.size());
 
     // Slide the window start by a random fraction of its size.
     const std::size_t max_shift = std::max<std::size_t>(

@@ -1,21 +1,14 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
+#include "obs/profile.h"
 #include "parallel/scheduler.h"
 #include "tensor/gemm.h"
 
 namespace fedl::nn {
-namespace {
-
-// Sample-block width of the weight-gradient reduction. Each block of up to
-// kDwBlockSamples samples produces one dW partial; partials are summed in
-// block order. Block boundaries depend only on the batch size, never on the
-// thread count, so the reduction is bit-identical at any parallelism.
-constexpr std::size_t kDwBlockSamples = 8;
-
-}  // namespace
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t pad,
@@ -39,123 +32,154 @@ Conv2d::Conv2d(const Conv2d& other)
       grad_weight_(other.grad_weight_),
       grad_bias_(other.grad_bias_) {}
 
+std::size_t Conv2d::scratch_bytes() const {
+  std::size_t floats = 0;
+  for (const BlockScratch& ws : scratch_)
+    floats += ws.cols.capacity() + ws.out.capacity() + ws.dcols.capacity() +
+              ws.dw.capacity();
+  return input_.owned_bytes() + floats * sizeof(float);
+}
+
+std::vector<Conv2d::BlockScratch>& Conv2d::chunk_scratch(
+    std::size_t num_blocks) {
+  // leased_parallel_for runs chunk c < min(num_blocks, thread budget).
+  const std::size_t chunks =
+      std::min(num_blocks, Scheduler::instance().thread_budget());
+  if (scratch_.size() < chunks) scratch_.resize(chunks);
+  for (BlockScratch& ws : scratch_) ws.parked = 0;
+  return scratch_;
+}
+
+const float* Conv2d::lower_block(BlockScratch& ws, const float* images,
+                                 std::size_t samples) const {
+  // Sample s owns the column slice [s*col_cols, (s+1)*col_cols).
+  const std::size_t colc = geom_.col_cols();
+  const std::size_t bcols = samples * colc;
+  const std::size_t image_elems = geom_.in_channels * geom_.in_h * geom_.in_w;
+  float* cols = ws.cols.ensure(geom_.col_rows() * bcols);
+  for (std::size_t s = 0; s < samples; ++s)
+    im2col(geom_, images + s * image_elems, cols + s * colc, bcols);
+  return cols;
+}
+
 Tensor Conv2d::forward(Tensor input, bool train) {
+  FEDL_PROFILE_SCOPE("nn.conv2d.forward");
   FEDL_CHECK_EQ(input.shape().rank(), 4u);
   FEDL_CHECK_EQ(input.shape()[1], geom_.in_channels);
   FEDL_CHECK_EQ(input.shape()[2], geom_.in_h);
   FEDL_CHECK_EQ(input.shape()[3], geom_.in_w);
   const std::size_t n = input.shape()[0];
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
   const std::size_t colr = geom_.col_rows();
   const std::size_t colc = geom_.col_cols();
-  const std::size_t ncols = n * colc;
   const std::size_t image_elems = geom_.in_channels * geom_.in_h * geom_.in_w;
+  const std::size_t num_blocks = (n + kBlockSamples - 1) / kBlockSamples;
 
-  // Lower the whole batch into one [colr, n*colc] column buffer: sample s
-  // owns the column slice [s*colc, (s+1)*colc). Train mode keeps this
-  // buffer as the backward cache (the input itself is not retained). Eval
-  // mode uses separate scratch so an eval forward between a train forward
-  // and its backward cannot clobber the cache.
-  Workspace& colws = train ? cols_ : scratch_cols_;
-  float* cols = colws.ensure(colr * ncols);
-  leased_parallel_for(0, n, [&](std::size_t s) {
-    im2col(geom_, input.data() + s * image_elems, cols + s * colc, ncols);
-  });
-
-  // One GEMM for the whole batch, bias fused into the write-back:
-  // [C_out, colr] x [colr, n*colc] -> [C_out, n*colc], channel-major.
-  float* oc = out_cols_.ensure(out_channels_ * ncols);
-  gemm_bias(false, false, out_channels_, ncols, colr, 1.0f, weight_.data(),
-            cols, 0.0f, oc, BiasMode::kPerRow, bias_.data());
-
-  // Scatter channel-major rows back to NCHW: out[s, c, :] = oc[c, s-slice].
-  Tensor out(Shape{n, out_channels_, oh, ow});
+  Tensor out(Shape{n, out_channels_, geom_.out_h(), geom_.out_w()});
   float* dst = out.data();
-  leased_parallel_for(0, n, [&](std::size_t s) {
-    for (std::size_t c = 0; c < out_channels_; ++c)
-      std::memcpy(dst + (s * out_channels_ + c) * colc,
-                  oc + c * ncols + s * colc, colc * sizeof(float));
+  const float* src = input.data();
+  std::vector<BlockScratch>& chunks = chunk_scratch(num_blocks);
+  leased_parallel_for(0, num_blocks, [&](std::size_t chunk, std::size_t b) {
+    BlockScratch& ws = chunks[chunk];
+    const std::size_t s0 = b * kBlockSamples;
+    const std::size_t bn = std::min(kBlockSamples, n - s0);
+    const std::size_t bcols = bn * colc;
+    const float* cols = lower_block(ws, src + s0 * image_elems, bn);
+    // [C_out, colr] x [colr, bn*colc] -> [C_out, bn*colc], channel-major,
+    // bias fused into the write-back.
+    float* oc = ws.out.ensure(out_channels_ * bcols);
+    gemm_bias(false, false, out_channels_, bcols, colr, 1.0f, weight_.data(),
+              cols, 0.0f, oc, BiasMode::kPerRow, bias_.data());
+    // Scatter channel-major rows back to NCHW.
+    for (std::size_t s = 0; s < bn; ++s)
+      for (std::size_t c = 0; c < out_channels_; ++c)
+        std::memcpy(dst + ((s0 + s) * out_channels_ + c) * colc,
+                    oc + c * bcols + s * colc, colc * sizeof(float));
   });
-  if (train) cached_n_ = n;
+  // The backward cache takes ownership of the batch instead of copying it.
+  if (train) input_ = std::move(input);
   return out;
 }
 
-void Conv2d::backward_params(const Tensor& grad_output) {
-  FEDL_CHECK_GT(cached_n_, 0u) << "backward before train-mode forward";
-  const std::size_t n = cached_n_;
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
-  FEDL_CHECK((grad_output.shape() == Shape{n, out_channels_, oh, ow}));
-
+void Conv2d::backward_blocks(const Tensor& grad_output, float* grad_input) {
+  FEDL_PROFILE_SCOPE("nn.conv2d.backward");
+  FEDL_CHECK(!input_.empty()) << "backward before train-mode forward";
+  const std::size_t n = input_.shape()[0];
+  FEDL_CHECK((grad_output.shape() ==
+              Shape{n, out_channels_, geom_.out_h(), geom_.out_w()}));
   const std::size_t colr = geom_.col_rows();
   const std::size_t colc = geom_.col_cols();
-  const std::size_t ncols = n * colc;
-  const float* cols = cols_.data();
-
-  // Gather grad_output into the channel-major layout matching cols.
-  float* dout = dout_.ensure(out_channels_ * ncols);
-  const float* gsrc = grad_output.data();
-  leased_parallel_for(0, n, [&](std::size_t s) {
-    for (std::size_t c = 0; c < out_channels_; ++c)
-      std::memcpy(dout + c * ncols + s * colc,
-                  gsrc + (s * out_channels_ + c) * colc,
-                  colc * sizeof(float));
-  });
-
-  // dW += dOut * cols^T, reduced over fixed-size sample blocks: each block
-  // is one [C_out, blk*colc] x [blk*colc, colr] GEMM into its own partial,
-  // partials are then summed in block order on the calling thread.
-  const std::size_t num_blocks = (n + kDwBlockSamples - 1) / kDwBlockSamples;
+  const std::size_t image_elems = geom_.in_channels * geom_.in_h * geom_.in_w;
   const std::size_t wsize = out_channels_ * colr;
-  if (num_blocks == 1) {
-    gemm(false, true, out_channels_, colr, ncols, 1.0f, dout, cols, 1.0f,
-         grad_weight_.data());
-  } else {
-    float* partials = dw_partials_.ensure(num_blocks * wsize);
-    leased_parallel_for(0, num_blocks, [&](std::size_t b) {
-      const std::size_t s0 = b * kDwBlockSamples;
-      const std::size_t s1 = std::min(n, s0 + kDwBlockSamples);
-      const std::size_t kblk = (s1 - s0) * colc;
-      gemm_bias(false, true, out_channels_, colr, kblk, 1.0f,
-                dout + s0 * colc, ncols, cols + s0 * colc, ncols, 0.0f,
-                partials + b * wsize, colr, BiasMode::kNone, nullptr);
-    });
-    float* gw = grad_weight_.data();
-    for (std::size_t b = 0; b < num_blocks; ++b) {
-      const float* part = partials + b * wsize;
-      for (std::size_t i = 0; i < wsize; ++i) gw[i] += part[i];
-    }
-  }
+  const std::size_t num_blocks = (n + kBlockSamples - 1) / kBlockSamples;
 
-  // db: each channel's grad_output row is contiguous in dout.
+  float* gw = grad_weight_.data();
+  const auto add_partial = [gw, wsize](const float* part) {
+    for (std::size_t i = 0; i < wsize; ++i) gw[i] += part[i];
+  };
+  const float* gsrc = grad_output.data();
+  std::vector<BlockScratch>& chunks = chunk_scratch(num_blocks);
+  leased_parallel_for(0, num_blocks, [&](std::size_t chunk, std::size_t b) {
+    BlockScratch& ws = chunks[chunk];
+    const std::size_t s0 = b * kBlockSamples;
+    const std::size_t bn = std::min(kBlockSamples, n - s0);
+    const std::size_t bcols = bn * colc;
+    const float* cols = lower_block(ws, input_.data() + s0 * image_elems, bn);
+    // Gather the block's grad_output into the channel-major layout of cols.
+    float* dout = ws.out.ensure(out_channels_ * bcols);
+    for (std::size_t s = 0; s < bn; ++s)
+      for (std::size_t c = 0; c < out_channels_; ++c)
+        std::memcpy(dout + c * bcols + s * colc,
+                    gsrc + ((s0 + s) * out_channels_ + c) * colc,
+                    colc * sizeof(float));
+
+    // The block's dW partial: [C_out, bn*colc] x [bn*colc, colr]. Chunk 0
+    // runs the leading blocks in order on the calling thread, so it adds
+    // each partial at once; later chunks park theirs for the ordered sum
+    // after the fan-out.
+    float* part = chunk == 0 ? ws.dw.ensure(wsize)
+                             : ws.dw.ensure((ws.parked + 1) * wsize) +
+                                   ws.parked * wsize;
+    gemm(false, true, out_channels_, colr, bcols, 1.0f, dout, cols, 0.0f,
+         part);
+    if (chunk == 0) {
+      add_partial(part);
+    } else {
+      ++ws.parked;
+    }
+    if (grad_input == nullptr) return;
+
+    // dcols = W^T * dOut reduces over C_out only; each sample's col2im
+    // writes its own grad_input slice.
+    float* dcols = ws.dcols.ensure(colr * bcols);
+    gemm(true, false, colr, bcols, out_channels_, 1.0f, weight_.data(), dout,
+         0.0f, dcols);
+    for (std::size_t s = 0; s < bn; ++s)
+      col2im(geom_, dcols + s * colc, grad_input + (s0 + s) * image_elems,
+             bcols);
+  });
+  // Chunks hold contiguous block ranges ordered by chunk index.
+  for (std::size_t c = 1; c < chunks.size(); ++c)
+    for (std::size_t j = 0; j < chunks[c].parked; ++j)
+      add_partial(chunks[c].dw.data() + j * wsize);
+
+  // db: each channel's grad_output, summed in sample order.
   for (std::size_t c = 0; c < out_channels_; ++c) {
-    const float* row = dout + c * ncols;
     double acc = 0.0;
-    for (std::size_t i = 0; i < ncols; ++i) acc += row[i];
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* row = gsrc + (s * out_channels_ + c) * colc;
+      for (std::size_t i = 0; i < colc; ++i) acc += row[i];
+    }
     grad_bias_[c] += static_cast<float>(acc);
   }
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
-  backward_params(grad_output);
-  const std::size_t n = cached_n_;
-  const std::size_t colr = geom_.col_rows();
-  const std::size_t colc = geom_.col_cols();
-  const std::size_t ncols = n * colc;
-  const std::size_t image_elems = geom_.in_channels * geom_.in_h * geom_.in_w;
-  const float* dout = dout_.data();
+void Conv2d::backward_params(const Tensor& grad_output) {
+  backward_blocks(grad_output, nullptr);
+}
 
-  // dcols = W^T * dOut in one GEMM, then per-sample col2im (samples write
-  // disjoint grad_input slices, so the fan-out is deterministic).
-  float* dcols = dcols_.ensure(colr * ncols);
-  gemm(true, false, colr, ncols, out_channels_, 1.0f, weight_.data(), dout,
-       0.0f, dcols);
-  Tensor grad_input(Shape{n, geom_.in_channels, geom_.in_h, geom_.in_w});
-  float* gi = grad_input.data();
-  leased_parallel_for(0, n, [&](std::size_t s) {
-    col2im(geom_, dcols + s * colc, gi + s * image_elems, ncols);
-  });
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  Tensor grad_input(input_.shape());
+  backward_blocks(grad_output, grad_input.data());
   return grad_input;
 }
 

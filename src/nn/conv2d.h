@@ -1,5 +1,8 @@
-// 2-D convolution over NCHW batches via whole-batch im2col + one GEMM.
+// 2-D convolution over NCHW batches, lowered by im2col through fixed
+// sample blocks.
 #pragma once
+
+#include <vector>
 
 #include "nn/layer.h"
 #include "tensor/gemm_workspace.h"
@@ -11,19 +14,27 @@ class Rng;
 
 namespace fedl::nn {
 
-// Forward lowers the entire batch into one column buffer of shape
-// [col_rows, N*col_cols] and runs a single GEMM per invocation (bias fused
-// into the write-back), instead of one small GEMM per sample. Train mode
-// keeps that column buffer as the backward cache — the input batch itself
-// is never copied. Backward is three batched stages: a deterministic
-// blocked weight-gradient reduction (fixed-size sample blocks reduced in
-// block order, so results are identical at any thread count), one GEMM for
-// the column gradients, and per-sample col2im. backward_params() stops
-// after the first stage, so a first layer never runs the other two or grows
-// their workspace. All scratch lives in layer-owned Workspaces that are
-// reused across iterations and deliberately not propagated to clones.
+// Every pass runs over fixed blocks of kBlockSamples samples. A block's
+// images are lowered into one [col_rows, blk*col_cols] column buffer and
+// meet the filter in one GEMM (bias fused into the write-back). Blocks fan
+// out over leased_parallel_for chunks, and each chunk owns one block-sized
+// scratch set, so no workspace grows with the minibatch.
+//
+// Train mode caches the layer input (moved in, as Dense does); backward
+// lowers each block again from it. Backward per block: the block's dW
+// partial GEMM, then (backward() only) the column-gradient GEMM and
+// per-sample col2im into the input gradient. Partials are summed in block
+// order, db over grad_output in sample order, so gradients are identical
+// at any thread count. backward_params() stops after dW, so a first layer
+// never runs the column gradients or grows their scratch. Scratch lives in
+// layer-owned Workspaces, reused across iterations and deliberately not
+// propagated to clones.
 class Conv2d : public Layer {
  public:
+  // Block width: fixes every workspace's size and the dW reduction order.
+  // Block boundaries depend only on the batch size, never on the grant.
+  static constexpr std::size_t kBlockSamples = 8;
+
   // Square kernels; `pad` defaults to "same"-ish (kernel/2) when npos.
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t stride, std::size_t pad,
@@ -42,17 +53,34 @@ class Conv2d : public Layer {
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   LayerPtr clone() const override { return std::make_unique<Conv2d>(*this); }
   std::string name() const override { return "conv2d"; }
-  std::size_t scratch_bytes() const override {
-    return (cols_.capacity() + scratch_cols_.capacity() + out_cols_.capacity() +
-            dout_.capacity() + dcols_.capacity() + dw_partials_.capacity()) *
-           sizeof(float);
-  }
+  // The cached input plus every chunk's scratch.
+  std::size_t scratch_bytes() const override;
 
   std::size_t out_channels() const { return out_channels_; }
   std::size_t out_h() const { return geom_.out_h(); }
   std::size_t out_w() const { return geom_.out_w(); }
 
  private:
+  // One chunk's scratch, each buffer sized for one block.
+  struct BlockScratch {
+    Workspace cols;   // [col_rows, blk*col_cols] the lowered block
+    Workspace out;    // [C_out, blk*col_cols] GEMM output, or the block's
+                      // grad_output in the same channel-major layout
+    Workspace dcols;  // [col_rows, blk*col_cols] column gradients
+    Workspace dw;     // dW partials: one for chunk 0, one per block that a
+                      // later chunk parks for the block-order sum
+    std::size_t parked = 0;
+  };
+
+  // One scratch set per chunk the fan-out over `num_blocks` blocks may use.
+  std::vector<BlockScratch>& chunk_scratch(std::size_t num_blocks);
+  // im2col of `samples` consecutive images into ws.cols.
+  const float* lower_block(BlockScratch& ws, const float* images,
+                           std::size_t samples) const;
+  // Both backward entry points; grad_input == nullptr skips the column
+  // gradients.
+  void backward_blocks(const Tensor& grad_output, float* grad_input);
+
   Conv2dGeometry geom_;
   std::size_t out_channels_;
   Tensor weight_;       // [C_out, C_in*KH*KW]
@@ -60,16 +88,8 @@ class Conv2d : public Layer {
   Tensor grad_weight_;
   Tensor grad_bias_;
 
-  // Batch size of the last train-mode forward; 0 until one happens. The
-  // backward cache is cols_ (the im2col of that batch), not the input.
-  std::size_t cached_n_ = 0;
-  Workspace cols_;         // [col_rows, N*col_cols] train-mode column cache
-  Workspace scratch_cols_;  // eval-mode columns (never aliases the cache)
-  Workspace out_cols_;  // [C_out, N*col_cols] channel-major GEMM output
-  Workspace dout_;      // [C_out, N*col_cols] channel-major grad_output,
-                        // filled by backward_params, read by backward
-  Workspace dcols_;     // [col_rows, N*col_cols] column gradients
-  Workspace dw_partials_;  // [num_blocks, C_out*col_rows] dW reduction
+  Tensor input_;  // [N, C_in, H, W] train-mode cache (moved in, not copied)
+  std::vector<BlockScratch> scratch_;
 };
 
 }  // namespace fedl::nn

@@ -150,12 +150,16 @@ class Scheduler {
 
 // Budget-respecting fan-out in one call: try-acquire up to end-begin-1
 // extra workers from the scheduler (auto-share nominal, stealing enabled),
-// run body(i) over [begin, end) caller-participating, release the lease.
-// Runs inline when the range is trivial or the budget is saturated — so the
-// compute layers (conv2d im2col/col2im/scatter loops, the GEMM macro loop)
-// can fan out unconditionally and still compose with trial runners and
-// per-client leases without ever oversubscribing. Values never depend on
-// the grant (bodies touch disjoint per-index state by contract).
+// run body(chunk, i) over [begin, end) caller-participating, release the
+// lease. Runs inline as chunk 0 when the range is trivial or the budget is
+// saturated — so a compute layer (conv2d's sample-block loops) can fan out
+// unconditionally and still compose with trial runners and per-client
+// leases without ever oversubscribing. As in parallel_for_shared_indexed,
+// chunk c runs one contiguous index range in increasing order, chunk 0 on
+// the calling thread, ranges ordered by c, and c < min(end - begin,
+// thread_budget()), so callers can size one scratch slot per chunk up
+// front. Values never depend on the grant (bodies touch disjoint per-index
+// state, and per-chunk scratch only, by contract).
 template <typename Body>
 void leased_parallel_for(std::size_t begin, std::size_t end,
                          const Body& body) {
@@ -166,13 +170,12 @@ void leased_parallel_for(std::size_t begin, std::size_t end,
     Scheduler::WorkerLease lease = sched.acquire_workers(
         sched.auto_share() - 1, n - 1, /*allow_steal=*/true);
     if (lease.granted() > 0) {
-      parallel_for_shared_indexed(
-          sched.pool(), lease.granted(), begin, end,
-          [&body](std::size_t /*chunk*/, std::size_t i) { body(i); });
+      parallel_for_shared_indexed(sched.pool(), lease.granted(), begin, end,
+                                  body);
       return;
     }
   }
-  for (std::size_t i = begin; i < end; ++i) body(i);
+  for (std::size_t i = begin; i < end; ++i) body(std::size_t{0}, i);
 }
 
 }  // namespace fedl

@@ -40,7 +40,8 @@ constexpr std::size_t kBlockK = 256;
 // Minimum problem size (2*m*n*k flops) before the macro loop asks the
 // scheduler for extra workers: below this the lease + fan-out overhead
 // (~µs) rivals the GEMM itself. 1e7 flops ≈ a 172³ product; the whole-batch
-// conv/dense GEMMs of a large model clear it, per-sample small ones do not.
+// dense GEMMs of a large model clear it, per-sample and small per-block
+// conv ones do not (conv2d fans out over its sample blocks instead).
 constexpr double kThreadMinFlops = 1e7;
 
 // Packs op(A)'s [mb x kb] block into kMr-row micro-panels: panel ib holds

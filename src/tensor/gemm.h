@@ -35,8 +35,8 @@ void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                float beta, float* c, BiasMode bias_mode, const float* bias);
 
 // Fully general form with explicit leading dimensions (row strides), for
-// operating on sub-matrix views — e.g. one sample block of a whole-batch
-// column buffer. lda/ldb/ldc are in floats and must be at least the stored
+// operating on sub-matrix views — e.g. a column block inside a wider
+// matrix. lda/ldb/ldc are in floats and must be at least the stored
 // row length of the respective operand.
 void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                std::size_t k, float alpha, const float* a, std::size_t lda,

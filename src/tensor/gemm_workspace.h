@@ -1,12 +1,12 @@
 // Reusable float scratch buffers for the compute pipeline.
 //
-// The whole-batch convolution/dense pipeline needs several large scratch
-// surfaces per layer invocation (batched im2col columns, channel-major GEMM
-// outputs, per-block weight-gradient partials). Before PR 2 these lived in
+// The convolution pipeline needs several scratch surfaces per layer
+// invocation (a sample block's im2col columns, channel-major GEMM outputs,
+// column gradients, weight-gradient partials). These once lived in
 // `thread_local std::vector`s, which pinned one high-water-mark allocation
 // per pool thread for the life of the process and made ownership invisible.
 // Instead, each layer owns its Workspace buffers: capacity is retained across
-// iterations (the hot-loop case), sizes track the current batch, and clones
+// iterations (the hot-loop case), sizes track the current call, and clones
 // start empty (Workspace intentionally does not copy its storage — a cloned
 // layer re-grows its own scratch on first use).
 #pragma once

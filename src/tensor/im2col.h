@@ -6,9 +6,15 @@
 //
 // Both routines take an optional leading dimension `ld` (distance in floats
 // between consecutive column-matrix rows). With ld > col_cols() a sample's
-// columns can be written directly into its slice of a whole-batch buffer of
-// shape [col_rows, N*col_cols] — one im2col surface, one big GEMM per layer
-// invocation instead of one tiny GEMM per sample (see nn/conv2d.cpp).
+// columns can be written directly into its slice of a sample-block buffer
+// of shape [col_rows, B*col_cols] — one GEMM per block of B samples
+// instead of one tiny GEMM per sample (see nn/conv2d.cpp).
+//
+// The padding bounds are worked out once per (channel, kernel tap): each
+// output row of a column-matrix row copies its in-bounds run of the input
+// row (one memcpy at stride 1) and zero-fills the padding either side.
+// col2im adds over the same runs in the same order, so both give the same
+// bytes as a per-element loop with a bounds check on every element.
 #pragma once
 
 #include <cstddef>

@@ -260,6 +260,25 @@ TEST(OnlineStream, WindowDrifts) {
   EXPECT_TRUE(changed);
 }
 
+TEST(OnlineStream, PartitionBelowMinSamplesHoldsEachSampleOnce) {
+  // A client with fewer samples than min_samples holds exactly its own
+  // samples every epoch, none repeated.
+  Partition p(2);
+  p[0].assign({11, 12});
+  p[1].assign({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  OnlineDataSpec spec;
+  spec.min_samples = 4;
+  OnlineDataStream stream(p, spec);
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    stream.advance_epoch();
+    const auto& idx = stream.epoch_indices(0);
+    ASSERT_EQ(idx.size(), 2u) << "epoch " << epoch;
+    EXPECT_EQ(std::set<std::size_t>(idx.begin(), idx.end()),
+              (std::set<std::size_t>{11, 12}))
+        << "epoch " << epoch;
+  }
+}
+
 TEST(OnlineStream, EmptyPartitionYieldsNoData) {
   Dataset d = make_synthetic(fmnist_like_spec(50, 41));
   Partition p(2);

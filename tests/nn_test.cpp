@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "nn/loss.h"
 #include "nn/model.h"
 #include "nn/pool.h"
+#include "parallel/scheduler.h"
 
 namespace fedl::nn {
 namespace {
@@ -260,6 +262,128 @@ TEST(Flatten, RoundTripsShape) {
   EXPECT_TRUE((gx.shape() == Shape{2, 3, 4, 5}));
 }
 
+// --- sample-block convolution ------------------------------------------------------
+
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Samples [s0, s0 + count) of an NCHW batch.
+Tensor sample_range(const Tensor& t, std::size_t s0, std::size_t count) {
+  const Shape& sh = t.shape();
+  const std::size_t per = sh[1] * sh[2] * sh[3];
+  Tensor out(Shape{count, sh[1], sh[2], sh[3]});
+  std::memcpy(out.data(), t.data() + s0 * per, count * per * sizeof(float));
+  return out;
+}
+
+// One train step of a copy of `layer`: forward output, input gradient and
+// parameter gradients.
+struct ConvStep {
+  Tensor out, grad_input, grad_weight, grad_bias;
+};
+
+ConvStep conv_train_step(const Conv2d& layer, const Tensor& x,
+                         const Tensor& g) {
+  Conv2d conv(layer);
+  ConvStep r;
+  r.out = conv.forward(x, true);
+  r.grad_input = conv.backward(g);
+  r.grad_weight = *conv.grads()[0];
+  r.grad_bias = *conv.grads()[1];
+  return r;
+}
+
+TEST(Conv2dBlocks, MatchAcrossThreadBudgetsAndPerSamplePasses) {
+  Rng rng(40);
+  // Stride 2 and pad 2 on a non-square image: blocks meet padding runs.
+  const Conv2d conv(3, 4, 3, 2, 2, 7, 6, rng);
+  Scheduler& sched = Scheduler::instance();
+  for (const std::size_t n : {1, 7, 8, 9, 24, 33}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Tensor x = Tensor::uniform(Shape{n, 3, 7, 6}, -1.0f, 1.0f, rng);
+    const Tensor g = Tensor::uniform(
+        Shape{n, 4, conv.out_h(), conv.out_w()}, -1.0f, 1.0f, rng);
+    sched.configure(1, 1);
+    const ConvStep serial = conv_train_step(conv, x, g);
+    sched.configure(4, 1);
+    const ConvStep fanned = conv_train_step(conv, x, g);
+    EXPECT_TRUE(bit_equal(serial.out, fanned.out));
+    EXPECT_TRUE(bit_equal(serial.grad_input, fanned.grad_input));
+    EXPECT_TRUE(bit_equal(serial.grad_weight, fanned.grad_weight));
+    EXPECT_TRUE(bit_equal(serial.grad_bias, fanned.grad_bias));
+
+    // Outputs and input gradients are per sample: each equals a one-sample
+    // pass.
+    for (std::size_t s = 0; s < n; ++s) {
+      const ConvStep one =
+          conv_train_step(conv, sample_range(x, s, 1), sample_range(g, s, 1));
+      EXPECT_TRUE(bit_equal(sample_range(serial.out, s, 1), one.out))
+          << "sample " << s;
+      EXPECT_TRUE(
+          bit_equal(sample_range(serial.grad_input, s, 1), one.grad_input))
+          << "sample " << s;
+    }
+    // dW is the blocks' partials summed in block order; a one-block pass
+    // from zeroed gradients yields that block's partial.
+    Tensor dw(serial.grad_weight.shape());
+    for (std::size_t s0 = 0; s0 < n; s0 += Conv2d::kBlockSamples) {
+      const std::size_t bn = std::min(Conv2d::kBlockSamples, n - s0);
+      const ConvStep block = conv_train_step(conv, sample_range(x, s0, bn),
+                                             sample_range(g, s0, bn));
+      for (std::size_t i = 0; i < dw.numel(); ++i)
+        dw[i] += block.grad_weight[i];
+    }
+    EXPECT_TRUE(bit_equal(serial.grad_weight, dw));
+    // db sums grad_output in sample order.
+    const std::size_t plane = conv.out_h() * conv.out_w();
+    for (std::size_t c = 0; c < 4; ++c) {
+      double acc = 0.0;
+      for (std::size_t s = 0; s < n; ++s)
+        for (std::size_t i = 0; i < plane; ++i)
+          acc += g.data()[(s * 4 + c) * plane + i];
+      EXPECT_EQ(serial.grad_bias[c], static_cast<float>(acc));
+    }
+  }
+  sched.configure(0, 1);
+}
+
+TEST(Conv2dBlocks, ScratchDoesNotGrowWithTheBatch) {
+  // At budget 1 one chunk runs every block, so a 64-sample train step
+  // needs no more scratch than an 8-sample one, apart from the cached
+  // input.
+  Rng rng(41);
+  Scheduler::instance().configure(1, 1);
+  Conv2d conv(2, 3, 3, 1, 1, 6, 6, rng);
+  const auto scratch_after_step = [&](std::size_t n) {
+    const Tensor out = conv.forward(
+        Tensor::uniform(Shape{n, 2, 6, 6}, -1.0f, 1.0f, rng), true);
+    conv.backward(Tensor::uniform(out.shape(), -1.0f, 1.0f, rng));
+    return conv.scratch_bytes() - n * 2 * 6 * 6 * sizeof(float);
+  };
+  const std::size_t one_block = scratch_after_step(Conv2d::kBlockSamples);
+  EXPECT_EQ(scratch_after_step(64), one_block);
+  Scheduler::instance().configure(0, 1);
+}
+
+TEST(Conv2dBlocks, EvalForwardBetweenTrainForwardAndBackwardKeepsState) {
+  // An eval forward with another batch size between a train forward and
+  // its backward must leave the gradients as they would be without it.
+  Rng rng(42);
+  const Conv2d conv(2, 3, 3, 1, 1, 6, 6, rng);
+  const Tensor x = Tensor::uniform(Shape{12, 2, 6, 6}, -1.0f, 1.0f, rng);
+  Conv2d plain(conv), interleaved(conv);
+  const Tensor out = plain.forward(x, true);
+  interleaved.forward(x, true);
+  interleaved.forward(Tensor::uniform(Shape{19, 2, 6, 6}, -1.0f, 1.0f, rng),
+                      false);
+  const Tensor g = Tensor::uniform(out.shape(), -1.0f, 1.0f, rng);
+  EXPECT_TRUE(bit_equal(plain.backward(g), interleaved.backward(g)));
+  EXPECT_TRUE(bit_equal(*plain.grads()[0], *interleaved.grads()[0]));
+  EXPECT_TRUE(bit_equal(*plain.grads()[1], *interleaved.grads()[1]));
+}
+
 // --- parameter-only backward -------------------------------------------------------
 
 // Runs the same train forward on two copies of `layer`, a full backward on
@@ -288,15 +412,29 @@ std::pair<std::size_t, std::size_t> full_vs_params_only_backward(
 
 TEST(ParamsOnlyBackward, ConvMatchesFullBackwardWithoutColumnGradients) {
   Rng rng(24);
-  // 10 samples span two dW sample blocks.
+  // 10 samples span two sample blocks.
   const std::size_t n = 10, in_c = 2, hw = 6, k = 3;
   const Conv2d conv(in_c, 3, k, 1, 1, hw, hw, rng);
   const Tensor x = Tensor::uniform(Shape{n, in_c, hw, hw}, -1.0f, 1.0f, rng);
-  const auto [full, params_only] = full_vs_params_only_backward(conv, x, rng);
-  // The difference is exactly the dcols workspace: [col_rows, n*col_cols].
-  EXPECT_EQ(full - params_only,
-            (in_c * k * k) * (n * conv.out_h() * conv.out_w()) *
-                sizeof(float));
+  const std::size_t sample_dcols =
+      (in_c * k * k) * (conv.out_h() * conv.out_w()) * sizeof(float);
+  Scheduler& sched = Scheduler::instance();
+  for (const std::size_t budget : {1, 4}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    sched.configure(budget, 1);
+    const auto [full, params_only] =
+        full_vs_params_only_backward(conv, x, rng);
+    // Params-only owns no d(cols) scratch; full backward owns d(cols) for
+    // at most one block per chunk, and exactly one block at budget 1.
+    ASSERT_GT(full, params_only);
+    const std::size_t dcols = full - params_only;
+    EXPECT_EQ(dcols % sample_dcols, 0u);
+    EXPECT_LE(dcols, budget * Conv2d::kBlockSamples * sample_dcols);
+    if (budget == 1) {
+      EXPECT_EQ(dcols, Conv2d::kBlockSamples * sample_dcols);
+    }
+  }
+  sched.configure(0, 1);
 }
 
 TEST(ParamsOnlyBackward, DenseMatchesFullBackward) {

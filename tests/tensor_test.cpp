@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -361,8 +363,8 @@ INSTANTIATE_TEST_SUITE_P(
         AdjointCase{{3, 4, 4, 2, 2, 2, 1}})); // even kernel, stride 2, pad
 
 TEST(Im2col, StridedLdMatchesPackedAndStaysAdjoint) {
-  // The whole-batch conv pipeline writes each sample's columns into a slice
-  // of a wide [col_rows, N*col_cols] buffer via the `ld` parameter. The
+  // The conv pipeline writes each sample's columns into a slice of a wide
+  // [col_rows, B*col_cols] sample-block buffer via the `ld` parameter. The
   // strided write must produce exactly the packed columns, and the strided
   // col2im must remain its adjoint.
   Rng rng(21);
@@ -401,6 +403,100 @@ TEST(Im2col, StridedLdMatchesPackedAndStaysAdjoint) {
   col2im(g, ywide.data() + offset, back_strided.data(), ld);
   for (std::size_t i = 0; i < x.size(); ++i)
     ASSERT_EQ(back_strided[i], back_packed[i]) << "i=" << i;
+}
+
+// The per-element lowering im2col/col2im replaced: a bounds check on every
+// element. The run-based routines must produce the same bytes.
+void im2col_per_element(const Conv2dGeometry& g, const float* image,
+                        float* cols, std::size_t ld) {
+  const std::size_t oh = g.out_h();
+  const std::size_t ow = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c)
+    for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row)
+        for (std::size_t y = 0; y < oh; ++y) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(y * g.stride + kh) -
+              static_cast<std::ptrdiff_t>(g.pad);
+          for (std::size_t x = 0; x < ow; ++x) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(x * g.stride + kw) -
+                static_cast<std::ptrdiff_t>(g.pad);
+            const bool inside = iy >= 0 &&
+                                iy < static_cast<std::ptrdiff_t>(g.in_h) &&
+                                ix >= 0 &&
+                                ix < static_cast<std::ptrdiff_t>(g.in_w);
+            cols[row * ld + y * ow + x] =
+                inside ? image[(c * g.in_h + static_cast<std::size_t>(iy)) *
+                                   g.in_w +
+                               static_cast<std::size_t>(ix)]
+                       : 0.0f;
+          }
+        }
+}
+
+void col2im_per_element(const Conv2dGeometry& g, const float* cols,
+                        float* image, std::size_t ld) {
+  const std::size_t oh = g.out_h();
+  const std::size_t ow = g.out_w();
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_channels; ++c)
+    for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row)
+        for (std::size_t y = 0; y < oh; ++y) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(y * g.stride + kh) -
+              static_cast<std::ptrdiff_t>(g.pad);
+          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.in_h)) continue;
+          for (std::size_t x = 0; x < ow; ++x) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(x * g.stride + kw) -
+                static_cast<std::ptrdiff_t>(g.pad);
+            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.in_w)) continue;
+            image[(c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w +
+                  static_cast<std::size_t>(ix)] += cols[row * ld + y * ow + x];
+          }
+        }
+}
+
+TEST(Im2col, MatchesPerElementLoopsOnEveryGeometry) {
+  // C 1-3, H/W 1-9, K 1-5, stride 1-3, pad 0-3, each at a leading
+  // dimension wider than col_cols: strides > 1, pads of half the kernel and
+  // more, kernels as wide as the padded image, runs that are empty.
+  Rng rng(33);
+  std::size_t geometries = 0;
+  for (std::size_t c = 1; c <= 3; ++c)
+    for (std::size_t h = 1; h <= 9; ++h)
+      for (std::size_t w = 1; w <= 9; ++w)
+        for (std::size_t k = 1; k <= 5; ++k)
+          for (std::size_t stride = 1; stride <= 3; ++stride)
+            for (std::size_t pad = 0; pad <= 3; ++pad) {
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              const Conv2dGeometry g{c, h, w, k, k, stride, pad};
+              const std::size_t ld = g.col_cols() + 3;
+              const std::size_t cols_len = g.col_rows() * ld;
+              std::vector<float> image(c * h * w), cols(cols_len);
+              for (auto& v : image) v = static_cast<float>(rng.normal());
+              for (auto& v : cols) v = static_cast<float>(rng.normal());
+              std::vector<float> want_cols(cols_len, -7.0f),
+                  got_cols(cols_len, -7.0f);
+              im2col_per_element(g, image.data(), want_cols.data(), ld);
+              im2col(g, image.data(), got_cols.data(), ld);
+              ASSERT_EQ(std::memcmp(want_cols.data(), got_cols.data(),
+                                    cols_len * sizeof(float)),
+                        0)
+                  << ::testing::PrintToString(AdjointCase{g});
+              std::vector<float> want_image(image), got_image(image);
+              col2im_per_element(g, cols.data(), want_image.data(), ld);
+              col2im(g, cols.data(), got_image.data(), ld);
+              ASSERT_EQ(std::memcmp(want_image.data(), got_image.data(),
+                                    image.size() * sizeof(float)),
+                        0)
+                  << ::testing::PrintToString(AdjointCase{g});
+              ++geometries;
+            }
+  EXPECT_EQ(geometries, 12789u);
 }
 
 TEST(Im2col, OutputGeometry) {
