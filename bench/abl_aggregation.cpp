@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
     base.eval_cap = 96;
     base.dane.sgd_steps = 2;
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    flags.require_all_read();
 
     std::cout << "== Table: aggregation rule x strategy\n";
     TextTable table({"strategy", "rule", "final_acc", "final_loss",

@@ -78,6 +78,20 @@ int async_main(int argc, char** argv) {
   const std::vector<double> exps =
       flags.get_double_list("staleness-exps", {0.0, 0.5});
   const std::string json_out = flags.get_string("json-out", "");
+  const harness::ScenarioConfig base =
+      scenario_from_flags(flags, harness::Task::kFmnistLike);
+  // Event-mode cohorts are n_min-sized and cheap, so the budget horizon T_C
+  // spans far more epochs than a lockstep run's; keep the budget — not the
+  // lockstep epoch safety cap — as the binding stop.
+  const auto event_epochs =
+      static_cast<std::size_t>(flags.get_int("epochs", 220));
+  const std::string strategy = flags.get_string("strategy", "fedl");
+  // Target: the accuracy the lockstep run actually ends at, unless
+  // --target-acc is given — "how much sooner does event mode get where the
+  // barrier version finishes, on the same rent".
+  const double target_flag = flags.get_double(
+      "target-acc", std::numeric_limits<double>::quiet_NaN());
+  flags.require_all_read();
 
   // Cell 0 is the lockstep baseline the sweep is normalized against.
   struct Spec {
@@ -93,30 +107,23 @@ int async_main(int argc, char** argv) {
 
   std::vector<std::unique_ptr<harness::RunResult>> results(specs.size());
   Scheduler::instance().run_trials(specs.size(), [&](std::size_t i) {
-    harness::ScenarioConfig cfg =
-        scenario_from_flags(flags, harness::Task::kFmnistLike);
+    harness::ScenarioConfig cfg = base;
     cfg.defer_trace = true;
     cfg.async.enabled = specs[i].async;
     if (specs[i].async) {
       cfg.async.buffer_k = specs[i].k;
       cfg.async.staleness_exponent = specs[i].a;
-      // Event-mode cohorts are n_min-sized and cheap, so the budget horizon
-      // T_C spans far more epochs than a lockstep run's; keep the budget —
-      // not the lockstep epoch safety cap — as the binding stop.
-      cfg.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 220));
+      cfg.max_epochs = event_epochs;
     }
     harness::Experiment exp(cfg);
-    auto strat =
-        harness::make_strategy(flags.get_string("strategy", "fedl"), cfg);
+    auto strat = harness::make_strategy(strategy, cfg);
     results[i] = std::make_unique<harness::RunResult>(exp.run(*strat));
   });
-  commit_traces(flags.get_string("trace-out", ""), results);
+  commit_traces(base.trace_out, results);
 
-  // Target: the accuracy the lockstep run actually ends at (override with
-  // --target-acc) — "how much sooner does event mode get where the barrier
-  // version finishes, on the same rent".
-  const double target = flags.get_double(
-      "target-acc", results.front()->trace.final_accuracy());
+  const double target = std::isnan(target_flag)
+                            ? results.front()->trace.final_accuracy()
+                            : target_flag;
   std::vector<Cell> cells(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     Cell& c = cells[i];
@@ -164,9 +171,9 @@ int async_main(int argc, char** argv) {
 
   if (!json_out.empty()) {
     std::ofstream f(json_out);
-    write_json(f, cells, target, flags.get_double("budget", 900.0));
+    write_json(f, cells, target, base.budget);
   } else {
-    write_json(std::cout, cells, target, flags.get_double("budget", 900.0));
+    write_json(std::cout, cells, target, base.budget);
   }
   return 0;
 }

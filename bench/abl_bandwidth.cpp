@@ -18,6 +18,21 @@ int main(int argc, char** argv) {
   try {
     Flags flags(argc, argv);
     obs::ObsSession session(flags, "warn");
+    const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+    harness::ScenarioConfig base;
+    base.num_clients = static_cast<std::size_t>(flags.get_int("clients", 12));
+    base.n_min = 4;
+    base.budget = flags.get_double("budget", 500.0);
+    base.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 25));
+    base.train_samples =
+        static_cast<std::size_t>(flags.get_int("samples", 500));
+    base.test_samples = 150;
+    base.width_scale = flags.get_double("scale", 0.08);
+    base.batch_cap = 16;
+    base.eval_cap = 96;
+    base.dane.sgd_steps = 2;
+    base.seed = seed;
+    flags.require_all_read();
 
     const net::BandwidthPolicy policies[] = {
         net::BandwidthPolicy::kEqual, net::BandwidthPolicy::kInverseRate,
@@ -29,7 +44,7 @@ int main(int argc, char** argv) {
     TextTable iso({"policy", "mean_makespan_s", "p95_makespan_s"});
     for (const auto policy : policies) {
       net::ChannelSpec spec;
-      spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+      spec.seed = seed;
       net::ChannelModel channel(12, spec);
       RunningStat stat;
       std::vector<double> makespans;
@@ -51,20 +66,8 @@ int main(int argc, char** argv) {
     std::cout << "== Table: FedL end-to-end under each policy\n";
     TextTable e2e({"policy", "total_time_s", "final_acc", "epochs"});
     for (const auto policy : policies) {
-      harness::ScenarioConfig cfg;
-      cfg.num_clients = static_cast<std::size_t>(flags.get_int("clients", 12));
-      cfg.n_min = 4;
-      cfg.budget = flags.get_double("budget", 500.0);
-      cfg.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 25));
-      cfg.train_samples =
-          static_cast<std::size_t>(flags.get_int("samples", 500));
-      cfg.test_samples = 150;
-      cfg.width_scale = flags.get_double("scale", 0.08);
-      cfg.batch_cap = 16;
-      cfg.eval_cap = 96;
-      cfg.dane.sgd_steps = 2;
+      harness::ScenarioConfig cfg = base;
       cfg.bandwidth = policy;
-      cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
       harness::Experiment exp(cfg);
       auto strat = harness::make_strategy("fedl", cfg);
       const auto res = exp.run(*strat);

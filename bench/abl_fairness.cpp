@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
     cfg.eval_cap = 96;
     cfg.dane.sgd_steps = 2;
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    flags.require_all_read();
     harness::Experiment exp(cfg);
 
     std::cout << "== Table: fairness vs efficiency\n";

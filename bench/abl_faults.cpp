@@ -18,28 +18,28 @@ int main(int argc, char** argv) {
 
     const std::vector<double> rates =
         flags.get_double_list("dropout", {0.0, 0.1, 0.3});
+    harness::ScenarioConfig base;
+    base.num_clients = static_cast<std::size_t>(flags.get_int("clients", 12));
+    base.n_min = 4;
+    base.budget = flags.get_double("budget", 500.0);
+    base.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 25));
+    base.train_samples =
+        static_cast<std::size_t>(flags.get_int("samples", 500));
+    base.test_samples = 150;
+    base.width_scale = flags.get_double("scale", 0.08);
+    base.batch_cap = 16;
+    base.eval_cap = 96;
+    base.dane.sgd_steps = 2;
+    base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    flags.require_all_read();
 
     std::cout << "== Table: accuracy/time under mid-epoch dropout\n";
     TextTable table({"strategy", "dropout", "final_acc", "total_time_s",
                      "epochs"});
     for (const std::string name : {"fedl", "fedavg"}) {
       for (double rate : rates) {
-        harness::ScenarioConfig cfg;
-        cfg.num_clients =
-            static_cast<std::size_t>(flags.get_int("clients", 12));
-        cfg.n_min = 4;
-        cfg.budget = flags.get_double("budget", 500.0);
-        cfg.max_epochs =
-            static_cast<std::size_t>(flags.get_int("epochs", 25));
-        cfg.train_samples =
-            static_cast<std::size_t>(flags.get_int("samples", 500));
-        cfg.test_samples = 150;
-        cfg.width_scale = flags.get_double("scale", 0.08);
-        cfg.batch_cap = 16;
-        cfg.eval_cap = 96;
-        cfg.dane.sgd_steps = 2;
+        harness::ScenarioConfig cfg = base;
         cfg.faults.dropout_prob = rate;
-        cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
         harness::Experiment exp(cfg);
         auto strat = harness::make_strategy(name, cfg);
         const auto res = exp.run(*strat);

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
     base.iid = false;  // heterogeneity is where the rules differ
     base.dane.sgd_steps = 3;
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    flags.require_all_read();
 
     struct Variant {
       const char* label;

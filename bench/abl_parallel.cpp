@@ -92,6 +92,8 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("seed", 7));
     const std::vector<double> thread_list =
         flags.get_double_list("threads", {1, 2, 4, 8});
+    const std::size_t jobs =
+        static_cast<std::size_t>(flags.get_int("jobs", 4));
 
     // One trial at a time; the thread budget must cover the largest
     // requested fan-out so the sweep measures K workers, not a clipped
@@ -104,6 +106,7 @@ int main(int argc, char** argv) {
             flags.get_int("thread-budget",
                           static_cast<std::int64_t>(max_threads))),
         1);
+    flags.require_all_read();
 
     std::cout << "== Table: epoch wall time vs num_threads (" << clients
               << " clients, " << iterations << " iters/epoch)\n";
@@ -133,8 +136,6 @@ int main(int argc, char** argv) {
     // concurrent scheduler trials (auto fan-out drawing from the shared
     // budget, stealing on) must reproduce the serial parameters
     // bit-for-bit.
-    const std::size_t jobs =
-        static_cast<std::size_t>(flags.get_int("jobs", 4));
     Scheduler::instance().configure(max_threads, jobs);
     std::vector<nn::ParamVec> per_trial(jobs);
     Scheduler::instance().run_trials(jobs, [&](std::size_t i) {

@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
     base.dane.sgd_steps = 2;
     base.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 120));
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    flags.require_all_read();
 
     std::cout << "== Series: A2 regret-fit / growth\n";
     CsvTable table;

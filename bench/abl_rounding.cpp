@@ -55,9 +55,7 @@ void rounding_statistics(std::uint64_t seed) {
   std::cout << "-- target sum: " << format_num(target) << "\n\n";
 }
 
-void end_to_end(const Flags& flags) {
-  harness::ScenarioConfig cfg =
-      bench::scenario_from_flags(flags, harness::Task::kFmnistLike);
+void end_to_end(const harness::ScenarioConfig& cfg) {
   harness::Experiment exp(cfg);
   std::vector<fl::TrainTrace> traces;
   for (const std::string name : {"fedl", "fedl-ind"}) {
@@ -88,9 +86,14 @@ int main(int argc, char** argv) {
   try {
     fedl::Flags flags(argc, argv);
     fedl::obs::ObsSession session(flags, "warn");
-    fedl::rounding_statistics(
-        static_cast<std::uint64_t>(flags.get_int("seed", 7)));
-    fedl::end_to_end(flags);
+    // Part 1's default seed is 7; part 2 takes the figure benches' flags
+    // (default seed 1). One --seed sets both.
+    const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+    const fedl::harness::ScenarioConfig cfg = fedl::bench::scenario_from_flags(
+        flags, fedl::harness::Task::kFmnistLike);
+    flags.require_all_read();
+    fedl::rounding_statistics(seed);
+    fedl::end_to_end(cfg);
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "bench failed: " << e.what() << "\n";

@@ -156,6 +156,7 @@ int scale_main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string json_out = flags.get_string("json-out", "");
+  flags.require_all_read();
 
   std::vector<Cell> cells;
   for (double md : ms_d) {

@@ -119,9 +119,12 @@ inline void commit_traces(
 // Runs the paper roster on both data distributions: one scheduler trial per
 // (setting, algorithm) cell. The two Experiments (dataset + partition) are
 // built once per setting and shared by the setting's trials — Experiment::run
-// only reads them.
+// only reads them. The scenario flags are the binary's last reads: any flag
+// still unread is rejected before the first dataset is built.
 inline std::vector<FigureRun> run_roster(const Flags& flags,
                                          harness::Task task) {
+  const harness::ScenarioConfig base = scenario_from_flags(flags, task);
+  flags.require_all_read();
   const std::vector<std::string> roster = harness::paper_roster();
   std::vector<FigureRun> out(2);
   std::vector<std::unique_ptr<harness::Experiment>> experiments;
@@ -132,7 +135,7 @@ inline std::vector<FigureRun> run_roster(const Flags& flags,
   std::vector<TrialSpec> trials;
   const bool iids[2] = {true, false};
   for (std::size_t si = 0; si < 2; ++si) {
-    harness::ScenarioConfig cfg = scenario_from_flags(flags, task);
+    harness::ScenarioConfig cfg = base;
     cfg.iid = iids[si];
     cfg.defer_trace = true;
     experiments.push_back(std::make_unique<harness::Experiment>(cfg));
@@ -148,7 +151,7 @@ inline std::vector<FigureRun> run_roster(const Flags& flags,
     results[i] = std::make_unique<harness::RunResult>(exp.run(*strat));
   });
 
-  commit_traces(experiments.front()->config().trace_out, results);
+  commit_traces(base.trace_out, results);
   for (std::size_t i = 0; i < trials.size(); ++i)
     out[trials[i].setting].traces.push_back(std::move(results[i]->trace));
   return out;
@@ -158,16 +161,16 @@ inline std::vector<FigureRun> run_roster(const Flags& flags,
 // ("accuracy after T seconds", "completion time to target accuracy").
 inline void accuracy_vs_time_figure(const std::string& figure,
                                     harness::Task task, const Flags& flags) {
+  // The CIFAR-like task is deliberately harder (DESIGN.md §5): probe a
+  // correspondingly lower completion-time target.
+  const double acc_target = flags.get_double(
+      "target-acc", task == harness::Task::kCifarLike ? 0.35 : 0.6);
   const auto runs = run_roster(flags, task);
   for (const auto& run : runs) {
     for (const auto& t : run.traces)
       harness::print_trace_series(std::cout, figure + " " + run.setting,
                                   t.algorithm, t);
   }
-  // The CIFAR-like task is deliberately harder (DESIGN.md §5): probe a
-  // correspondingly lower completion-time target.
-  const double acc_target = flags.get_double(
-      "target-acc", task == harness::Task::kCifarLike ? 0.35 : 0.6);
   for (const auto& run : runs) {
     std::cout << "-- Setting: " << run.setting << "\n";
     // "accuracy after X s": use the shortest total time so every algorithm
@@ -183,14 +186,14 @@ inline void accuracy_vs_time_figure(const std::string& figure,
 // Figs. 4–5: accuracy vs federated round plus "rounds to target" table.
 inline void accuracy_vs_round_figure(const std::string& figure,
                                      harness::Task task, const Flags& flags) {
+  const double acc_target = flags.get_double(
+      "target-acc", task == harness::Task::kCifarLike ? 0.35 : 0.6);
   const auto runs = run_roster(flags, task);
   for (const auto& run : runs) {
     for (const auto& t : run.traces)
       harness::print_trace_series(std::cout, figure + " " + run.setting,
                                   t.algorithm, t);
   }
-  const double acc_target = flags.get_double(
-      "target-acc", task == harness::Task::kCifarLike ? 0.35 : 0.6);
   for (const auto& run : runs) {
     std::cout << "-- Setting: " << run.setting << "\n";
     harness::print_rounds_to_accuracy_table(std::cout, acc_target,
@@ -205,6 +208,8 @@ inline void budget_impact_figure(const std::string& figure,
                                  harness::Task task, const Flags& flags) {
   const std::vector<double> budgets =
       flags.get_double_list("budgets", {100, 200, 400, 800});
+  const harness::ScenarioConfig base = scenario_from_flags(flags, task);
+  flags.require_all_read();
   const std::vector<std::string> roster = harness::paper_roster();
 
   struct TrialSpec {
@@ -220,7 +225,7 @@ inline void budget_impact_figure(const std::string& figure,
 
   std::vector<std::unique_ptr<harness::RunResult>> results(trials.size());
   Scheduler::instance().run_trials(trials.size(), [&](std::size_t i) {
-    harness::ScenarioConfig cfg = scenario_from_flags(flags, task);
+    harness::ScenarioConfig cfg = base;
     cfg.iid = trials[i].iid;
     cfg.budget = trials[i].budget;
     cfg.defer_trace = true;
@@ -228,7 +233,7 @@ inline void budget_impact_figure(const std::string& figure,
     auto strat = harness::make_strategy(roster[trials[i].alg], cfg);
     results[i] = std::make_unique<harness::RunResult>(exp.run(*strat));
   });
-  commit_traces(flags.get_string("trace-out", ""), results);
+  commit_traces(base.trace_out, results);
 
   std::size_t cell = 0;
   for (bool iid : {true, false}) {

@@ -30,6 +30,8 @@ int main(int argc, char** argv) {
   cfg.train_samples = static_cast<std::size_t>(flags.get_int("samples", 700));
   cfg.width_scale = flags.get_double("scale", 0.08);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+  const double target_acc = flags.get_double("target-acc", 0.4);
+  flags.require_all_read();
 
   std::cout << "Edge news recommendation: " << cfg.num_clients
             << " users with drifting, non-IID reading histories; budget "
@@ -51,8 +53,7 @@ int main(int argc, char** argv) {
 
   for (const auto& t : traces)
     harness::print_trace_series(std::cout, "news-recsys", t.algorithm, t);
-  harness::print_time_to_accuracy_table(
-      std::cout, flags.get_double("target-acc", 0.4), traces);
+  harness::print_time_to_accuracy_table(std::cout, target_acc, traces);
 
   // Show what FedL learned about each user: its selection fraction memory
   // and the per-client convergence/utility estimates.

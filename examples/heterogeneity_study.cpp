@@ -26,6 +26,8 @@ int main(int argc, char** argv) {
   cfg.width_scale = flags.get_double("scale", 0.08);
   cfg.availability = 1.0;  // isolate the compute-heterogeneity effect
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
+  const double target_acc = flags.get_double("target-acc", 0.5);
+  flags.require_all_read();
 
   std::cout << "Heterogeneity study: " << cfg.num_clients
             << " devices with heterogeneous CPUs (see per-device table)\n\n";
@@ -46,8 +48,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  harness::print_time_to_accuracy_table(
-      std::cout, flags.get_double("target-acc", 0.5), traces);
+  harness::print_time_to_accuracy_table(std::cout, target_acc, traces);
 
   // Correlate the learned selection fractions against device speed. We
   // rebuild the environment spec to read the same device draw the runs saw.

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   cfg.strict_monitor = flags.get_bool("strict-monitor", false);
   if (cfg.strict_monitor) cfg.monitor = true;
   cfg.record_digests = flags.get_bool("digest", false);
+  flags.require_all_read();
 
   std::cout << "FedL quickstart: " << cfg.num_clients << " clients, budget "
             << cfg.budget << ", " << (cfg.iid ? "IID" : "non-IID")

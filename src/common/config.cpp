@@ -111,4 +111,12 @@ std::vector<std::string> Flags::unread_keys() const {
   return out;
 }
 
+void Flags::require_all_read() const {
+  const std::vector<std::string> unread = unread_keys();
+  if (unread.empty()) return;
+  std::string msg = unread.size() == 1 ? "unknown flag:" : "unknown flags:";
+  for (const auto& k : unread) msg += " --" + k;
+  throw ConfigError(msg);
+}
+
 }  // namespace fedl

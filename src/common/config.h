@@ -1,7 +1,9 @@
 // Command-line flag parsing for benches and examples.
 //
 // Flags are "--key=value" or "--key value"; "--flag" alone sets a boolean.
-// Unknown flags raise ConfigError so typos in sweep scripts fail loudly.
+// Every binary calls require_all_read() after its last flag read and before
+// its first run, so an unknown flag raises ConfigError and a typo in a sweep
+// script fails at once instead of being ignored.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +31,10 @@ class Flags {
   std::vector<double> get_double_list(const std::string& key,
                                       std::vector<double> fallback) const;
 
-  // Keys that were parsed but never read; callers can warn on leftovers.
+  // Keys that were parsed but never read.
   std::vector<std::string> unread_keys() const;
+  // Throws ConfigError naming every key in unread_keys(), if any.
+  void require_all_read() const;
 
  private:
   std::optional<std::string> raw(const std::string& key) const;

@@ -93,6 +93,17 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
+void Rng::skip_normals(std::size_t count) {
+  if (count > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --count;
+  }
+  // Two raw outputs per Box–Muller pair; an odd count computes its last
+  // pair and keeps the second value cached, as normal() does.
+  for (std::size_t i = 0; i < count / 2 * 2; ++i) (*this)();
+  if (count % 2 == 1) normal();
+}
+
 bool Rng::bernoulli(double p) {
   FEDL_CHECK(p >= 0.0 && p <= 1.0) << "p=" << p;
   return uniform() < p;

@@ -7,6 +7,7 @@
 // standard technique for xoshiro-family generators).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -41,6 +42,12 @@ class Rng {
   // Standard normal via Box–Muller (cached second value).
   double normal();
   double normal(double mean, double stddev);
+  // Advances the stream exactly as `count` normal() calls would: a cached
+  // second value is used up first, each remaining pair discards its two
+  // raw outputs (Box–Muller rejects nothing), and only a trailing odd pair
+  // is computed, so that its cached value survives. Lets a serial pass
+  // hand each sample its own stream position (data/synthetic.cpp).
+  void skip_normals(std::size_t count);
   // Bernoulli with success probability p.
   bool bernoulli(double p);
   // Poisson with rate lambda (Knuth for small lambda, normal approx above 64).

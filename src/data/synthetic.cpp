@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/profile.h"
+#include "parallel/scheduler.h"
 
 namespace fedl::data {
 namespace {
@@ -75,26 +77,41 @@ class PrototypeBank {
   std::vector<std::vector<float>> protos_;
 };
 
+// Draws `count` samples in two passes, byte-identical to one serial loop
+// over (class, pixel noise, label noise) per sample. The serial pass makes
+// every draw that moves the stream, in that order, but skips each sample's
+// pixel normals (Rng::skip_normals) after keeping a copy of the stream
+// where they start. The parallel pass writes each image from its own copy:
+// a pixel depends only on that copy and the read-only prototype bank.
 Dataset generate(const SyntheticSpec& spec, const PrototypeBank& bank,
                  std::size_t count, Rng& rng) {
+  FEDL_PROFILE_SCOPE("data.synthesize");
   const std::size_t elems = spec.channels * spec.image_h * spec.image_w;
-  Tensor images(Shape{count, spec.channels, spec.image_h, spec.image_w});
+  const auto max_class = static_cast<std::int64_t>(spec.num_classes) - 1;
+  std::vector<std::size_t> classes(count);
+  std::vector<Rng> pixel_noise;
+  pixel_noise.reserve(count);
   std::vector<std::uint8_t> labels(count);
-  float* dst = images.data();
   for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t cls =
-        static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(spec.num_classes) - 1));
-    const auto& proto = bank.prototype(cls);
+    classes[i] = static_cast<std::size_t>(rng.uniform_int(0, max_class));
+    pixel_noise.push_back(rng);
+    rng.skip_normals(elems);
+    std::uint8_t y = static_cast<std::uint8_t>(classes[i]);
+    if (spec.label_noise > 0.0 && rng.bernoulli(spec.label_noise))
+      y = static_cast<std::uint8_t>(rng.uniform_int(0, max_class));
+    labels[i] = y;
+  }
+
+  Tensor images(Shape{count, spec.channels, spec.image_h, spec.image_w});
+  float* dst = images.data();
+  leased_parallel_for(0, count, [&](std::size_t, std::size_t i) {
+    const auto& proto = bank.prototype(classes[i]);
+    Rng& noise = pixel_noise[i];
     for (std::size_t e = 0; e < elems; ++e)
       dst[i * elems + e] =
           static_cast<float>(spec.signal_scale) * proto[e] +
-          static_cast<float>(rng.normal(0.0, spec.noise_stddev));
-    std::uint8_t y = static_cast<std::uint8_t>(cls);
-    if (spec.label_noise > 0.0 && rng.bernoulli(spec.label_noise))
-      y = static_cast<std::uint8_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(spec.num_classes) - 1));
-    labels[i] = y;
-  }
+          static_cast<float>(noise.normal(0.0, spec.noise_stddev));
+  });
   return Dataset(std::move(images), std::move(labels), spec.num_classes);
 }
 

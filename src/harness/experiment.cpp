@@ -356,11 +356,13 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
   ec.seed = cfg_.seed * 47 + 19;
   fl::FlEngine engine(&data_.train, &data_.test, &env, build_model(), ec);
 
-  if (!cfg_.checkpoint_path.empty()) {
-    std::ifstream probe(cfg_.checkpoint_path);
+  if (!cfg_.warm_start_path.empty()) {
+    std::ifstream probe(cfg_.warm_start_path);
     if (probe.good()) {
-      engine.set_global_params(nn::load_params(cfg_.checkpoint_path));
-      FEDL_INFO << "resumed global model from " << cfg_.checkpoint_path;
+      engine.set_global_params(nn::load_params(cfg_.warm_start_path));
+      FEDL_INFO << "warm-started the global model from "
+                << cfg_.warm_start_path
+                << " (learner, ledger and RNG streams start afresh)";
     }
   }
 
@@ -680,8 +682,8 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
   // Fold this run's final chain value into the process-wide digest the
   // manifest reports (XOR-combined, so grid completion order is irrelevant).
   if (cfg_.record_digests) obs::note_run_digest(digest.value());
-  if (!cfg_.checkpoint_path.empty())
-    nn::save_params(engine.global_params(), cfg_.checkpoint_path);
+  if (!cfg_.warm_start_path.empty())
+    nn::save_params(engine.global_params(), cfg_.warm_start_path);
   FEDL_INFO << strategy.name() << (evt ? " [async]" : "") << ": "
             << result.epochs_run << " epochs, acc="
             << result.trace.final_accuracy()

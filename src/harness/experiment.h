@@ -72,10 +72,13 @@ struct ScenarioConfig {
   // remaining thread budget, K > 1 = request at most K-1 extra workers.
   // Results are bit-identical for every setting.
   std::size_t num_threads = 1;
-  // When non-empty: load the global model from this checkpoint before the
-  // run (if the file exists) and save it there after the run — long budget
-  // sweeps survive interruption.
-  std::string checkpoint_path;
+  // When non-empty: start the global model from the parameters saved at
+  // this path (if the file exists) and save the final model there after the
+  // run. This is a warm start, not a resume: only w carries over. The
+  // learner's duals and η̂/Δ̂ estimates, the budget ledger and every RNG
+  // stream start afresh, so each run spends up to the full budget C — two
+  // warm-started halves can spend 2C between them.
+  std::string warm_start_path;
   // When non-empty: append one JSONL decision event per epoch to this file
   // (availability set, selection, ρ_t, duals, budget ledger, per-client
   // observations and realized outcomes). Several runs may share the file;

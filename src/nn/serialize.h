@@ -1,9 +1,12 @@
 // Binary checkpointing of flat parameter vectors.
 //
-// Long budget sweeps checkpoint the global model between epochs so a run
-// can resume after interruption; the format is a small versioned header
-// (magic, version, element count, FNV-1a content hash) followed by raw
-// little-endian floats. Corruption is detected on load via the hash.
+// Experiments save the global model after a run so that the next run can
+// warm-start from it (ScenarioConfig::warm_start_path). Only the parameters
+// are saved: a warm-started run restarts the learner, the budget ledger and
+// the RNG streams, so it is not a resume and spends its own full budget C.
+// The format is a small versioned header (magic, version, element count,
+// FNV-1a content hash) followed by raw little-endian floats. Corruption is
+// detected on load via the hash.
 #pragma once
 
 #include <cstdint>

@@ -55,6 +55,7 @@ ObsSession::ObsSession(const Flags& flags,
   manifest_out_ = flags.get_string("manifest-out", "");
   prom_out_ = flags.get_string("prom-out", "");
   prom_interval_s_ = flags.get_double("prom-interval", 5.0);
+  const std::int64_t series_capacity = flags.get_int("series-capacity", 4096);
 
   if (!trace_out_.empty()) {
     // Runs append per-epoch events; start every invocation from a clean
@@ -67,10 +68,10 @@ ObsSession::ObsSession(const Flags& flags,
     Profiler::global().set_enabled(true);
   }
   if (!series_out_.empty()) {
-    const int capacity = flags.get_int("series-capacity", 4096);
-    if (capacity <= 0)
+    if (series_capacity <= 0)
       throw ConfigError("--series-capacity must be positive");
-    TimeSeriesRecorder::global().enable(static_cast<std::size_t>(capacity));
+    TimeSeriesRecorder::global().enable(
+        static_cast<std::size_t>(series_capacity));
   }
   if (!prom_out_.empty() && prom_interval_s_ <= 0.0)
     throw ConfigError("--prom-interval must be positive");

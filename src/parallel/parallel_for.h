@@ -1,6 +1,7 @@
 // Blocking caller-participating fan-out on top of ThreadPool: the one
 // data-parallel loop behind every scheduler-leased fan-out (the GEMM macro
-// loop, conv2d's batch loops, the FL engine's per-client phases).
+// loop, conv2d's batch loops, the FL engine's per-client phases, the
+// dataset synthesis's per-sample pixel pass).
 #pragma once
 
 #include <algorithm>

@@ -152,14 +152,15 @@ class Scheduler {
 // extra workers from the scheduler (auto-share nominal, stealing enabled),
 // run body(chunk, i) over [begin, end) caller-participating, release the
 // lease. Runs inline as chunk 0 when the range is trivial or the budget is
-// saturated — so a compute layer (conv2d's sample-block loops) can fan out
-// unconditionally and still compose with trial runners and per-client
-// leases without ever oversubscribing. As in parallel_for_shared_indexed,
-// chunk c runs one contiguous index range in increasing order, chunk 0 on
-// the calling thread, ranges ordered by c, and c < min(end - begin,
-// thread_budget()), so callers can size one scratch slot per chunk up
-// front. Values never depend on the grant (bodies touch disjoint per-index
-// state, and per-chunk scratch only, by contract).
+// saturated — so a compute layer can fan out unconditionally and still
+// compose with trial runners and per-client leases without ever
+// oversubscribing. Callers: conv2d's sample-block loops and the dataset
+// synthesis's per-sample pixel pass (data/synthetic.cpp). As in
+// parallel_for_shared_indexed, chunk c runs one contiguous index range in
+// increasing order, chunk 0 on the calling thread, ranges ordered by c, and
+// c < min(end - begin, thread_budget()), so callers can size one scratch
+// slot per chunk up front. Values never depend on the grant (bodies touch
+// disjoint per-index state, and per-chunk scratch only, by contract).
 template <typename Body>
 void leased_parallel_for(std::size_t begin, std::size_t end,
                          const Body& body) {

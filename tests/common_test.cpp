@@ -112,6 +112,29 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(s.stddev(), 1.0, 0.03);
 }
 
+TEST(Rng, SkipNormalsMatchesDraws) {
+  // Counts on both sides of a Box–Muller pair and of one 28×28 image, from
+  // a fresh stream and from one that holds a cached second value.
+  for (const bool cached : {false, true}) {
+    for (const std::size_t count : {0, 1, 2, 3, 784, 785}) {
+      Rng drawn(23);
+      Rng skipped(23);
+      if (cached) {
+        drawn.normal();
+        skipped.normal();
+      }
+      for (std::size_t i = 0; i < count; ++i) drawn.normal();
+      skipped.skip_normals(count);
+      for (int k = 0; k < 3; ++k)
+        EXPECT_EQ(skipped.normal(), drawn.normal())
+            << "cached=" << cached << " count=" << count << " normal " << k;
+      for (int k = 0; k < 3; ++k)
+        EXPECT_EQ(skipped(), drawn())
+            << "cached=" << cached << " count=" << count << " raw " << k;
+    }
+  }
+}
+
 TEST(Rng, BernoulliFrequency) {
   Rng rng(19);
   int hits = 0;
@@ -385,6 +408,24 @@ TEST(Flags, UnreadKeysReported) {
   const auto leftover = f.unread_keys();
   ASSERT_EQ(leftover.size(), 1u);
   EXPECT_EQ(leftover[0], "unused");
+}
+
+TEST(Flags, RequireAllReadNamesEveryUnreadKey) {
+  const char* argv[] = {"prog", "--used=1", "--bogus-flag", "7", "--typo"};
+  Flags f(5, argv);
+  (void)f.get_int("used", 0);
+  try {
+    f.require_all_read();
+    FAIL() << "unread flags were accepted";
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--bogus-flag"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--typo"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("--used"), std::string::npos) << msg;
+  }
+  (void)f.get_int("bogus-flag", 0);
+  (void)f.get_bool("typo", false);
+  EXPECT_NO_THROW(f.require_all_read());
 }
 
 // --- math_util ------------------------------------------------------------------

@@ -4,13 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "data/online.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "parallel/scheduler.h"
 
 namespace fedl::data {
 namespace {
@@ -94,6 +97,138 @@ TEST(Synthetic, ClassSignalExists) {
     dist += diff * diff;
   }
   EXPECT_GT(std::sqrt(dist), 1.0);
+}
+
+// The generator as one serial loop over (class, pixel noise, label noise)
+// per sample, with its prototype bank: the oracle the two-pass synthesis
+// must reproduce byte for byte.
+namespace serial_reference {
+
+std::vector<float> render(const SyntheticSpec& spec, double fx, double fy,
+                          double phase, double blob_x, double blob_y) {
+  const std::size_t h = spec.image_h;
+  const std::size_t w = spec.image_w;
+  std::vector<float> img(spec.channels * h * w);
+  for (std::size_t ch = 0; ch < spec.channels; ++ch) {
+    const double chphase = phase + 0.9 * static_cast<double>(ch);
+    for (std::size_t y = 0; y < h; ++y) {
+      for (std::size_t x = 0; x < w; ++x) {
+        const double u = static_cast<double>(x) / static_cast<double>(w);
+        const double v = static_cast<double>(y) / static_cast<double>(h);
+        double val =
+            0.5 * std::sin(2.0 * M_PI * (fx * u + fy * v) + chphase) +
+            0.3 * std::cos(2.0 * M_PI * (fy * u - fx * v));
+        const double dx = u - blob_x;
+        const double dy = v - blob_y;
+        val += 1.2 * std::exp(-(dx * dx + dy * dy) / 0.02);
+        img[(ch * h + y) * w + x] = static_cast<float>(val);
+      }
+    }
+  }
+  return img;
+}
+
+std::vector<std::vector<float>> prototypes(const SyntheticSpec& spec,
+                                           Rng& rng) {
+  const double o = spec.prototype_overlap;
+  const auto mix = [&](double class_value, double common_value) {
+    return (1.0 - o) * class_value + o * common_value + 0.02 * rng.normal();
+  };
+  const double last = std::max<double>(1.0, spec.num_classes - 1);
+  std::vector<std::vector<float>> protos;
+  for (std::size_t c = 0; c < spec.num_classes; ++c) {
+    const double base = static_cast<double>(c);
+    const double fx = mix(0.5 + 0.45 * base, 2.5);
+    const double fy = mix(0.3 + 0.55 * base, 2.8);
+    const double phase = mix(base * 0.7, 1.5);
+    const double blob_x = mix(0.1 + 0.8 * (base / last), 0.5);
+    const double blob_y = mix(0.9 - 0.8 * (base / last), 0.5);
+    protos.push_back(render(spec, fx, fy, phase, blob_x, blob_y));
+  }
+  return protos;
+}
+
+Dataset generate(const SyntheticSpec& spec,
+                 const std::vector<std::vector<float>>& protos,
+                 std::size_t count, Rng& rng) {
+  const std::size_t elems = spec.channels * spec.image_h * spec.image_w;
+  Tensor images(Shape{count, spec.channels, spec.image_h, spec.image_w});
+  std::vector<std::uint8_t> labels(count);
+  float* dst = images.data();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t cls = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(spec.num_classes) - 1));
+    const auto& proto = protos[cls];
+    for (std::size_t e = 0; e < elems; ++e)
+      dst[i * elems + e] =
+          static_cast<float>(spec.signal_scale) * proto[e] +
+          static_cast<float>(rng.normal(0.0, spec.noise_stddev));
+    std::uint8_t y = static_cast<std::uint8_t>(cls);
+    if (spec.label_noise > 0.0 && rng.bernoulli(spec.label_noise))
+      y = static_cast<std::uint8_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(spec.num_classes) - 1));
+    labels[i] = y;
+  }
+  return Dataset(std::move(images), std::move(labels), spec.num_classes);
+}
+
+TrainTest train_test(const SyntheticSpec& spec, std::size_t test_samples) {
+  Rng rng(spec.seed);
+  const auto protos = prototypes(spec, rng);
+  TrainTest tt;
+  tt.train = generate(spec, protos, spec.num_samples, rng);
+  SyntheticSpec clean = spec;
+  clean.label_noise = 0.0;
+  tt.test = generate(clean, protos, test_samples, rng);
+  return tt;
+}
+
+}  // namespace serial_reference
+
+void expect_same_bytes(const Dataset& got, const Dataset& want,
+                       const std::string& what) {
+  ASSERT_TRUE(got.images().shape() == want.images().shape()) << what;
+  EXPECT_EQ(got.labels(), want.labels()) << what;
+  EXPECT_EQ(std::memcmp(got.images().data(), want.images().data(),
+                        want.images().numel() * sizeof(float)),
+            0)
+      << what;
+}
+
+TEST(Synthetic, MatchesSerialReferenceAtEveryBudget) {
+  // A 1×3×5 image has an odd pixel count, so a cached normal carries from
+  // one sample's pixels into the next sample's draws.
+  SyntheticSpec tiny;
+  tiny.image_h = 3;
+  tiny.image_w = 5;
+  tiny.noise_stddev = 0.7;
+  tiny.seed = 2;
+  std::vector<SyntheticSpec> specs;
+  for (const std::size_t n : {1, 7, 33})
+    for (const double label_noise : {0.0, 0.2})
+      for (SyntheticSpec spec :
+           {fmnist_like_spec(n, 3), cifar_like_spec(n, 5), tiny}) {
+        spec.num_samples = n;
+        spec.label_noise = label_noise;
+        specs.push_back(spec);
+      }
+  Scheduler& sched = Scheduler::instance();
+  for (const std::size_t budget : {1, 4}) {
+    sched.configure(budget, 1);
+    for (const SyntheticSpec& spec : specs) {
+      const std::string what =
+          "budget=" + std::to_string(budget) + " shape=" +
+          std::to_string(spec.channels) + "x" + std::to_string(spec.image_h) +
+          "x" + std::to_string(spec.image_w) +
+          " n=" + std::to_string(spec.num_samples) +
+          " label_noise=" + std::to_string(spec.label_noise);
+      const TrainTest got = make_synthetic_train_test(spec, 9);
+      const TrainTest want = serial_reference::train_test(spec, 9);
+      expect_same_bytes(got.train, want.train, "train " + what);
+      expect_same_bytes(got.test, want.test, "test " + what);
+    }
+  }
+  sched.configure(0, 1);
 }
 
 // --- dataset views -----------------------------------------------------------

@@ -243,25 +243,25 @@ TEST(Trace, CheckedQueryAtExactRecordedAccuracyBoundary) {
   EXPECT_DOUBLE_EQ(q.accuracy, 0.2);
 }
 
-TEST(Integration, CheckpointResumeContinuesFromSavedModel) {
+TEST(Integration, WarmStartContinuesFromSavedModel) {
   ScenarioConfig cfg = tiny_scenario(21);
-  cfg.checkpoint_path =
+  cfg.warm_start_path =
       std::string(::testing::TempDir()) + "/fedl_run_ckpt.bin";
-  std::remove(cfg.checkpoint_path.c_str());
+  std::remove(cfg.warm_start_path.c_str());
 
   Experiment exp(cfg);
   auto s1 = make_strategy("fedavg", cfg);
   const auto first = exp.run(*s1);
 
-  // Second run resumes from the checkpoint: its starting accuracy should be
-  // at least in the neighbourhood of the first run's final accuracy rather
-  // than chance level.
+  // Second run warm-starts from the saved model: its starting accuracy
+  // should be at least in the neighbourhood of the first run's final
+  // accuracy rather than chance level.
   auto s2 = make_strategy("fedavg", cfg);
   const auto second = exp.run(*s2);
   ASSERT_FALSE(second.trace.records.empty());
   EXPECT_GE(second.trace.records.front().test_accuracy,
             first.trace.final_accuracy() - 0.1);
-  std::remove(cfg.checkpoint_path.c_str());
+  std::remove(cfg.warm_start_path.c_str());
 }
 
 }  // namespace
