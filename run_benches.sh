@@ -3,15 +3,12 @@
 #
 # Runs every bench binary and collects output; used for bench_output.txt.
 # Bench names (e.g. `./run_benches.sh fig8_scale_sweep`) restrict the run
-# to those binaries under build/bench/ and skip the fig2 grid timing, so one
-# BENCH_*.json can be regenerated without rerunning everything.
+# to those binaries under build/bench/, so one BENCH_*.json can be
+# regenerated without rerunning everything.
 # Also emits BENCH_micro_kernels.json (google-benchmark JSON),
-# BENCH_metrics.json (the abl_parallel run's metrics-registry snapshot:
-# pool/gemm/solver/engine counters), BENCH_grid.json (figure-grid wall
-# clock, serial vs --jobs, see below), BENCH_scale.json (fig8 selection-
-# layer scale sweep) and BENCH_async.json (abl_async event-driven vs
-# lockstep speedup grid) so the perf trajectory stays machine-readable
-# across PRs.
+# BENCH_scale.json (fig8 selection-layer scale sweep) and BENCH_async.json
+# (abl_async event-driven vs lockstep speedup grid) so the perf trajectory
+# stays machine-readable across PRs.
 #
 # Committed BENCH_*.json files are only comparable when built the same way:
 # non-Release builds run the benches for smoke value but are REFUSED as JSON
@@ -98,41 +95,6 @@ with open(path, "w") as fh:
 PY
 }
 
-# Figure-grid scheduler timing: the same Fig. 2 grid serial
-# (--jobs 1 --threads 1) and parallel (--jobs 8, per-trial fan-out from the
-# shared budget). Output is identical by construction (scheduler trials are
-# bit-deterministic); only the wall clock differs. hardware_threads is
-# recorded because the speedup is bounded by the machine the script ran on.
-grid_bench() {
-  local bin=build/bench/fig2_fmnist_acc_vs_time
-  if [ ! -x "$bin" ]; then
-    echo "grid bench skipped: $bin not built" >&2
-    return
-  fi
-  if [ "$EMIT_JSON" != "1" ]; then
-    echo "grid bench JSON skipped: non-Release build" >&2
-    return
-  fi
-  local t0 t1 t2 serial_ns jobs_ns
-  t0=$(date +%s%N)
-  "$bin" --jobs=1 --threads=1 > /dev/null 2>&1
-  t1=$(date +%s%N)
-  "$bin" --jobs=8 > /dev/null 2>&1
-  t2=$(date +%s%N)
-  serial_ns=$((t1 - t0))
-  jobs_ns=$((t2 - t1))
-  awk -v s="$serial_ns" -v j="$jobs_ns" 'BEGIN {
-    printf "{\n"
-    printf "  \"figure\": \"fig2_fmnist_acc_vs_time\",\n"
-    printf "  \"serial_s\": %.2f,\n", s / 1e9
-    printf "  \"jobs8_s\": %.2f,\n", j / 1e9
-    printf "  \"speedup\": %.2f\n", s / j
-    printf "}\n"
-  }' > BENCH_grid.json
-  stamp_json BENCH_grid.json
-}
-[ ${#ONLY[@]} -eq 0 ] && grid_bench
-
 : > bench_output.txt
 for b in build/bench/*; do
   if [ -f "$b" ] && [ -x "$b" ] && selected "$(basename "$b")"; then
@@ -143,14 +105,6 @@ for b in build/bench/*; do
           "$b" --benchmark_out=BENCH_micro_kernels.json \
                --benchmark_out_format=json >> bench_output.txt 2>&1
           stamp_json BENCH_micro_kernels.json
-        else
-          "$b" >> bench_output.txt 2>&1
-        fi
-        ;;
-      abl_parallel)
-        if [ "$EMIT_JSON" = "1" ]; then
-          "$b" --metrics-out=BENCH_metrics.json >> bench_output.txt 2>&1
-          stamp_json BENCH_metrics.json
         else
           "$b" >> bench_output.txt 2>&1
         fi

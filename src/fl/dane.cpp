@@ -21,10 +21,6 @@ std::size_t LocalOracle::dim() const { return scratch_->num_params(); }
 double LocalOracle::loss_grad(const nn::ParamVec& w, nn::ParamVec* grad) const {
   FEDL_CHECK_EQ(w.size(), dim());
   scratch_->set_params_flat(w);
-  return loss_grad_preloaded(grad);
-}
-
-double LocalOracle::loss_grad_preloaded(nn::ParamVec* grad) const {
   if (!grad) return scratch_->evaluate(*batch_).loss;
   const nn::EvalResult r = scratch_->forward_backward(*batch_);
   scratch_->grads_flat_into(*grad);
@@ -33,7 +29,7 @@ double LocalOracle::loss_grad_preloaded(nn::ParamVec* grad) const {
 
 LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
                             const nn::ParamVec& global_grad,
-                            const DaneConfig& cfg, bool scratch_at_w) {
+                            const DaneConfig& cfg) {
   const std::size_t p = oracle.dim();
   FEDL_CHECK_EQ(w.size(), p);
 
@@ -47,8 +43,7 @@ LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
 
   LocalUpdate out;
   nn::ParamVec local_grad;
-  out.loss_before = scratch_at_w ? oracle.loss_grad_preloaded(&local_grad)
-                                 : oracle.loss_grad(w, &local_grad);
+  out.loss_before = oracle.loss_grad(w, &local_grad);
   nn::ParamVec linear(p, 0.0f);
   if (use_linear) {
     if (global_grad.empty()) {

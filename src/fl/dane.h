@@ -64,7 +64,9 @@ struct LocalUpdate {
 
 // Differentiable oracle for a client's local objective: evaluates loss and
 // gradient of F_k at arbitrary parameters using a scratch model. The scratch
-// model's architecture must match the parameter dimension.
+// model's architecture must match the parameter dimension. Every evaluation
+// loads its point into the scratch model first, so one scratch model can
+// serve any number of clients in turn.
 class LocalOracle {
  public:
   LocalOracle(nn::Model* scratch, const nn::Batch* batch);
@@ -72,12 +74,6 @@ class LocalOracle {
   std::size_t dim() const;
   // loss F_k(w); writes ∇F_k(w) into grad when non-null.
   double loss_grad(const nn::ParamVec& w, nn::ParamVec* grad) const;
-  // Same, but evaluated at the scratch model's *current* parameters — no
-  // O(|w|) set_params_flat copy. The caller guarantees the scratch params
-  // already hold the point of interest (the engine's shared-weight replicas
-  // borrow the global model's storage, which holds w for the whole
-  // iteration); results are bit-identical to loss_grad(w, ·) then.
-  double loss_grad_preloaded(nn::ParamVec* grad) const;
 
  private:
   nn::Model* scratch_;
@@ -87,12 +83,8 @@ class LocalOracle {
 // Runs the configured surrogate minimization. `global_grad` is ḡ (σ2 term);
 // passing an empty vector treats ḡ = ∇F_k(w) (first iteration bootstrap,
 // making the linear term vanish when σ2 = 1). Ignored by kFedProx/kSgd.
-// `scratch_at_w`: the oracle's scratch model already holds w, so the
-// initial F_k(w) evaluation skips its set_params_flat copy (shifted-point
-// evaluations always set params — they trigger the replicas'
-// copy-on-write). Bit-identical either way.
 LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
                             const nn::ParamVec& global_grad,
-                            const DaneConfig& cfg, bool scratch_at_w = false);
+                            const DaneConfig& cfg);
 
 }  // namespace fedl::fl

@@ -91,44 +91,42 @@ FlEngine::FlEngine(const data::Dataset* train, const data::Dataset* test,
 void FlEngine::run_clients(
     const std::vector<std::size_t>& idx,
     const std::function<void(std::size_t, std::size_t)>& body) {
-  if (!can_parallel_ || idx.size() <= 1) {
-    if (can_parallel_ && !idx.empty()) ensure_replicas(1);
+  // num_threads == 1 opts out entirely (pure serial path, no scheduler
+  // interaction); the budget is read per call, so a reconfigured scheduler
+  // takes effect on the next fan-out.
+  Scheduler& sched = Scheduler::instance();
+  if (cfg_.num_threads == 1 || sched.thread_budget() <= 1 || idx.size() <= 1) {
     for (std::size_t i : idx) body(0, i);
     return;
   }
   // Lease extra worker slots from the process-wide budget for this phase.
   // `--threads K` pins the request at K-1 extra; `--threads 0` asks for the
   // trial's nominal share and steals whatever is idle beyond it. A zero
-  // grant (budget contended) falls back to running the clients inline —
-  // the trial's own slot always makes progress.
-  Scheduler& sched = Scheduler::instance();
+  // grant (budget contended) runs the clients inline as chunk 0 — the
+  // trial's own slot always makes progress.
   const bool auto_fanout = cfg_.num_threads == 0;
   const std::size_t nominal =
       (auto_fanout ? sched.auto_share() : cfg_.num_threads) - 1;
   Scheduler::WorkerLease lease =
       sched.acquire_workers(nominal, idx.size() - 1, auto_fanout);
-  // One replica per chunk, grown on the calling thread before any fan-out
-  // so worker threads only ever index the pool.
-  ensure_replicas(lease.granted() + 1);
-  if (lease.granted() == 0) {
-    for (std::size_t i : idx) body(0, i);
-    return;
-  }
+  // One replica per extra chunk (chunk 0 trains on model_), grown on the
+  // calling thread before any fan-out so worker threads only ever index
+  // the pool.
+  ensure_replicas(lease.granted());
   parallel_for_shared_indexed(
       sched.pool(), lease.granted(), 0, idx.size(),
       [&](std::size_t chunk, std::size_t j) { body(chunk, idx[j]); });
 }
 
-void FlEngine::ensure_replicas(std::size_t slots) {
-  while (replicas_.size() < slots)
-    replicas_.push_back(model_.shared_replica());
-  epoch_max_slots_ = std::max(epoch_max_slots_, slots);
+void FlEngine::ensure_replicas(std::size_t count) {
+  while (replicas_.size() < count) replicas_.push_back(model_.clone());
+  epoch_max_replicas_ = std::max(epoch_max_replicas_, count);
 }
 
 nn::Model* FlEngine::client_scratch(std::size_t slot) {
-  if (!can_parallel_) return &model_;
-  FEDL_CHECK_LT(slot, replicas_.size());
-  return &replicas_[slot];
+  if (slot == 0) return &model_;
+  FEDL_CHECK_LE(slot, replicas_.size());
+  return &replicas_[slot - 1];
 }
 
 void FlEngine::set_global_params(nn::ParamVec w) {
@@ -173,11 +171,12 @@ nn::EvalResult FlEngine::evaluate_test() {
 void FlEngine::trim_replicas() {
   // Shrink the replica pool back to this epoch's realized fan-out width: a
   // wide epoch must not pin worst-case replica buffers forever. The gauges
-  // report what the pool actually pins (params only when copy-on-write
-  // detached them, plus gradients and activation caches). fl.model_bytes is
-  // the engine's own model: the global weights plus the evaluation (and,
-  // serially, training) scratch.
-  if (replicas_.size() > epoch_max_slots_) replicas_.resize(epoch_max_slots_);
+  // report what the pool pins (each replica's weights, gradients and
+  // activation caches). fl.model_bytes is the engine's own model: its
+  // weights plus the evaluation scratch and fan-out chunk 0's training
+  // scratch.
+  if (replicas_.size() > epoch_max_replicas_)
+    replicas_.resize(epoch_max_replicas_);
   std::size_t replica_bytes = 0;
   for (const auto& r : replicas_) replica_bytes += r.owned_bytes();
   replica_bytes_gauge().set(static_cast<double>(replica_bytes));
@@ -219,9 +218,7 @@ void FlEngine::run_local_jobs(const std::vector<LocalTrainJob>& jobs,
   results->resize(jobs.size());
   if (jobs.empty()) return;
   const std::size_t s = jobs.size();
-  can_parallel_ =
-      cfg_.num_threads != 1 && Scheduler::instance().thread_budget() > 1;
-  epoch_max_slots_ = 0;
+  epoch_max_replicas_ = 0;
 
   // Minibatches gathered serially in job order (fixed RNG consumption).
   if (batches_.size() < s) batches_.resize(s);
@@ -241,16 +238,13 @@ void FlEngine::run_local_jobs(const std::vector<LocalTrainJob>& jobs,
     res = LocalTrainResult{};
     // Local trajectory: w_local starts at the dispatch-time global model
     // and walks its own DANE steps with ḡ = ∇F_k(w_local) (empty
-    // global_grad). Every evaluation sets the scratch params explicitly
-    // (scratch_at_w = false), so serial runs can reuse model_ across jobs
-    // and replicas copy-on-write detach safely — bit-identical either way.
+    // global_grad).
     nn::ParamVec& w_local = local_w_[i];
     w_local = w_;
     const nn::ParamVec no_global_grad;
     for (std::size_t it = 0; it < jobs[i].iterations; ++it) {
       const LocalUpdate u =
-          dane_local_step(oracle, w_local, no_global_grad, cfg_.dane,
-                          /*scratch_at_w=*/false);
+          dane_local_step(oracle, w_local, no_global_grad, cfg_.dane);
       axpy(1.0f, u.d, w_local);
       res.eta = std::max(res.eta, u.eta);
       res.loss_reduction += u.loss_before - u.loss_after;
@@ -288,13 +282,7 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
 
   const std::size_t p = w_.size();
   const std::size_t s = selected.size();
-
-  // Fan-out availability is re-checked per epoch so a reconfigured
-  // scheduler budget takes effect on the next epoch; num_threads == 1 opts
-  // out entirely (pure serial path, no scheduler interaction).
-  can_parallel_ =
-      cfg_.num_threads != 1 && Scheduler::instance().thread_budget() > 1;
-  epoch_max_slots_ = 0;  // replica-pool high-water mark for this epoch
+  epoch_max_replicas_ = 0;  // replica-pool high-water mark for this epoch
 
   if (s > 0) {
     FEDL_CHECK_GT(iterations, 0u);
@@ -348,14 +336,6 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
     agg_.resize(p);
 
     for (std::size_t it = 0; it < iterations; ++it) {
-      // Load w into the engine's model once per iteration: shared-weight
-      // replicas borrow this storage (so every client reads w without its
-      // own copy), and the serial path's phase-1 evaluations run against it
-      // directly. Nothing writes model_'s parameters until the next
-      // iteration (replicas copy-on-write; serial phase 2 shifts them but
-      // this reload restores w).
-      model_.set_params_flat(w_);
-
       // Clients still alive this iteration (weights renormalized).
       alive_idx_.clear();
       double alive_weight = 0.0;
@@ -374,13 +354,8 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
         FEDL_PROFILE_SCOPE("fl.grad_phase");
         run_clients(alive_idx_, [&](std::size_t slot, std::size_t i) {
           FEDL_PROFILE_SCOPE("fl.client_grad");
-          nn::Model* m = client_scratch(slot);
-          // Replicas re-borrow the global weights (a previous client on
-          // this slot may have detached them); params now hold w exactly,
-          // so the evaluation skips the per-client O(|w|) copy.
-          if (m != &model_) m->attach_params(model_);
-          LocalOracle oracle(m, &batches_[i]);
-          oracle.loss_grad_preloaded(&grads_[i]);
+          LocalOracle oracle(client_scratch(slot), &batches_[i]);
+          oracle.loss_grad(w_, &grads_[i]);
         });
       }
       std::fill(gbar_.begin(), gbar_.end(), 0.0f);
@@ -394,17 +369,8 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
         FEDL_PROFILE_SCOPE("fl.dane_phase");
         run_clients(alive_idx_, [&](std::size_t slot, std::size_t i) {
           FEDL_PROFILE_SCOPE("fl.client_dane");
-          nn::Model* m = client_scratch(slot);
-          const bool shared = m != &model_;
-          if (shared) m->attach_params(model_);
-          LocalOracle oracle(m, &batches_[i]);
-          // Shared replicas start at w (borrowed), so the initial F_k(w)
-          // evaluation is preloaded; the shifted-point evaluations inside
-          // detach the replica's params into private step buffers
-          // (copy-on-write) and never touch model_. The serial path keeps
-          // the classic set-params-first behavior — bit-identical.
-          updates_[i] =
-              dane_local_step(oracle, w_, gbar_, cfg_.dane, shared);
+          LocalOracle oracle(client_scratch(slot), &batches_[i]);
+          updates_[i] = dane_local_step(oracle, w_, gbar_, cfg_.dane);
           compressed_[i] = compressor_->apply(updates_[i].d, selected[i]);
         });
       }

@@ -58,9 +58,9 @@ struct EngineConfig {
   // phase (nominal share budget/jobs, stealing idle slots); K > 1 requests
   // at most K-1 extra workers per fan-out (still bounded by the budget).
   // Any value produces bit-identical EpochOutcomes: per-client work is
-  // independent (per-slot shared-weight model replicas, per-client
-  // compressor state) and the aggregation reduces in client order on the
-  // calling thread.
+  // independent (one scratch model per fan-out chunk, each evaluation loads
+  // its own point; per-client compressor state) and the aggregation
+  // reduces in client order on the calling thread.
   std::size_t num_threads = 1;
   std::uint64_t seed = 17;
 };
@@ -169,45 +169,47 @@ class FlEngine {
   // Runs body(slot, i) for every index in `idx` — fanned out across worker
   // slots leased from the process-wide Scheduler when the config allows it,
   // inline otherwise. `slot` identifies the chunk (0 = calling thread) and
-  // indexes the replica pool; at most one live body per slot at a time.
+  // picks its scratch model (client_scratch); at most one live body per
+  // slot at a time.
   // Bodies must only touch per-index and per-slot state; the call blocks
   // until every index is done.
   void run_clients(
       const std::vector<std::size_t>& idx,
       const std::function<void(std::size_t, std::size_t)>& body);
 
-  // Grows the shared-weight replica pool to at least `slots` entries and
-  // records the epoch's high-water mark (run_epoch trims back to it).
-  void ensure_replicas(std::size_t slots);
+  // Grows the replica pool to at least `count` clones of model_ and records
+  // the epoch's high-water mark (run_epoch trims back to it).
+  void ensure_replicas(std::size_t count);
 
   // Trims the replica pool back to the epoch's fan-out high-water mark and
   // refreshes the fl.replica_bytes / fl.replicas / fl.model_bytes gauges.
   void trim_replicas();
 
-  // Scratch model for fan-out slot `slot`: a shared-weight replica when
-  // training in parallel, the engine's own model when serial. Replicas are
-  // interchangeable across clients — every use re-attaches the global
-  // weights and overwrites gradients/caches — so the pool is keyed by
-  // fan-out slot (≤ thread budget), not by selected client.
+  // Scratch model for fan-out chunk `slot`: the engine's own model for
+  // chunk 0 (the calling thread), replicas_[slot - 1] for the others. Every
+  // evaluation loads its own point and overwrites gradients and caches, so
+  // scratch models are interchangeable across clients and the pool is keyed
+  // by fan-out chunk (< thread budget), not by selected client.
   nn::Model* client_scratch(std::size_t slot);
 
   const data::Dataset* train_;
   const data::Dataset* test_;
   sim::EdgeEnvironment* env_;
-  nn::Model model_;  // scratch model, parameters swapped per evaluation
+  // Scratch model for evaluation and fan-out chunk 0; every use loads the
+  // point it evaluates.
+  nn::Model model_;
   EngineConfig cfg_;
   nn::ParamVec w_;   // global model
   Rng rng_;
   nn::Batch test_batch_;  // cached eval subset
   compress::CompressorPtr compressor_;
-  bool can_parallel_ = false;  // fan-out possible this epoch (set per epoch)
-  // Per-slot scratch models (parallel mode): parameters borrow model_'s
-  // storage (shared-weight, copy-on-write under DANE's shifted-point
-  // evaluations), gradients/caches are private. Sized to the epoch's
-  // realized fan-out width and trimmed back each epoch, so replica memory
-  // is O(slots × (|activations| + |grads|)) + O(|w|), not O(selected × |w|).
+  // Scratch models for fan-out chunks 1..G (G = the phase's granted extra
+  // workers): plain clones of model_ with private weights, gradients and
+  // caches. Sized to the epoch's realized fan-out width and trimmed back
+  // each epoch, so replica memory is O(G × |model|), not O(selected ×
+  // |model|); serial and one-job calls hold none.
   std::vector<nn::Model> replicas_;
-  std::size_t epoch_max_slots_ = 0;  // fan-out high-water mark this epoch
+  std::size_t epoch_max_replicas_ = 0;  // pool high-water mark this epoch
 
   // Grow-only hot-path buffers, reused across epochs and iterations so the
   // steady-state inner loop performs no heap allocation (the per-epoch

@@ -33,23 +33,6 @@ Model Model::clone() const {
   return out;
 }
 
-Model Model::shared_replica() const {
-  Model out = clone();
-  out.attach_params(*this);
-  return out;
-}
-
-void Model::attach_params(const Model& base) {
-  FEDL_CHECK_EQ(layers_.size(), base.layers_.size());
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    auto mine = layers_[i]->params();
-    auto theirs = const_cast<Layer&>(*base.layers_[i]).params();
-    FEDL_CHECK_EQ(mine.size(), theirs.size());
-    for (std::size_t j = 0; j < mine.size(); ++j)
-      mine[j]->borrow(*theirs[j]);
-  }
-}
-
 std::size_t Model::owned_bytes() const {
   std::size_t bytes = 0;
   for (const auto& layer : layers_) {
@@ -143,9 +126,6 @@ void Model::set_params_flat(std::span<const float> flat) {
   std::size_t offset = 0;
   for (auto& layer : layers_) {
     for (Tensor* p : layer->params()) {
-      // Copy-on-write: a shared-weight replica that writes its parameters
-      // first detaches them into private storage (the base stays untouched).
-      if (p->borrowed()) p->detach_storage();
       FEDL_CHECK_LE(offset + p->numel(), flat.size());
       std::copy(flat.begin() + offset, flat.begin() + offset + p->numel(),
                 p->data());

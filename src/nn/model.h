@@ -53,25 +53,8 @@ class Model {
   // Deep copy: independent parameter/gradient buffers with identical values.
   Model clone() const;
 
-  // Shared-weight replica: gradients and activation caches are private (as
-  // in clone()), but every parameter tensor *borrows* this model's storage
-  // instead of owning a copy — replica memory is O(|activations| + |grads|),
-  // not O(|w|). The FL engine keeps one such replica per fan-out slot so
-  // LocalOracle scratch state is never shared between threads while the
-  // weights exist once. A replica that writes its parameters
-  // (set_params_flat — the DANE shifted-point evaluations) detaches them
-  // into private copy-on-write step buffers; attach_params() re-borrows.
-  Model shared_replica() const;
-
-  // Re-point every parameter tensor at `base`'s storage (O(num_layers), no
-  // copies; any copy-on-write step buffers drop back to spare capacity).
-  // `base` must have the identical architecture and must outlive the uses
-  // of this model's parameters.
-  void attach_params(const Model& base);
-
-  // Bytes of backing storage this model pins itself: parameter/gradient
-  // tensor capacity (borrowed params pin only their retained spare
-  // capacity, not the base storage) plus per-layer scratch_bytes().
+  // Bytes of backing storage this model pins: parameter/gradient tensor
+  // capacity plus per-layer scratch_bytes().
   std::size_t owned_bytes() const;
 
   // Forward pass to logits. Takes the batch by value so callers that hand

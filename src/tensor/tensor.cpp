@@ -1,7 +1,6 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "common/rng.h"
@@ -57,30 +56,6 @@ Tensor Tensor::uniform(Shape shape, float lo, float hi, Rng& rng) {
   return t;
 }
 
-void Tensor::borrow(const Tensor& base) {
-  FEDL_CHECK(&base != this) << "cannot borrow from self";
-  // Chases through a borrowed base: data() already resolves to the real
-  // storage, so borrow chains never exceed depth 1.
-  shape_ = base.shape_;
-  view_ = base.data();
-  view_n_ = base.numel();
-  // A borrow is weightless: release any owned storage (this is what makes a
-  // shared-weight replica O(activations + grads) instead of O(|w|)). A later
-  // detach_storage() re-allocates; that one allocation per attach/detach
-  // cycle is noise next to the forward/backward work that motivates it.
-  std::vector<float>().swap(data_);
-}
-
-void Tensor::detach_storage() {
-  if (view_ == nullptr) return;
-  const float* src = view_;
-  const std::size_t n = view_n_;
-  data_.resize(n);
-  std::memcpy(data_.data(), src, n * sizeof(float));
-  view_ = nullptr;
-  view_n_ = 0;
-}
-
 float& Tensor::at(std::size_t r, std::size_t c) {
   FEDL_CHECK_EQ(shape_.rank(), 2u);
   FEDL_CHECK_LT(r, shape_[0]);
@@ -107,7 +82,6 @@ float Tensor::at(std::size_t n, std::size_t c, std::size_t h,
 }
 
 void Tensor::fill(float v) {
-  FEDL_CHECK(view_ == nullptr) << "cannot fill a borrowed tensor";
   for (auto& x : data_) x = v;
 }
 

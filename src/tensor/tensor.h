@@ -5,15 +5,6 @@
 // parameters and activations are copied/moved explicitly, matching the FL
 // setting where the global model is literally copied to each client every
 // iteration.
-//
-// Borrowed views: a tensor can alias another tensor's storage read-only via
-// borrow(). Shared-weight model replicas use this so concurrently-training
-// clients read one copy of the global weights instead of each owning a
-// clone. A borrowed tensor must not be written through (data()/operator[]
-// hand out the base pointer; writers call detach_storage() first, which
-// re-materializes private owned storage — copy-on-write). The previously
-// owned buffer is kept as capacity across borrow/detach cycles so the
-// per-iteration attach/detach pattern never reallocates.
 #pragma once
 
 #include <array>
@@ -64,28 +55,16 @@ class Tensor {
   static Tensor uniform(Shape shape, float lo, float hi, Rng& rng);
 
   const Shape& shape() const { return shape_; }
-  std::size_t numel() const { return view_ ? view_n_ : data_.size(); }
+  std::size_t numel() const { return data_.size(); }
   bool empty() const { return numel() == 0; }
 
-  // Alias `base`'s storage (shape included) without copying. The borrow is
-  // read-only by contract; it stays valid while `base`'s storage does.
-  // Owned storage is retained as capacity for a later detach_storage().
-  void borrow(const Tensor& base);
-  // True when this tensor aliases another tensor's storage.
-  bool borrowed() const { return view_ != nullptr; }
-  // Stop borrowing: re-materialize private owned storage holding a copy of
-  // the viewed values (copy-on-write step). No-op on owned tensors.
-  void detach_storage();
-  // Bytes of owned backing storage (capacity — what this tensor actually
-  // pins in memory; 0s out nothing for borrows, which pin only the base).
+  // Bytes of backing storage (capacity — what this tensor pins in memory).
   std::size_t owned_bytes() const {
     return data_.capacity() * sizeof(float);
   }
 
-  // Borrowed tensors hand out the base pointer: callers must treat it as
-  // read-only (writers detach_storage() first).
-  float* data() { return view_ ? const_cast<float*>(view_) : data_.data(); }
-  const float* data() const { return view_ ? view_ : data_.data(); }
+  float* data() { return data_.data(); }
+  const float* data() const { return data_.data(); }
   std::span<float> span() { return {data(), numel()}; }
   std::span<const float> span() const { return {data(), numel()}; }
 
@@ -116,11 +95,6 @@ class Tensor {
  private:
   Shape shape_;
   std::vector<float> data_;
-  // Borrowed-view state: non-null means this tensor reads view_[0..view_n_)
-  // instead of data_. Copying a borrowed tensor copies the borrow (both
-  // alias the same base).
-  const float* view_ = nullptr;
-  std::size_t view_n_ = 0;
 };
 
 }  // namespace fedl

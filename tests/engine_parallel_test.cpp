@@ -179,13 +179,12 @@ TEST(EngineParallel, CompletedIterationBookkeeping) {
   EXPECT_EQ(dropped, out.num_dropped);
 }
 
-TEST(EngineParallel, SharedWeightReplicasCutMemoryAtScale) {
-  // The replica pool is keyed by fan-out slot (<= thread budget), and
-  // replicas borrow the global model's parameter storage, so peak replica
-  // memory at 256 selected clients must be far below what the old design
-  // held: one full model clone per selected client. The fl.replica_bytes
-  // gauge (set from Model::owned_bytes over the trimmed pool) must come in
-  // at least 5x under that baseline.
+TEST(EngineParallel, SlotKeyedReplicaPoolCutsMemoryAtScale) {
+  // The replica pool is keyed by fan-out chunk (< thread budget), not by
+  // selected client, so peak replica memory at 256 selected clients must be
+  // far below one full model clone per selected client. The
+  // fl.replica_bytes gauge (set from Model::owned_bytes over the trimmed
+  // pool) must come in at least 5x under that baseline.
   EngineConfig ec;
   ec.dane.sgd_steps = 1;
   ec.num_threads = 0;  // draw the fan-out from the scheduler budget (8)
@@ -207,7 +206,7 @@ TEST(EngineParallel, SharedWeightReplicasCutMemoryAtScale) {
 
   // Baseline: the model the engine trains (same spec/seed as World), with
   // caches populated by one batch_cap-sized forward/backward — what each of
-  // the 256 per-client clones held at peak before weight sharing.
+  // 256 per-client clones would hold at peak.
   Rng mrng(seed + 4);
   nn::ModelSpec ms;
   ms.width_scale = 0.05;
@@ -224,6 +223,32 @@ TEST(EngineParallel, SharedWeightReplicasCutMemoryAtScale) {
   EXPECT_LE(replica_bytes * 5.0, old_peak)
       << "replica pool holds " << replica_bytes << " bytes vs "
       << old_peak << " for per-client clones";
+}
+
+TEST(EngineParallel, CallingChunkTrainsOnEngineModel) {
+  // Fan-out chunk 0 runs on the calling thread and trains on the engine's
+  // own model, so the pool holds one replica per granted extra worker: at
+  // most budget - 1 = 7 for a wide epoch, none for a one-job call.
+  EngineConfig ec;
+  ec.dane.sgd_steps = 1;
+  ec.num_threads = 0;  // draw the fan-out from the scheduler budget (8)
+  World w(16, 251, ec);
+  const auto& ctx = w.env->advance_epoch();
+  std::vector<std::size_t> sel;
+  for (const auto& o : ctx.available) sel.push_back(o.id);
+  ASSERT_EQ(sel.size(), 16u);
+  w.engine->run_epoch(sel, 1);
+  const auto replicas = [] {
+    return obs::MetricsRegistry::global().snapshot().gauges.at("fl.replicas");
+  };
+  EXPECT_GE(replicas(), 1.0) << "a 16-client epoch must fan out";
+  EXPECT_LE(replicas(), 7.0) << "chunk 0 must not hold a replica";
+
+  std::vector<LocalTrainResult> results;
+  w.engine->run_local_jobs({LocalTrainJob{sel[0], 2}}, &results);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].completed_iters, 2u);
+  EXPECT_EQ(replicas(), 0.0) << "a one-job call runs on the engine model";
 }
 
 TEST(EngineParallel, AccumulatedLossReductionGrowsWithIterations) {

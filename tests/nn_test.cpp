@@ -633,59 +633,5 @@ TEST(Model, CloneIsDeepAndBehaviorallyIdentical) {
   EXPECT_NE(c.params_flat(), m.params_flat());
 }
 
-TEST(Model, SharedReplicaBorrowsParamsAndComputesIdentically) {
-  // shared_replica() backs the FL engine's slot-keyed scratch pool: the
-  // replica reads the base model's parameter bytes (no copy) but owns its
-  // gradients and caches, so concurrent forward/backward on replicas of one
-  // base is safe and bit-identical to running the base itself.
-  Rng rng(21);
-  ModelSpec ms;
-  ms.width_scale = 0.05;
-  Model m = make_fmnist_cnn(ms, rng);
-  Batch b = make_random_batch(Shape{2, 1, 28, 28}, 10, rng);
-
-  Model r = m.shared_replica();
-  EXPECT_EQ(r.params_flat(), m.params_flat());
-  // A replica is dramatically lighter than a clone: parameters are
-  // borrowed, only grads/caches are owned.
-  EXPECT_LT(r.owned_bytes(), m.clone().owned_bytes());
-
-  const EvalResult rm = m.forward_backward(b);
-  const EvalResult rr = r.forward_backward(b);
-  EXPECT_EQ(rm.loss, rr.loss);
-  EXPECT_EQ(rm.accuracy, rr.accuracy);
-  EXPECT_EQ(m.grads_flat(), r.grads_flat());
-
-  // The replica tracks base parameter updates without re-attaching (it
-  // aliases the same storage).
-  ParamVec w = m.params_flat();
-  for (auto& v : w) v += 0.25f;
-  m.set_params_flat(w);
-  EXPECT_EQ(r.params_flat(), m.params_flat());
-}
-
-TEST(Model, SharedReplicaCopyOnWriteDetachesFromBase) {
-  // set_params_flat on a replica must not write through to the base: the
-  // borrowed tensors detach (copy-on-write) first. This is what lets DANE's
-  // shifted-point evaluations run on replicas while the global model keeps
-  // holding w.
-  Rng rng(22);
-  ModelSpec ms;
-  ms.width_scale = 0.05;
-  Model m = make_fmnist_cnn(ms, rng);
-  const ParamVec base_w = m.params_flat();
-
-  Model r = m.shared_replica();
-  ParamVec shifted = base_w;
-  for (auto& v : shifted) v += 1.0f;
-  r.set_params_flat(shifted);
-  EXPECT_EQ(r.params_flat(), shifted);
-  EXPECT_EQ(m.params_flat(), base_w) << "COW must not leak into the base";
-
-  // attach_params re-establishes sharing after a detach.
-  r.attach_params(m);
-  EXPECT_EQ(r.params_flat(), base_w);
-}
-
 }  // namespace
 }  // namespace fedl::nn

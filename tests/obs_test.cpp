@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "harness/experiment.h"
-#include "harness/json_export.h"
 #include "harness/report.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -143,6 +142,14 @@ TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
   w.value(std::numeric_limits<double>::infinity());
   w.end_array();
   EXPECT_EQ(os.str(), "[null,null]");
+}
+
+TEST(JsonEscape, EscapesSpecials) {
+  EXPECT_EQ(obs::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(obs::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(obs::json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(obs::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::json_escape("plain"), "plain");
 }
 
 #if defined(FEDL_PROFILING_ENABLED)
@@ -299,25 +306,6 @@ TEST(Report, MetricsSummaryListsEveryKind) {
   EXPECT_NE(text.find("g.one"), std::string::npos);
   EXPECT_NE(text.find("h.one"), std::string::npos);
   EXPECT_NE(text.find("mean=1.5"), std::string::npos);
-}
-
-TEST(JsonExport, RunBundleContainsTracesAndMetrics) {
-  fl::TrainTrace trace;
-  trace.algorithm = "FedL";
-  fl::TraceRecord r;
-  r.epoch = 1;
-  r.test_accuracy = 0.5;
-  trace.records.push_back(r);
-
-  obs::MetricsSnapshot snap;
-  snap.counters["c"] = 1;
-
-  std::ostringstream os;
-  harness::write_run_json(os, {trace}, snap);
-  const std::string json = os.str();
-  EXPECT_EQ(json.rfind("{\"traces\":[{\"algorithm\":\"FedL\"", 0), 0u);
-  EXPECT_NE(json.find("\"metrics\":{\"counters\":{\"c\":1}"),
-            std::string::npos);
 }
 
 }  // namespace

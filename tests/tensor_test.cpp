@@ -82,54 +82,6 @@ TEST(Tensor, Norms) {
 
 // --- ops ---------------------------------------------------------------------
 
-TEST(Tensor, BorrowAliasesBaseStorage) {
-  Tensor base(Shape{2, 3});
-  for (std::size_t i = 0; i < base.numel(); ++i)
-    base[i] = static_cast<float>(i);
-
-  Tensor view;
-  view.borrow(base);
-  EXPECT_TRUE(view.borrowed());
-  EXPECT_FALSE(base.borrowed());
-  EXPECT_EQ(view.shape(), base.shape());
-  EXPECT_EQ(view.numel(), base.numel());
-  EXPECT_EQ(view.data(), base.data()) << "a borrow is an alias, not a copy";
-
-  // Writes to the base are visible through the view (same bytes).
-  base[4] = 41.0f;
-  EXPECT_EQ(view[4], 41.0f);
-}
-
-TEST(Tensor, DetachStorageCopiesOnWrite) {
-  Tensor base(Shape{4});
-  for (std::size_t i = 0; i < 4; ++i) base[i] = static_cast<float>(i + 1);
-  Tensor view;
-  view.borrow(base);
-
-  view.detach_storage();
-  EXPECT_FALSE(view.borrowed());
-  EXPECT_NE(view.data(), base.data());
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_EQ(view[i], base[i]) << "detach must preserve values";
-
-  // Post-detach writes stay private.
-  view[0] = -9.0f;
-  EXPECT_EQ(base[0], 1.0f);
-
-  // Re-borrowing after a detach reuses the owned buffer as capacity (no
-  // loss of the alias semantics).
-  view.borrow(base);
-  EXPECT_EQ(view.data(), base.data());
-  EXPECT_EQ(view[0], 1.0f);
-}
-
-TEST(Tensor, BorrowedFillIsChecked) {
-  Tensor base(Shape{2});
-  Tensor view;
-  view.borrow(base);
-  EXPECT_THROW(view.fill(1.0f), CheckError);
-}
-
 TEST(Ops, AxpyTensor) {
   Tensor x = Tensor::full(Shape{4}, 2.0f);
   Tensor y = Tensor::full(Shape{4}, 1.0f);
