@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/math_util.h"
 #include "nn/optimizer.h"
@@ -66,23 +67,22 @@ LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
   nn::OptimizerPtr opt = nn::make_optimizer(cfg.optimizer, cfg.sgd_step);
   nn::ParamVec d(p, 0.0f);
   nn::ParamVec shifted = w;
-  nn::ParamVec grad_f(p);
+  // ∇F_k(w + 0): the gradient already computed at w.
+  nn::ParamVec grad_f = std::move(local_grad);
   double f_at_d = out.loss_before;
+  // Per-step buffers, allocated once per call.
+  nn::ParamVec g(p);
+  nn::ParamVec before(p);
 
   for (std::size_t step = 0; step < cfg.sgd_steps; ++step) {
     // ∇G(d) = ∇F_k(w + d) + prox·d + linear.
-    nn::ParamVec g(p);
-    if (step == 0) {
-      grad_f = local_grad;  // already computed at w (= w + 0)
-    } else {
-      f_at_d = oracle.loss_grad(shifted, &grad_f);
-    }
+    if (step > 0) f_at_d = oracle.loss_grad(shifted, &grad_f);
     for (std::size_t i = 0; i < p; ++i)
       g[i] = grad_f[i] + static_cast<float>(prox) * d[i] + linear[i];
     if (cfg.grad_clip > 0.0) clip_norm(g, cfg.grad_clip);
     // The optimizer owns the update direction; track the total correction d
     // and the shifted parameters together.
-    nn::ParamVec before = d;
+    before = d;
     opt->step(d, g);
     for (std::size_t i = 0; i < p; ++i) shifted[i] += d[i] - before[i];
   }

@@ -331,7 +331,6 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
     // the clients inline).
     if (grads_.size() < s) grads_.resize(s);
     if (updates_.size() < s) updates_.resize(s);
-    if (compressed_.size() < s) compressed_.resize(s);
     gbar_.resize(p);
     agg_.resize(p);
 
@@ -371,7 +370,7 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
           FEDL_PROFILE_SCOPE("fl.client_dane");
           LocalOracle oracle(client_scratch(slot), &batches_[i]);
           updates_[i] = dane_local_step(oracle, w_, gbar_, cfg_.dane);
-          compressed_[i] = compressor_->apply(updates_[i].d, selected[i]);
+          updates_[i].d = compressor_->apply(updates_[i].d, selected[i]);
         });
       }
 
@@ -382,7 +381,7 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
         out.client_eta[i] = std::max(out.client_eta[i], updates_[i].eta);
         out.client_loss_reduction[i] +=
             updates_[i].loss_before - updates_[i].loss_after;
-        axpy(1.0f, compressed_[i], agg_);
+        axpy(1.0f, updates_[i].d, agg_);
       }
       const double denom =
           cfg_.aggregation == AggregationRule::kPaperMean

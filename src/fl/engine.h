@@ -216,8 +216,8 @@ class FlEngine {
   // EpochOutcome vectors are the only fresh storage — they are handed out).
   std::vector<nn::Batch> batches_;    // per-selected-client minibatches
   std::vector<nn::ParamVec> grads_;   // per-client ∇F_k(w)
-  std::vector<LocalUpdate> updates_;  // per-client DANE corrections
-  std::vector<nn::ParamVec> compressed_;  // per-client restored uplinks
+  std::vector<LocalUpdate> updates_;  // per-client DANE corrections; d is
+                                      // replaced by its restored uplink
   nn::ParamVec gbar_;                 // ḡ ordered-reduction buffer
   nn::ParamVec agg_;                  // aggregation ordered-reduction buffer
   std::vector<double> weights_;       // ϑ_k per selected client

@@ -33,21 +33,20 @@ Conv2d::Conv2d(const Conv2d& other)
       grad_bias_(other.grad_bias_) {}
 
 std::size_t Conv2d::scratch_bytes() const {
-  std::size_t floats = 0;
-  for (const BlockScratch& ws : scratch_)
-    floats += ws.cols.capacity() + ws.out.capacity() + ws.dcols.capacity() +
-              ws.dw.capacity();
-  return input_.owned_bytes() + floats * sizeof(float);
+  std::size_t bytes = input_.owned_bytes();
+  for (const BlockScratch& ws : own_scratch_) bytes += ws.bytes();
+  return bytes;
 }
 
-std::vector<Conv2d::BlockScratch>& Conv2d::chunk_scratch(
-    std::size_t num_blocks) {
+std::vector<BlockScratch>& Conv2d::chunk_scratch(std::size_t num_blocks) {
+  std::vector<BlockScratch>& sets =
+      shared_scratch_ != nullptr ? *shared_scratch_ : own_scratch_;
   // leased_parallel_for runs chunk c < min(num_blocks, thread budget).
   const std::size_t chunks =
       std::min(num_blocks, Scheduler::instance().thread_budget());
-  if (scratch_.size() < chunks) scratch_.resize(chunks);
-  for (BlockScratch& ws : scratch_) ws.parked = 0;
-  return scratch_;
+  if (sets.size() < chunks) sets.resize(chunks);
+  for (BlockScratch& ws : sets) ws.parked = 0;
+  return sets;
 }
 
 const float* Conv2d::lower_block(BlockScratch& ws, const float* images,
@@ -148,13 +147,14 @@ void Conv2d::backward_blocks(const Tensor& grad_output, float* grad_input) {
     }
     if (grad_input == nullptr) return;
 
-    // dcols = W^T * dOut reduces over C_out only; each sample's col2im
-    // writes its own grad_input slice.
-    float* dcols = ws.dcols.ensure(colr * bcols);
+    // d(cols) = W^T * dOut reduces over C_out only. The dW GEMM above was
+    // the columns' last reader, so d(cols) overwrites them (beta = 0 never
+    // reads C); each sample's col2im writes its own grad_input slice.
+    float* grad_cols = ws.cols.data();
     gemm(true, false, colr, bcols, out_channels_, 1.0f, weight_.data(), dout,
-         0.0f, dcols);
+         0.0f, grad_cols);
     for (std::size_t s = 0; s < bn; ++s)
-      col2im(geom_, dcols + s * colc, grad_input + (s0 + s) * image_elems,
+      col2im(geom_, grad_cols + s * colc, grad_input + (s0 + s) * image_elems,
              bcols);
   });
   // Chunks hold contiguous block ranges ordered by chunk index.

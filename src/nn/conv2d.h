@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/layer.h"
-#include "tensor/gemm_workspace.h"
 #include "tensor/im2col.h"
 
 namespace fedl {
@@ -17,18 +16,20 @@ namespace fedl::nn {
 // Every pass runs over fixed blocks of kBlockSamples samples. A block's
 // images are lowered into one [col_rows, blk*col_cols] column buffer and
 // meet the filter in one GEMM (bias fused into the write-back). Blocks fan
-// out over leased_parallel_for chunks, and each chunk owns one block-sized
-// scratch set, so no workspace grows with the minibatch.
+// out over leased_parallel_for chunks, and each chunk uses one block-sized
+// BlockScratch set, so no workspace grows with the minibatch. Inside a
+// Model the sets are the model's, shared by all of its conv layers; a layer
+// outside a model keeps a set of its own.
 //
 // Train mode caches the layer input (moved in, as Dense does); backward
 // lowers each block again from it. Backward per block: the block's dW
-// partial GEMM, then (backward() only) the column-gradient GEMM and
-// per-sample col2im into the input gradient. Partials are summed in block
-// order, db over grad_output in sample order, so gradients are identical
-// at any thread count. backward_params() stops after dW, so a first layer
-// never runs the column gradients or grows their scratch. Scratch lives in
-// layer-owned Workspaces, reused across iterations and deliberately not
-// propagated to clones.
+// partial GEMM, then (backward() only) the column-gradient GEMM, written
+// over the block's columns (dead once dW has read them), and per-sample
+// col2im into the input gradient. Partials are summed in block order, db
+// over grad_output in sample order, so gradients are identical at any
+// thread count. backward_params() stops after dW, so a first layer never
+// runs the column gradients. Scratch is reused across iterations and
+// deliberately not propagated to clones.
 class Conv2d : public Layer {
  public:
   // Block width: fixes every workspace's size and the dW reduction order.
@@ -53,25 +54,18 @@ class Conv2d : public Layer {
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   LayerPtr clone() const override { return std::make_unique<Conv2d>(*this); }
   std::string name() const override { return "conv2d"; }
-  // The cached input plus every chunk's scratch.
+  // The cached input, plus the layer's own block scratch when it is outside
+  // a model.
   std::size_t scratch_bytes() const override;
+  void share_block_scratch(std::vector<BlockScratch>* sets) override {
+    shared_scratch_ = sets;
+  }
 
   std::size_t out_channels() const { return out_channels_; }
   std::size_t out_h() const { return geom_.out_h(); }
   std::size_t out_w() const { return geom_.out_w(); }
 
  private:
-  // One chunk's scratch, each buffer sized for one block.
-  struct BlockScratch {
-    Workspace cols;   // [col_rows, blk*col_cols] the lowered block
-    Workspace out;    // [C_out, blk*col_cols] GEMM output, or the block's
-                      // grad_output in the same channel-major layout
-    Workspace dcols;  // [col_rows, blk*col_cols] column gradients
-    Workspace dw;     // dW partials: one for chunk 0, one per block that a
-                      // later chunk parks for the block-order sum
-    std::size_t parked = 0;
-  };
-
   // One scratch set per chunk the fan-out over `num_blocks` blocks may use.
   std::vector<BlockScratch>& chunk_scratch(std::size_t num_blocks);
   // im2col of `samples` consecutive images into ws.cols.
@@ -89,7 +83,10 @@ class Conv2d : public Layer {
   Tensor grad_bias_;
 
   Tensor input_;  // [N, C_in, H, W] train-mode cache (moved in, not copied)
-  std::vector<BlockScratch> scratch_;
+  // The model's per-chunk sets (share_block_scratch), or nullptr outside a
+  // model, where own_scratch_ serves instead.
+  std::vector<BlockScratch>* shared_scratch_ = nullptr;
+  std::vector<BlockScratch> own_scratch_;
 };
 
 }  // namespace fedl::nn

@@ -9,9 +9,30 @@
 #include <string>
 #include <vector>
 
+#include "tensor/gemm_workspace.h"
 #include "tensor/tensor.h"
 
 namespace fedl::nn {
+
+// One fan-out chunk's block-sized scratch for Conv2d's sample blocks. A
+// Model owns one set per chunk and lends the sets to all of its layers
+// (Layer::share_block_scratch): the layers run one at a time and every
+// buffer is dead once its layer call returns, so each buffer serves every
+// conv layer and ends at the largest layer's size.
+struct BlockScratch {
+  Workspace cols;  // [col_rows, blk*col_cols] the lowered block; backward
+                   // overwrites it with the block's column gradients once
+                   // the dW GEMM has read it
+  Workspace out;   // [C_out, blk*col_cols] GEMM output, or the block's
+                   // grad_output in the same channel-major layout
+  Workspace dw;    // dW partials: one for chunk 0, one per block that a
+                   // later chunk parks for the block-order sum
+  std::size_t parked = 0;
+
+  std::size_t bytes() const {
+    return (cols.capacity() + out.capacity() + dw.capacity()) * sizeof(float);
+  }
+};
 
 class Layer {
  public:
@@ -49,9 +70,16 @@ class Layer {
   virtual std::unique_ptr<Layer> clone() const = 0;
 
   // Bytes of per-replica scratch this layer pins beyond its parameter and
-  // gradient tensors: activation caches, im2col workspaces. Feeds
+  // gradient tensors: activation caches, and block scratch of its own (a
+  // layer outside a model). The block scratch a model lends its layers is
+  // not counted here; Model::owned_bytes() counts it once. Feeds
   // Model::owned_bytes() and the engine's fl.replica_bytes gauge.
   virtual std::size_t scratch_bytes() const { return 0; }
+
+  // Lends the layer its model's per-chunk block scratch (Model::add calls
+  // it, so clones get their new model's sets). Layers that need none keep
+  // the default, which ignores it.
+  virtual void share_block_scratch(std::vector<BlockScratch>* /*sets*/) {}
 
   virtual std::string name() const = 0;
 

@@ -23,13 +23,14 @@ Shape with_batch(const Shape& shape, std::size_t rows) {
 
 void Model::add(LayerPtr layer) {
   FEDL_CHECK(layer != nullptr);
+  layer->share_block_scratch(block_scratch_.get());
   layers_.push_back(std::move(layer));
 }
 
 Model Model::clone() const {
   Model out(l2_reg_);
   out.layers_.reserve(layers_.size());
-  for (const auto& layer : layers_) out.layers_.push_back(layer->clone());
+  for (const auto& layer : layers_) out.add(layer->clone());
   return out;
 }
 
@@ -41,6 +42,7 @@ std::size_t Model::owned_bytes() const {
     for (Tensor* g : l.grads()) bytes += g->owned_bytes();
     bytes += layer->scratch_bytes();
   }
+  for (const BlockScratch& ws : *block_scratch_) bytes += ws.bytes();
   return bytes;
 }
 

@@ -50,11 +50,12 @@ class Model {
   void add(LayerPtr layer);
   std::size_t num_layers() const { return layers_.size(); }
 
-  // Deep copy: independent parameter/gradient buffers with identical values.
+  // Deep copy: independent parameter/gradient buffers with identical values
+  // and fresh, empty block scratch.
   Model clone() const;
 
   // Bytes of backing storage this model pins: parameter/gradient tensor
-  // capacity plus per-layer scratch_bytes().
+  // capacity, per-layer scratch_bytes() and the shared block scratch, once.
   std::size_t owned_bytes() const;
 
   // Forward pass to logits. Takes the batch by value so callers that hand
@@ -85,6 +86,10 @@ class Model {
 
  private:
   std::vector<LayerPtr> layers_;
+  // One block-scratch set per fan-out chunk, lent to every layer by add().
+  // Held on the heap so a moved Model keeps the address its layers hold.
+  std::unique_ptr<std::vector<BlockScratch>> block_scratch_ =
+      std::make_unique<std::vector<BlockScratch>>();
   double l2_reg_;
 };
 

@@ -6,9 +6,9 @@
 #include <sstream>
 
 #include "common/rng.h"
-#include "core/offline_oracle.h"
 #include "core/regret.h"
 #include "harness/report.h"
+#include "offline_oracle.h"
 
 namespace fedl {
 namespace {

@@ -10,6 +10,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_workspace.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -457,6 +458,19 @@ TEST(Im2col, OutputGeometry) {
   EXPECT_EQ(g.out_w(), 28u);
   Conv2dGeometry g2{1, 28, 28, 2, 2, 2, 0};
   EXPECT_EQ(g2.out_h(), 14u);
+}
+
+TEST(Workspace, EnsureGrowsToExactlyTheRequest) {
+  // One buffer serving conv1 (156,800 floats) and then conv2 (196,000) of
+  // the width-0.15 FMNIST CNN ends at the larger size, not at a geometric
+  // growth step, and keeps the contents it had.
+  Workspace ws;
+  ws.ensure(156800)[0] = 3.0f;
+  EXPECT_EQ(ws.capacity(), 156800u);
+  EXPECT_EQ(ws.ensure(196000)[0], 3.0f);
+  EXPECT_EQ(ws.capacity(), 196000u);
+  ws.ensure(1000);  // never shrinks
+  EXPECT_EQ(ws.capacity(), 196000u);
 }
 
 }  // namespace
