@@ -9,9 +9,7 @@
 //   --trace-out=trace.jsonl     per-epoch decision telemetry (JSONL)
 //   --metrics-out=metrics.json  counters/gauges/histograms snapshot at exit
 //   --profile-out=profile.json  Chrome-trace timeline (chrome://tracing)
-//   --series-out=series.json    per-epoch time-series ring buffers
 //   --manifest-out=manifest.json run manifest (build, kernel, seeds, digest)
-//   --prom-out=metrics.prom     live Prometheus exposition (periodic flush)
 //   --monitor / --strict-monitor online invariant monitor (anomaly records)
 //   --digest                     per-epoch determinism digest chain
 #include <iostream>

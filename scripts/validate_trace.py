@@ -11,9 +11,7 @@ Checks any subset of the artifact kinds (stdlib only, no deps):
                              (harness/experiment.cpp schema)
   --metrics   metrics.json   metrics-registry snapshot (obs/metrics.h shape)
   --profile   profile.json   Chrome-trace / Perfetto timeline (obs/profile.h)
-  --series    series.json    time-series ring export (obs/time_series.h)
   --manifest  manifest.json  run manifest (obs/manifest.h)
-  --prom      metrics.prom   Prometheus text exposition (obs/prometheus.h)
 
 Exits 0 when every provided artifact is well formed, 1 with a message
 otherwise. Wired into ctest as `obs_artifacts` (tests/CMakeLists.txt) so a
@@ -365,40 +363,6 @@ def validate_profile(path):
     return f"{spans} spans"
 
 
-def validate_series(path):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    capacity = doc.get("capacity")
-    if not isinstance(capacity, int) or capacity <= 0:
-        fail(path, f"capacity must be a positive integer: {capacity!r}")
-    series = doc.get("series")
-    if not isinstance(series, dict) or not series:
-        fail(path, "series section missing or empty")
-    samples = 0
-    for name, s in series.items():
-        where = f"{path} series {name!r}"
-        epochs = s.get("epochs")
-        values = s.get("values")
-        if not isinstance(epochs, list) or not isinstance(values, list):
-            fail(where, "epochs/values missing or not arrays")
-        if len(epochs) != len(values):
-            fail(where, f"{len(epochs)} epochs vs {len(values)} values")
-        if len(epochs) > capacity:
-            fail(where, f"{len(epochs)} samples exceed ring capacity "
-                        f"{capacity}")
-        for i, e in enumerate(epochs):
-            if not isinstance(e, int) or e < 0:
-                fail(where, f"epochs[{i}] not a non-negative integer: {e!r}")
-        for i, v in enumerate(values):
-            # NaN/Inf samples serialize as null, like the metrics snapshot.
-            check_number(where, f"values[{i}]", v, allow_null=True)
-        dropped = s.get("dropped")
-        if not isinstance(dropped, int) or dropped < 0:
-            fail(where, f"dropped not a non-negative integer: {dropped!r}")
-        samples += len(epochs)
-    return f"{len(series)} series, {samples} samples"
-
-
 def validate_manifest(path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
@@ -425,71 +389,22 @@ def validate_manifest(path):
     return f"{state}, {len(fields)} fields, {runs} runs digested"
 
 
-def validate_prom(path):
-    """Prometheus text exposition 0.0.4: TYPE comments + sample lines."""
-    declared = {}
-    samples = 0
-    sample_re = re.compile(
-        r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?\s+(\S+)$')
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) >= 2 and parts[1] == "TYPE":
-                    if len(parts) != 4:
-                        fail(where, f"malformed TYPE line: {line!r}")
-                    if parts[3] not in ("counter", "gauge", "histogram"):
-                        fail(where, f"unknown metric type {parts[3]!r}")
-                    declared[parts[2]] = parts[3]
-                continue
-            m = sample_re.match(line)
-            if not m:
-                fail(where, f"malformed sample line: {line!r}")
-            name, value = m.group(1), m.group(3)
-            base = name
-            for suffix in ("_bucket", "_sum", "_count"):
-                if name.endswith(suffix) and name[:-len(suffix)] in declared:
-                    base = name[:-len(suffix)]
-                    break
-            if base not in declared:
-                fail(where, f"sample {name!r} has no preceding TYPE line")
-            if not name.startswith("fedl_"):
-                fail(where, f"metric {name!r} missing fedl_ prefix")
-            if value not in ("NaN", "+Inf", "-Inf"):
-                try:
-                    float(value)
-                except ValueError:
-                    fail(where, f"unparseable sample value {value!r}")
-            samples += 1
-    if samples == 0:
-        fail(path, "no samples")
-    return f"{len(declared)} metrics, {samples} samples"
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", help="per-epoch JSONL decision trace")
     parser.add_argument("--metrics", help="metrics snapshot JSON")
     parser.add_argument("--profile", help="Chrome-trace profile JSON")
-    parser.add_argument("--series", help="time-series ring export JSON")
     parser.add_argument("--manifest", help="run manifest JSON")
-    parser.add_argument("--prom", help="Prometheus text exposition")
     args = parser.parse_args()
     jobs = [
         (args.trace, validate_trace),
         (args.metrics, validate_metrics),
         (args.profile, validate_profile),
-        (args.series, validate_series),
         (args.manifest, validate_manifest),
-        (args.prom, validate_prom),
     ]
     if not any(path for path, _ in jobs):
         parser.error("nothing to validate; pass --trace/--metrics/--profile/"
-                     "--series/--manifest/--prom")
+                     "--manifest")
     try:
         for path, validate in jobs:
             if path:

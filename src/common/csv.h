@@ -24,7 +24,6 @@ class CsvTable {
   // Appends one value per column, in column order.
   void append_row(const std::vector<double>& row);
 
-  std::size_t num_columns() const { return columns_.size(); }
   std::size_t num_rows() const;
   const CsvColumn& column(std::size_t i) const;
 

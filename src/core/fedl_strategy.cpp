@@ -181,7 +181,7 @@ void FedLStrategy::observe(const sim::EpochContext& ctx,
     }
   }
   if (frac->ids.empty()) return;
-  learner_.observe(ctx, *frac, outcome);
+  learner_.observe(*frac, outcome);
 }
 
 }  // namespace fedl::core

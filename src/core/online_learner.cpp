@@ -8,7 +8,6 @@
 #include "common/math_util.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/time_series.h"
 #include "solver/prox_solver.h"
 
 namespace fedl::core {
@@ -33,16 +32,6 @@ const obs::Counter& infeasible_epochs() {
 const obs::Counter& pruned_clients() {
   static const obs::Counter c("learner.pruned");
   return c;
-}
-// Trajectory versions of the same state (--series-out): the gauges keep the
-// end-of-run value, the series keep the whole path.
-const obs::Series& rho_series() {
-  static const obs::Series s("learner.rho");
-  return s;
-}
-const obs::Series& mu0_series() {
-  static const obs::Series s("learner.mu0");
-  return s;
 }
 
 }  // namespace
@@ -338,12 +327,10 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
   rho_ = clamp(res.x[w], 1.0, cfg_.rho_max);
   dec.rho = rho_;
   rho_gauge().set(rho_);
-  rho_series().sample(static_cast<std::uint64_t>(ctx.epoch), rho_);
   return dec;
 }
 
-void OnlineLearner::observe(const sim::EpochContext& ctx,
-                            const FractionalDecision& frac,
+void OnlineLearner::observe(const FractionalDecision& frac,
                             const fl::EpochOutcome& outcome) {
   FEDL_PROFILE_SCOPE("learner.observe");
   // --- estimate updates -----------------------------------------------------
@@ -414,7 +401,6 @@ void OnlineLearner::observe(const sim::EpochContext& ctx,
     if (mu_next != 0.0 || pool_.contains(id)) pool_.touch(id).mu = mu_next;
   }
   mu0_gauge().set(mu0_);
-  mu0_series().sample(static_cast<std::uint64_t>(ctx.epoch), mu0_);
   FEDL_DEBUG << "learner: mu0=" << mu0_ << " rho=" << rho_
              << " L=" << last_loss_;
 }

@@ -107,7 +107,7 @@ class OnlineLearner {
   // clients with a nonzero h^k this epoch (the decision's candidates) and
   // the selected clients' estimates are touched — unavailable clients'
   // state is bit-identical before and after.
-  void observe(const sim::EpochContext& ctx, const FractionalDecision& frac,
+  void observe(const FractionalDecision& frac,
                const fl::EpochOutcome& outcome);
 
   // Introspection for tests/benches.

@@ -73,7 +73,6 @@ class RegretTracker {
   double regret() const { return online_obj_ - offline_obj_; }
   // ‖[Σ_t h_t]+‖ over the (M+1)-dimensional accumulated constraint vector.
   double fit() const;
-  const std::vector<double>& fit_vector() const { return fit_acc_; }
 
   // Measured path lengths for Theorem 2's bound:
   // V({Φ*}) = Σ‖Φ*_t − Φ*_{t−1}‖ over the greedy per-epoch optima (13b),

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/time_series.h"
 #include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
 #include "tensor/ops.h"
@@ -43,25 +42,6 @@ const obs::Gauge& replica_count_gauge() {
 const obs::Gauge& model_bytes_gauge() {
   static const obs::Gauge g("fl.model_bytes");
   return g;
-}
-
-// Per-epoch trajectory series (obs/time_series.h). Disabled recorders cost
-// one relaxed load per sample, so run_epoch stays allocation-free and
-// within noise when --series-out is off.
-struct EpochSeries {
-  obs::Series train_loss_all{"fl.train_loss_all"};
-  obs::Series train_loss_selected{"fl.train_loss_selected"};
-  obs::Series test_loss{"fl.test_loss"};
-  obs::Series test_accuracy{"fl.test_accuracy"};
-  obs::Series eta_max{"fl.eta_max"};
-  obs::Series latency_s{"fl.latency_s"};
-  obs::Series epoch_cost{"fl.epoch_cost"};
-  obs::Series num_selected{"fl.num_selected"};
-  obs::Series num_dropped{"fl.num_dropped"};
-};
-const EpochSeries& epoch_series() {
-  static const EpochSeries s;
-  return s;
 }
 
 }  // namespace
@@ -420,20 +400,6 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
   out.train_loss_all = ev.train_loss_all;
   out.test_loss = ev.test_loss;
   out.test_accuracy = ev.test_accuracy;
-
-  {
-    const EpochSeries& series = epoch_series();
-    const auto epoch = static_cast<std::uint64_t>(out.epoch);
-    series.train_loss_all.sample(epoch, out.train_loss_all);
-    series.train_loss_selected.sample(epoch, out.train_loss_selected);
-    series.test_loss.sample(epoch, out.test_loss);
-    series.test_accuracy.sample(epoch, out.test_accuracy);
-    series.eta_max.sample(epoch, out.eta_max);
-    series.latency_s.sample(epoch, out.latency_s);
-    series.epoch_cost.sample(epoch, out.cost);
-    series.num_selected.sample(epoch, static_cast<double>(selected.size()));
-    series.num_dropped.sample(epoch, static_cast<double>(out.num_dropped));
-  }
 
   FEDL_DEBUG << "epoch " << out.epoch << " |S|=" << s << " iters="
              << out.num_iterations << " latency=" << out.latency_s

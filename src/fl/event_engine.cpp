@@ -7,7 +7,6 @@
 #include "core/staleness.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/time_series.h"
 #include "tensor/ops.h"
 
 namespace fedl::fl {
@@ -52,16 +51,6 @@ const obs::Gauge& vt_gauge() {
 const obs::Histogram& staleness_hist() {
   static const obs::Histogram h("fl.async.staleness", {0, 1, 2, 4, 8, 16});
   return h;
-}
-// Flush-trajectory series (--series-out), keyed by model version.
-struct AsyncSeries {
-  obs::Series vt{"fl.async.vt"};
-  obs::Series buffer_filled{"fl.async.buffer_filled"};
-  obs::Series staleness_max{"fl.async.staleness_max"};
-};
-const AsyncSeries& async_series() {
-  static const AsyncSeries s;
-  return s;
 }
 
 }  // namespace
@@ -306,12 +295,6 @@ void EventEngine::do_flush() {
   ev.buffer = 0;
   ev.aggregated = buffer_.size();
   events_.push_back(ev);
-
-  const AsyncSeries& series = async_series();
-  const auto v = static_cast<std::uint64_t>(version_);
-  series.vt.sample(v, vt_);
-  series.buffer_filled.sample(v, static_cast<double>(buffer_.size()));
-  series.staleness_max.sample(v, static_cast<double>(max_stale));
 
   FEDL_DEBUG << "async flush v" << version_ << " vt=" << vt_ << " |B|="
              << buffer_.size() << " max_stale=" << max_stale;

@@ -1,7 +1,6 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -17,8 +16,6 @@
 #include "obs/event_trace.h"
 #include "obs/manifest.h"
 #include "obs/profile.h"
-#include "obs/time_series.h"
-#include "parallel/scheduler.h"
 
 namespace fedl::harness {
 namespace {
@@ -278,19 +275,6 @@ void write_anomaly_event(std::string& sink, const std::string& algorithm,
   sink += '\n';
 }
 
-// Trajectory series owned by the harness loop: spend-vs-pace, scheduler
-// occupancy, and decide() latency. Statics so registration happens once.
-struct HarnessSeries {
-  obs::Series budget_spent{"budget.spent"};
-  obs::Series pacing_cap{"budget.pacing_cap"};
-  obs::Series scheduler_inflight{"scheduler.inflight"};
-  obs::Series decide_latency{"harness.decide_latency_s"};
-};
-const HarnessSeries& harness_series() {
-  static const HarnessSeries s;
-  return s;
-}
-
 }  // namespace
 
 Experiment::Experiment(ScenarioConfig cfg) : cfg_(cfg) {
@@ -415,7 +399,6 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
     sim::EpochContext ctx;  // in-flight members filtered out
     core::Decision decision;
     LearnerSnapshot snap;
-    double decide_latency_s = 0.0;
     double rho = 0.0;
     double cap = 0.0;
     std::optional<fl::CohortOutcome> outcome;  // set once resolved
@@ -447,9 +430,9 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
   };
 
   // Emits every resolved epoch in contiguous epoch order — the only path
-  // that writes records, calls observe() and samples the series and the
-  // monitor. Strict-monitor anomalies FEDL_CHECK from inside, after the
-  // trace commits.
+  // that writes records, calls observe() and feeds the monitor.
+  // Strict-monitor anomalies FEDL_CHECK from inside, after the trace
+  // commits.
   auto drain = [&]() {
     while (!pending.empty() && pending.begin()->second.outcome) {
       const PendingEpoch& pe = pending.begin()->second;
@@ -474,19 +457,6 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
       }
       strategy.observe(pe.ctx, pe.decision, out);
       result.regret.record(pe.ctx, ledger, pe.decision, pe.rho, out);
-
-      {
-        const HarnessSeries& series = harness_series();
-        const auto epoch = static_cast<std::uint64_t>(pe.ctx.epoch);
-        series.budget_spent.sample(epoch, ledger.spent());
-        if (fedl_strategy != nullptr) series.pacing_cap.sample(epoch, pe.cap);
-        series.decide_latency.sample(epoch, pe.decide_latency_s);
-        // stats() takes the scheduler mutex; only pay for it when recording.
-        if (obs::TimeSeriesRecorder::global().enabled())
-          series.scheduler_inflight.sample(
-              epoch,
-              static_cast<double>(Scheduler::instance().stats().inflight()));
-      }
 
       if (monitor) {
         obs::EpochSample sample;
@@ -589,12 +559,7 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
 
     {
       FEDL_PROFILE_SCOPE("strategy.decide");
-      const auto decide_start = std::chrono::steady_clock::now();
       pe.decision = strategy.decide(ctx, ledger);
-      pe.decide_latency_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        decide_start)
-              .count();
     }
     const core::Decision& decision = pe.decision;
     if (decision.selected.empty()) {

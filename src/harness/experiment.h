@@ -146,7 +146,7 @@ class Experiment {
   // serves both execution modes: each epoch pays its cohort's rent at
   // dispatch, then resolves the cohort in place (lockstep) or dispatches it
   // to the event engine (cfg.async), and a reorder buffer emits resolved
-  // epochs in epoch order — records, observe(), regret, series, monitor.
+  // epochs in epoch order — records, observe(), regret, monitor.
   RunResult run(core::SelectionStrategy& strategy);
 
  private:

@@ -9,7 +9,8 @@ class Relu : public Layer {
  public:
   Tensor forward(Tensor input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
-  LayerPtr clone() const override { return std::make_unique<Relu>(*this); }
+  // A fresh layer: the mask is a train cache (clone() contract).
+  LayerPtr clone() const override { return std::make_unique<Relu>(); }
   std::string name() const override { return "relu"; }
   std::size_t scratch_bytes() const override { return mask_.owned_bytes(); }
 

@@ -14,6 +14,14 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
       grad_weight_(Shape{out_features, in_features}),
       grad_bias_(Shape{out_features}) {}
 
+Dense::Dense(const Dense& other)
+    : in_(other.in_),
+      out_(other.out_),
+      weight_(other.weight_),
+      bias_(other.bias_),
+      grad_weight_(other.grad_weight_),
+      grad_bias_(other.grad_bias_) {}
+
 Tensor Dense::forward(Tensor input, bool train) {
   FEDL_CHECK_EQ(input.shape().rank(), 2u);
   FEDL_CHECK_EQ(input.shape()[1], in_);

@@ -13,6 +13,11 @@ class Dense : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
+  // Copies parameters/gradients only; the cached input starts empty in the
+  // copy (clone() contract, as for Conv2d).
+  Dense(const Dense& other);
+  Dense& operator=(const Dense&) = delete;
+
   Tensor forward(Tensor input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
   void backward_params(const Tensor& grad_output) override;

@@ -13,7 +13,11 @@ class MaxPool2d : public Layer {
 
   Tensor forward(Tensor input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
-  LayerPtr clone() const override { return std::make_unique<MaxPool2d>(*this); }
+  // A fresh layer of the same geometry: the argmax indices are a train
+  // cache (clone() contract).
+  LayerPtr clone() const override {
+    return std::make_unique<MaxPool2d>(window_, stride_);
+  }
   std::string name() const override { return "maxpool2d"; }
   std::size_t scratch_bytes() const override {
     return argmax_.capacity() * sizeof(std::size_t);

@@ -33,12 +33,6 @@ MetricsRegistry& MetricsRegistry::global() {
   // during static teardown, after a function-local static would be gone.
   static MetricsRegistry* registry = [] {
     auto* r = new MetricsRegistry();  // fedl-lint: allow(naked-new)
-    // Fixed capacity so registration never reallocates: definition vectors
-    // are read without the mutex on the hot paths (ids are published to
-    // other threads through synchronizing handle construction).
-    r->counters_.reserve(kMaxCounters);
-    r->gauges_.reserve(kMaxGauges);
-    r->histograms_.reserve(kMaxHistograms);
     for (std::size_t i = 0; i < kMaxGauges; ++i)
       r->gauge_values_[i].store(0.0, std::memory_order_relaxed);
     return r;
@@ -111,13 +105,13 @@ std::size_t MetricsRegistry::register_histogram(const std::string& name,
         << "histogram " << name << " re-registered with different buckets";
     return it->second.second;
   }
-  FEDL_CHECK_LT(histograms_.size(), kMaxHistograms);
+  FEDL_CHECK_LT(num_histograms_, kMaxHistograms);
   const std::size_t slots = bounds.size() + 1;
   FEDL_CHECK_LE(arena_used_ + slots, kHistArenaSlots);
-  histograms_.push_back({name, std::move(bounds), arena_used_});
+  const std::size_t id = num_histograms_++;
+  histograms_[id] = {name, std::move(bounds), arena_used_};
   arena_used_ += slots;
-  const std::size_t id = histograms_.size() - 1;
-  by_name_[histograms_.back().name] = {'h', id};
+  by_name_[name] = {'h', id};
   return id;
 }
 
@@ -132,6 +126,8 @@ void MetricsRegistry::gauge_set(std::size_t id, double value) {
 }
 
 void MetricsRegistry::histogram_observe(std::size_t id, double value) {
+  // No lock: the definition was written before its id reached this thread
+  // (through the handle's construction), and never changes afterwards.
   const HistogramDef& def = histograms_[id];
   // "≤ bound" buckets: first bound >= value wins; past-the-end = overflow.
   const std::size_t bucket =
@@ -159,7 +155,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (std::size_t i = 0; i < gauges_.size(); ++i)
     snap.gauges[gauges_[i].name] =
         gauge_values_[i].load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < histograms_.size(); ++i) {
+  for (std::size_t i = 0; i < num_histograms_; ++i) {
     const HistogramDef& def = histograms_[i];
     HistogramSnapshot h;
     h.bounds = def.bounds;

@@ -113,7 +113,11 @@ class MetricsRegistry {
   mutable std::mutex mutex_;  // registration + shard list + free list
   std::vector<CounterDef> counters_;
   std::vector<GaugeDef> gauges_;
-  std::vector<HistogramDef> histograms_;
+  // Fixed storage: histogram_observe reads a definition without the mutex
+  // while a registration may write the next slot and the count under it.
+  std::unique_ptr<HistogramDef[]> histograms_ =
+      std::make_unique<HistogramDef[]>(kMaxHistograms);
+  std::size_t num_histograms_ = 0;
   std::map<std::string, std::pair<char, std::size_t>> by_name_;  // kind, id
   std::size_t arena_used_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,7 +1,6 @@
 #include "obs/session.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 
@@ -10,8 +9,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/prometheus.h"
-#include "obs/time_series.h"
 
 namespace fedl::obs {
 namespace {
@@ -51,11 +48,7 @@ ObsSession::ObsSession(const Flags& flags,
   trace_out_ = flags.get_string("trace-out", "");
   metrics_out_ = flags.get_string("metrics-out", "");
   profile_out_ = flags.get_string("profile-out", "");
-  series_out_ = flags.get_string("series-out", "");
   manifest_out_ = flags.get_string("manifest-out", "");
-  prom_out_ = flags.get_string("prom-out", "");
-  prom_interval_s_ = flags.get_double("prom-interval", 5.0);
-  const std::int64_t series_capacity = flags.get_int("series-capacity", 4096);
 
   if (!trace_out_.empty()) {
     // Runs append per-epoch events; start every invocation from a clean
@@ -67,20 +60,10 @@ ObsSession::ObsSession(const Flags& flags,
     Profiler::global().clear();
     Profiler::global().set_enabled(true);
   }
-  if (!series_out_.empty()) {
-    if (series_capacity <= 0)
-      throw ConfigError("--series-capacity must be positive");
-    TimeSeriesRecorder::global().enable(
-        static_cast<std::size_t>(series_capacity));
-  }
-  if (!prom_out_.empty() && prom_interval_s_ <= 0.0)
-    throw ConfigError("--prom-interval must be positive");
 
   g_active_session.store(this, std::memory_order_release);
   set_check_failure_hook(&crash_flush);
   arm_atexit_guard();
-
-  if (!prom_out_.empty()) start_prom_flusher();
 }
 
 ObsSession::~ObsSession() {
@@ -88,10 +71,8 @@ ObsSession::~ObsSession() {
   // half-destroyed session would be worse than a lost flush.
   g_active_session.store(nullptr, std::memory_order_release);
   set_check_failure_hook(nullptr);
-  stop_prom_flusher();
   if (!profile_out_.empty()) Profiler::global().set_enabled(false);
   flush(/*clean=*/true);
-  if (!series_out_.empty()) TimeSeriesRecorder::global().disable();
 }
 
 void ObsSession::flush(bool clean) noexcept {
@@ -110,17 +91,6 @@ void ObsSession::flush(bool clean) noexcept {
       MetricsRegistry::global().snapshot().write_json(out);
       FEDL_INFO << "wrote metrics snapshot to " << metrics_out_;
     }
-    if (!series_out_.empty()) {
-      std::ofstream out(series_out_, std::ios::trunc);
-      if (!out) throw ConfigError("cannot write series: " + series_out_);
-      TimeSeriesRecorder::global().write_json(out);
-      FEDL_INFO << "wrote time series to " << series_out_;
-    }
-    if (!prom_out_.empty()) {
-      PrometheusWriter::write_file(MetricsRegistry::global().snapshot(),
-                                   prom_out_);
-      FEDL_INFO << "wrote prometheus exposition to " << prom_out_;
-    }
     if (!manifest_out_.empty()) {
       write_manifest_file(manifest_out_, clean_now);
       FEDL_INFO << "wrote run manifest to " << manifest_out_
@@ -131,35 +101,6 @@ void ObsSession::flush(bool clean) noexcept {
   } catch (const std::exception& e) {
     FEDL_WARN << "failed to flush observability artifacts: " << e.what();
   }
-}
-
-void ObsSession::start_prom_flusher() {
-  prom_thread_ = std::thread([this] {
-    const auto interval = std::chrono::duration<double>(prom_interval_s_);
-    std::unique_lock<std::mutex> lock(prom_mutex_);
-    while (!prom_stop_) {
-      if (prom_cv_.wait_for(lock, interval, [this] { return prom_stop_; }))
-        break;
-      lock.unlock();
-      try {
-        PrometheusWriter::write_file(MetricsRegistry::global().snapshot(),
-                                     prom_out_);
-      } catch (const std::exception& e) {
-        FEDL_WARN << "prometheus flush failed: " << e.what();
-      }
-      lock.lock();
-    }
-  });
-}
-
-void ObsSession::stop_prom_flusher() {
-  if (!prom_thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(prom_mutex_);
-    prom_stop_ = true;
-  }
-  prom_cv_.notify_all();
-  prom_thread_.join();
 }
 
 }  // namespace fedl::obs

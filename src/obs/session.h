@@ -17,14 +17,7 @@
 //                          trace JSON at exit
 //   --trace-out=<file>     truncate <file> now; harness runs configured with
 //                          trace_out() append per-epoch JSONL events to it
-//   --series-out=<file>    enable the per-epoch TimeSeriesRecorder and write
-//                          its rings (JSON) at exit
-//   --series-capacity=<N>  ring capacity per series (default 4096)
 //   --manifest-out=<file>  write the run manifest (JSON) at exit
-//   --prom-out=<file>      periodically rewrite <file> with the Prometheus
-//                          text exposition of the metrics registry (atomic
-//                          replace), plus a final write at exit
-//   --prom-interval=<sec>  flush period for --prom-out (default 5)
 //
 // Artifacts are flushed in the destructor, so the session must outlive the
 // instrumented work (declare it first in main). The session also arms two
@@ -35,10 +28,8 @@
 // exception is later caught and the session destructs normally.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/config.h"
 
@@ -53,11 +44,6 @@ class ObsSession {
   ObsSession& operator=(const ObsSession&) = delete;
 
   const std::string& trace_out() const { return trace_out_; }
-  const std::string& metrics_out() const { return metrics_out_; }
-  const std::string& profile_out() const { return profile_out_; }
-  const std::string& series_out() const { return series_out_; }
-  const std::string& manifest_out() const { return manifest_out_; }
-  const std::string& prom_out() const { return prom_out_; }
 
   // Writes every configured artifact. clean=false marks the manifest dirty
   // permanently (crash path); clean=true is the normal exit path. Safe to
@@ -66,24 +52,13 @@ class ObsSession {
   void flush(bool clean) noexcept;
 
  private:
-  void start_prom_flusher();
-  void stop_prom_flusher();
-
   std::string trace_out_;
   std::string metrics_out_;
   std::string profile_out_;
-  std::string series_out_;
   std::string manifest_out_;
-  std::string prom_out_;
-  double prom_interval_s_ = 5.0;
 
   std::mutex flush_mutex_;
   bool dirty_ = false;  // latched by the first flush(false)
-
-  std::thread prom_thread_;
-  std::mutex prom_mutex_;
-  std::condition_variable prom_cv_;
-  bool prom_stop_ = false;
 };
 
 }  // namespace fedl::obs

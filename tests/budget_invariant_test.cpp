@@ -304,7 +304,7 @@ TEST(SparseDuals, UnavailableClientsKeepBitIdenticalState) {
     out.client_loss_reduction.assign(frac.ids.size(), 0.05);
     out.client_completed_iters.assign(frac.ids.size(), 2);
     out.train_loss_all = 2.0;
-    learner.observe(ctx, frac, out);
+    learner.observe(frac, out);
   }
   const double mu5 = learner.mu_k(5);
   const double eta5 = learner.eta_estimate(5);
@@ -323,7 +323,7 @@ TEST(SparseDuals, UnavailableClientsKeepBitIdenticalState) {
     out.client_loss_reduction.assign(frac.ids.size(), 0.1);
     out.client_completed_iters.assign(frac.ids.size(), 2);
     out.train_loss_all = 1.0;
-    learner.observe(ctx, frac, out);
+    learner.observe(frac, out);
   }
   EXPECT_EQ(learner.mu_k(5), mu5);
   EXPECT_EQ(learner.eta_estimate(5), eta5);

@@ -158,7 +158,7 @@ TEST(OnlineLearner, DualAscentFollowsUpdateRule) {
   out.client_eta = {0.9};
   out.client_loss_reduction = {0.2};
   out.train_loss_all = 1.5;  // h^0 = 1.5 − 0.5 = 1.0
-  learner.observe(ctx, frac, out);
+  learner.observe(frac, out);
 
   EXPECT_NEAR(learner.mu0(), 0.5 * 1.0, 1e-9);  // δ·h0 from μ=0
   // h^1 = η x̃_0 ρ − ρ + 1 with observed η = 0.9.
@@ -180,7 +180,7 @@ TEST(OnlineLearner, EstimatesTrackObservations) {
   out.client_eta = {0.7};
   out.client_loss_reduction = {0.8};  // per-iter = 0.2
   out.train_loss_all = 1.2;
-  learner.observe(ctx, frac, out);
+  learner.observe(frac, out);
 
   EXPECT_NEAR(learner.eta_estimate(1), 0.7, 1e-12);
   EXPECT_NEAR(learner.delta_estimate(1), 0.2, 1e-12);
@@ -201,7 +201,7 @@ TEST(OnlineLearner, NegativeLossReductionFlooredAtZero) {
   out.client_eta = {0.5};
   out.client_loss_reduction = {-0.4};
   out.train_loss_all = 1.0;
-  learner.observe(ctx, frac, out);
+  learner.observe(frac, out);
   EXPECT_DOUBLE_EQ(learner.delta_estimate(0), 0.0);
 }
 
@@ -215,7 +215,7 @@ TEST(OnlineLearner, MuIsClipped) {
   const auto frac = learner.decide(ctx, budget);
   fl::EpochOutcome out;
   out.train_loss_all = 100.0;  // huge violation
-  learner.observe(ctx, frac, out);
+  learner.observe(frac, out);
   EXPECT_LE(learner.mu0(), 5.0);
 }
 
@@ -241,7 +241,7 @@ TEST(OnlineLearner, LatencyPressurePushesTowardFastClients) {
     const auto frac = learner.decide(ctx, budget);
     fl::EpochOutcome out;
     out.train_loss_all = 0.4;  // below θ: no convergence pressure
-    learner.observe(ctx, frac, out);
+    learner.observe(frac, out);
   }
   EXPECT_GT(learner.x_fraction(0), learner.x_fraction(1));
 }

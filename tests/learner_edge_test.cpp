@@ -74,7 +74,7 @@ TEST(LearnerEdge, FractionsStayInBoxOverManyEpochs) {
     out.client_eta = {0.5};
     out.client_loss_reduction = {0.1};
     out.train_loss_all = 2.0;  // persistent violation: duals keep growing
-    learner.observe(ctx, dec, out);
+    learner.observe(dec, out);
   }
   // Duals grew for 30 epochs of violation; ρ must be pushed up but stay
   // within its cap.
@@ -93,7 +93,7 @@ TEST(LearnerEdge, SatisfiedConstraintDrivesMuToZero) {
   auto frac = learner.decide(ctx, budget);
   fl::EpochOutcome bad;
   bad.train_loss_all = 3.0;
-  learner.observe(ctx, frac, bad);
+  learner.observe(frac, bad);
   const double mu_high = learner.mu0();
   EXPECT_GT(mu_high, 0.0);
 
@@ -102,7 +102,7 @@ TEST(LearnerEdge, SatisfiedConstraintDrivesMuToZero) {
   good.train_loss_all = 0.0;  // h0 = −θ < 0
   for (int t = 0; t < 30; ++t) {
     frac = learner.decide(ctx, budget);
-    learner.observe(ctx, frac, good);
+    learner.observe(frac, good);
   }
   EXPECT_EQ(learner.mu0(), 0.0);
 }
@@ -124,7 +124,7 @@ TEST(LearnerEdge, HigherDeltaEstimateRaisesSelectionPressure) {
     out.client_eta = {0.5, 0.5};
     out.client_loss_reduction = {0.5, 0.01};  // client 0 is far more useful
     out.train_loss_all = 2.0;                 // θ violated -> μ0 active
-    learner.observe(ctx, frac, out);
+    learner.observe(frac, out);
   }
   EXPECT_GE(learner.x_fraction(0), learner.x_fraction(1) - 1e-6);
   EXPECT_GT(learner.delta_estimate(0), learner.delta_estimate(1));
@@ -213,7 +213,7 @@ TEST(LearnerEdge, ZeroCompletedIterationsLeaveEstimatesUntouched) {
   out.client_loss_reduction = {0.0, 0.6};
   out.client_completed_iters = {0, 3};
   out.train_loss_all = 1.0;
-  learner.observe(ctx, frac, out);
+  learner.observe(frac, out);
 
   EXPECT_EQ(learner.eta_estimate(0), eta0);
   EXPECT_EQ(learner.delta_estimate(0), delta0);
@@ -238,7 +238,7 @@ TEST(LearnerEdge, DeltaEstimateDividesByClientCompletedIters) {
   out.client_loss_reduction = {0.8};  // accumulated over 2 completed iters
   out.client_completed_iters = {2};
   out.train_loss_all = 1.0;
-  learner.observe(ctx, frac, out);
+  learner.observe(frac, out);
   EXPECT_NEAR(learner.delta_estimate(0), 0.4, 1e-12);
 }
 
@@ -353,7 +353,7 @@ std::vector<bool> candidate_coverage(double width_explore,
       out.client_completed_iters.push_back(1);
     }
     out.train_loss_all = 1.0;
-    learner.observe(ctx, dec, out);
+    learner.observe(dec, out);
   }
   return seen;
 }

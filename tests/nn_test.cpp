@@ -581,10 +581,12 @@ TEST(SharedBlockScratch, ConvLayersShareOneSetPerChunk) {
 }
 
 TEST(SharedBlockScratch, CloneSharesNothingWithItsSource) {
-  // A clone starts with fresh, empty block scratch. Training a model and its
-  // clone at the same time on two threads, as the engine's fan-out chunks
-  // do, must touch no common buffer (the tsan leg checks this) and give the
-  // same gradients bit for bit.
+  // A clone starts with fresh, empty block scratch and no train caches,
+  // whether its source was last evaluated or last trained: it owns its
+  // parameters and gradients alone. Training a model and its clone at the
+  // same time on two threads, as the engine's fan-out chunks do, must touch
+  // no common buffer (the tsan leg checks this) and give the same gradients
+  // bit for bit.
   Rng rng(32);
   ModelSpec spec;
   spec.width_scale = 0.15;
@@ -602,6 +604,16 @@ TEST(SharedBlockScratch, CloneSharesNothingWithItsSource) {
   m.forward_backward(b);
   other.join();
   EXPECT_EQ(m.grads_flat(), c.grads_flat());
+
+  // Training left every layer's train cache in m: conv inputs, ReLU masks,
+  // pooling argmaxes and the dense inputs. None of them carries over.
+  EXPECT_GT(m.owned_bytes(), params_and_grads);
+  Model t = m.clone();
+  EXPECT_EQ(t.owned_bytes(), params_and_grads);
+  std::thread trained([&] { t.forward_backward(b); });
+  m.forward_backward(b);
+  trained.join();
+  EXPECT_EQ(m.grads_flat(), t.grads_flat());
   Scheduler::instance().configure(0, 1);
 }
 

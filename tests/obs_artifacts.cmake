@@ -1,9 +1,8 @@
 # ctest driver for the `obs_artifacts` check (registered in
 # tests/CMakeLists.txt): run a small seeded quickstart with every
-# observability flag — trace, metrics, profile, time series, Prometheus
-# exposition, run manifest, invariant monitor, determinism digests — then
-# validate all artifacts with scripts/validate_trace.py. Fails on any
-# non-zero exit.
+# observability flag — trace, metrics, profile, run manifest, invariant
+# monitor, determinism digests — then validate all artifacts with
+# scripts/validate_trace.py. Fails on any non-zero exit.
 file(MAKE_DIRECTORY ${WORKDIR})
 
 execute_process(
@@ -12,9 +11,7 @@ execute_process(
     --trace-out=${WORKDIR}/trace.jsonl
     --metrics-out=${WORKDIR}/metrics.json
     --profile-out=${WORKDIR}/profile.json
-    --series-out=${WORKDIR}/series.json
     --manifest-out=${WORKDIR}/manifest.json
-    --prom-out=${WORKDIR}/metrics.prom
     --monitor --digest
   RESULT_VARIABLE run_result
   OUTPUT_VARIABLE run_output
@@ -28,9 +25,7 @@ execute_process(
     --trace ${WORKDIR}/trace.jsonl
     --metrics ${WORKDIR}/metrics.json
     --profile ${WORKDIR}/profile.json
-    --series ${WORKDIR}/series.json
     --manifest ${WORKDIR}/manifest.json
-    --prom ${WORKDIR}/metrics.prom
   RESULT_VARIABLE validate_result
   OUTPUT_VARIABLE validate_output
   ERROR_VARIABLE validate_output)

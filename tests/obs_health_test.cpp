@@ -1,9 +1,7 @@
 // Tests for the health plane added on top of the metrics registry: the
-// per-epoch time-series recorder (including concurrent sampling, which the
-// -L sanitize TSan run sweeps), the FNV-1a determinism digests and their
-// cross-thread-count equality on a real seeded run, the online invariant
-// monitor's edge-triggered firing, the Prometheus exposition golden, the
-// run manifest registry, and the check-failure flush hook.
+// FNV-1a determinism digests and their cross-thread-count equality on a
+// real seeded run, the online invariant monitor's edge-triggered firing,
+// the run manifest registry, and the check-failure flush hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +9,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -20,8 +17,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
-#include "obs/prometheus.h"
-#include "obs/time_series.h"
 #include "parallel/scheduler.h"
 
 namespace fedl {
@@ -68,88 +63,6 @@ TEST(Digest, RunCombineIsXorAndOrderIndependent) {
   obs::note_run_digest(0x1111u);
   EXPECT_EQ(obs::combined_run_digest(), 0x1111u ^ 0x0101u);
   obs::reset_run_digests();
-}
-
-// ---------------------------------------------------------------------------
-// Time-series recorder
-
-obs::SeriesSnapshot find_series(const std::vector<obs::SeriesSnapshot>& all,
-                                const std::string& name) {
-  for (const auto& s : all)
-    if (s.name == name) return s;
-  ADD_FAILURE() << "series not in snapshot: " << name;
-  return {};
-}
-
-TEST(TimeSeries, DisabledSamplingIsANoOp) {
-  auto& rec = obs::TimeSeriesRecorder::global();
-  rec.disable();
-  const obs::Series series("test.ts_disabled");
-  series.sample(1, 42.0);
-  rec.enable(16);
-  EXPECT_TRUE(find_series(rec.snapshot(), "test.ts_disabled").epochs.empty());
-  rec.disable();
-}
-
-TEST(TimeSeries, RingWrapsDroppingOldestAndCounting) {
-  auto& rec = obs::TimeSeriesRecorder::global();
-  rec.enable(4);
-  const obs::Series series("test.ts_wrap");
-  for (std::uint64_t e = 1; e <= 6; ++e)
-    series.sample(e, static_cast<double>(e) * 10.0);
-  const auto snap = find_series(rec.snapshot(), "test.ts_wrap");
-  EXPECT_EQ(snap.epochs, (std::vector<std::uint64_t>{3, 4, 5, 6}));
-  EXPECT_EQ(snap.values, (std::vector<double>{30.0, 40.0, 50.0, 60.0}));
-  EXPECT_EQ(snap.dropped, 2u);
-  rec.disable();
-}
-
-TEST(TimeSeries, WriteJsonCarriesSchema) {
-  auto& rec = obs::TimeSeriesRecorder::global();
-  rec.enable(8);
-  const obs::Series series("test.ts_json");
-  series.sample(2, 1.5);
-  std::ostringstream os;
-  rec.write_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"capacity\":8"), std::string::npos);
-  EXPECT_NE(json.find("\"test.ts_json\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"epochs\":[2]"), std::string::npos);
-  EXPECT_NE(json.find("\"values\":[1.5]"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\":0"), std::string::npos);
-  rec.disable();
-}
-
-// The TSan sweep (-L sanitize) proves the sample path race-free: many
-// threads hammering a few shared rings must account for every sample as
-// either stored or dropped, with consistent parallel arrays.
-TEST(TimeSeries, ConcurrentSamplingAccountsForEverySample) {
-  auto& rec = obs::TimeSeriesRecorder::global();
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kPerThread = 500;
-  constexpr std::size_t kCapacity = 1024;
-  rec.enable(kCapacity);
-  const obs::Series a("test.ts_conc_a");
-  const obs::Series b("test.ts_conc_b");
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&a, &b, t] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        a.sample(t * kPerThread + i, static_cast<double>(i));
-        b.sample(t * kPerThread + i, static_cast<double>(i) * 0.5);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (const char* name : {"test.ts_conc_a", "test.ts_conc_b"}) {
-    const auto snap = find_series(rec.snapshot(), name);
-    EXPECT_EQ(snap.epochs.size(), snap.values.size()) << name;
-    EXPECT_EQ(snap.epochs.size() + snap.dropped, kThreads * kPerThread)
-        << name;
-    EXPECT_EQ(snap.epochs.size(), kCapacity) << name;
-  }
-  rec.disable();
 }
 
 // ---------------------------------------------------------------------------
@@ -279,65 +192,6 @@ TEST(Monitor, AllAbsentInputsFireNothing) {
     EXPECT_TRUE(monitor.on_epoch(s).empty());
   }
   EXPECT_EQ(monitor.anomalies_fired(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus exposition
-
-TEST(Prometheus, SanitizeNamePrefixesAndReplacesDots) {
-  EXPECT_EQ(obs::PrometheusWriter::sanitize_name("fl.test_loss"),
-            "fedl_fl_test_loss");
-  EXPECT_EQ(obs::PrometheusWriter::sanitize_name("obs.anomaly.total"),
-            "fedl_obs_anomaly_total");
-}
-
-// Golden exposition for one hand-built snapshot: counters and gauges map
-// 1:1, registry histograms (disjoint buckets) become cumulative `le`
-// buckets plus _sum/_count.
-TEST(Prometheus, GoldenExposition) {
-  obs::MetricsSnapshot snap;
-  snap.counters["gemm.calls"] = 7;
-  snap.gauges["learner.rho"] = 2.5;
-  obs::HistogramSnapshot h;
-  h.bounds = {1.0, 2.0};
-  h.counts = {3, 0, 1};  // disjoint; overflow bucket holds 1
-  h.total = 4;
-  h.sum = 6.0;
-  snap.histograms["fl.latency"] = h;
-
-  std::ostringstream os;
-  obs::PrometheusWriter::write(snap, os);
-  EXPECT_EQ(os.str(),
-            "# TYPE fedl_gemm_calls counter\n"
-            "fedl_gemm_calls 7\n"
-            "# TYPE fedl_learner_rho gauge\n"
-            "fedl_learner_rho 2.5\n"
-            "# TYPE fedl_fl_latency histogram\n"
-            "fedl_fl_latency_bucket{le=\"1\"} 3\n"
-            "fedl_fl_latency_bucket{le=\"2\"} 3\n"
-            "fedl_fl_latency_bucket{le=\"+Inf\"} 4\n"
-            "fedl_fl_latency_sum 6\n"
-            "fedl_fl_latency_count 4\n");
-}
-
-TEST(Prometheus, WriteFileReplacesAtomically) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/obs_health_prom_test.prom";
-  obs::MetricsSnapshot snap;
-  snap.counters["a.b"] = 1;
-  obs::PrometheusWriter::write_file(snap, path);
-  // Overwrite (the periodic-flush path) — must replace, not append.
-  snap.counters["a.b"] = 2;
-  obs::PrometheusWriter::write_file(snap, path);
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream content;
-  content << in.rdbuf();
-  EXPECT_EQ(content.str(), "# TYPE fedl_a_b counter\nfedl_a_b 2\n");
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good()) << "temp file left behind after rename";
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

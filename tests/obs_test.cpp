@@ -10,6 +10,7 @@
 #include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -107,6 +108,41 @@ TEST(Metrics, HistogramBucketEdges) {
   EXPECT_EQ(after.counts[3] - before.counts[3], 2u);
   EXPECT_EQ(after.total - before.total, 7u);
   EXPECT_DOUBLE_EQ(after.sum - before.sum, 112.52);
+}
+
+// Observation reads a histogram's definition without the registry mutex,
+// while a registration on another thread writes the next definition under
+// it. The two must touch no common memory, not even a container's size
+// (the tsan leg checks this; sanitizer builds bounds-check operator[]).
+TEST(Metrics, HistogramRegistrationDoesNotRaceObservation) {
+  static const obs::Histogram hist("test.hist_observed", {1.0, 2.0});
+  auto total = [] {
+    return MetricsRegistry::global()
+        .snapshot()
+        .histograms.at("test.hist_observed")
+        .total;
+  };
+  const std::uint64_t before = total();
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::uint64_t observed = 0;
+  std::thread observer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      hist.observe(1.5);
+      ++observed;
+      started.store(true, std::memory_order_release);
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (int i = 0; i < 16; ++i) {
+    const obs::Histogram fresh("test.hist_registered_" + std::to_string(i),
+                               {1.0});
+  }
+  stop.store(true, std::memory_order_release);
+  observer.join();
+
+  EXPECT_EQ(total() - before, observed);
 }
 
 TEST(Metrics, RegistrationIsIdempotentAndHandlesAreCheap) {

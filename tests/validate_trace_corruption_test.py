@@ -206,17 +206,7 @@ def main():
     leaky[1]["staleness"] = 0
     expect("async_dispatch_nonnull_rejected", leaky, 1, "has non-null")
 
-    # Series export: parallel-array length mismatch is corruption.
-    series_doc = {"capacity": 8, "series": {
-        "fl.test_loss": {"epochs": [1, 2], "values": [0.5, 0.4],
-                         "dropped": 0}}}
-    expect("series_accepted", series_doc, 0, "", flag="--series")
-    ragged = copy.deepcopy(series_doc)
-    ragged["series"]["fl.test_loss"]["values"] = [0.5]
-    expect("series_ragged_rejected", ragged, 1, "epochs vs",
-           flag="--series")
-
-    total = 19
+    total = 17
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     print(f"{total - len(failures)}/{total} corruption cases behaved",
