@@ -242,8 +242,9 @@ inline void budget_impact_figure(const std::string& figure,
               << " / loss_vs_budget\n";
     CsvTable table;
     table.add_column("budget");
-    for (const auto& name : roster)
-      table.add_column(harness::strategy_display_name(name) + "_loss");
+    // The setting's first-budget trials name the columns.
+    for (std::size_t ai = 0; ai < roster.size(); ++ai)
+      table.add_column(results[cell + ai]->trace.algorithm + "_loss");
     for (double budget : budgets) {
       std::vector<double> row = {budget};
       for (std::size_t ai = 0; ai < roster.size(); ++ai)

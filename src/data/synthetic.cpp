@@ -104,14 +104,15 @@ Dataset generate(const SyntheticSpec& spec, const PrototypeBank& bank,
 
   Tensor images(Shape{count, spec.channels, spec.image_h, spec.image_w});
   float* dst = images.data();
-  leased_parallel_for(0, count, [&](std::size_t, std::size_t i) {
-    const auto& proto = bank.prototype(classes[i]);
-    Rng& noise = pixel_noise[i];
-    for (std::size_t e = 0; e < elems; ++e)
-      dst[i * elems + e] =
-          static_cast<float>(spec.signal_scale) * proto[e] +
-          static_cast<float>(noise.normal(0.0, spec.noise_stddev));
-  });
+  Scheduler::instance().lease(count).run(
+      0, count, [&](std::size_t, std::size_t i) {
+        const auto& proto = bank.prototype(classes[i]);
+        Rng& noise = pixel_noise[i];
+        for (std::size_t e = 0; e < elems; ++e)
+          dst[i * elems + e] =
+              static_cast<float>(spec.signal_scale) * proto[e] +
+              static_cast<float>(noise.normal(0.0, spec.noise_stddev));
+      });
   return Dataset(std::move(images), std::move(labels), spec.num_classes);
 }
 

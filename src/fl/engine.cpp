@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
 #include "tensor/ops.h"
 
@@ -71,31 +70,19 @@ FlEngine::FlEngine(const data::Dataset* train, const data::Dataset* test,
 void FlEngine::run_clients(
     const std::vector<std::size_t>& idx,
     const std::function<void(std::size_t, std::size_t)>& body) {
-  // num_threads == 1 opts out entirely (pure serial path, no scheduler
-  // interaction); the budget is read per call, so a reconfigured scheduler
-  // takes effect on the next fan-out.
-  Scheduler& sched = Scheduler::instance();
-  if (cfg_.num_threads == 1 || sched.thread_budget() <= 1 || idx.size() <= 1) {
-    for (std::size_t i : idx) body(0, i);
-    return;
-  }
-  // Lease extra worker slots from the process-wide budget for this phase.
-  // `--threads K` pins the request at K-1 extra; `--threads 0` asks for the
-  // trial's nominal share and steals whatever is idle beyond it. A zero
-  // grant (budget contended) runs the clients inline as chunk 0 — the
-  // trial's own slot always makes progress.
-  const bool auto_fanout = cfg_.num_threads == 0;
-  const std::size_t nominal =
-      (auto_fanout ? sched.auto_share() : cfg_.num_threads) - 1;
-  Scheduler::WorkerLease lease =
-      sched.acquire_workers(nominal, idx.size() - 1, auto_fanout);
+  // `--threads 0` offers the scheduler one chunk per client, `--threads K`
+  // at most K; the grant is bounded by the free budget, and a zero grant
+  // (num_threads 1, one client, or a contended budget) runs the clients
+  // inline as chunk 0 — the trial's own slot always makes progress.
+  const std::size_t n = idx.size();
+  const Scheduler::WorkerLease lease = Scheduler::instance().lease(
+      cfg_.num_threads == 0 ? n : std::min(n, cfg_.num_threads));
   // One replica per extra chunk (chunk 0 trains on model_), grown on the
   // calling thread before any fan-out so worker threads only ever index
   // the pool.
-  ensure_replicas(lease.granted());
-  parallel_for_shared_indexed(
-      sched.pool(), lease.granted(), 0, idx.size(),
-      [&](std::size_t chunk, std::size_t j) { body(chunk, idx[j]); });
+  ensure_replicas(lease.chunks() - 1);
+  lease.run(0, n,
+            [&](std::size_t chunk, std::size_t j) { body(chunk, idx[j]); });
 }
 
 void FlEngine::ensure_replicas(std::size_t count) {

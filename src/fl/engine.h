@@ -52,11 +52,10 @@ struct EngineConfig {
   // "topk1"); "none" reproduces the paper's constant payload s.
   std::string compressor = "none";
   // Per-client fan-out policy (the paper's cost model d_k(t) =
-  // l_t(τ^loc + τ^cm) assumes clients train concurrently). 1 runs the
-  // clients inline on the caller with no scheduler interaction; 0 draws the
-  // fan-out from the process-wide Scheduler's remaining thread budget each
-  // phase (nominal share budget/jobs, stealing idle slots); K > 1 requests
-  // at most K-1 extra workers per fan-out (still bounded by the budget).
+  // l_t(τ^loc + τ^cm) assumes clients train concurrently). Each phase takes
+  // a Scheduler::lease: 0 asks for one chunk per client, K > 1 for at most
+  // K chunks (K-1 workers, still bounded by the free budget), and 1 runs the
+  // clients inline on the caller with no scheduler interaction.
   // Any value produces bit-identical EpochOutcomes: per-client work is
   // independent (one scratch model per fan-out chunk, each evaluation loads
   // its own point; per-client compressor state) and the aggregation
@@ -166,11 +165,11 @@ class FlEngine {
   // Gathers client k's per-epoch minibatch into `out` (reused storage).
   void gather_client_batch(std::size_t client, nn::Batch* out);
 
-  // Runs body(slot, i) for every index in `idx` — fanned out across worker
-  // slots leased from the process-wide Scheduler when the config allows it,
-  // inline otherwise. `slot` identifies the chunk (0 = calling thread) and
-  // picks its scratch model (client_scratch); at most one live body per
-  // slot at a time.
+  // Runs body(slot, i) for every index in `idx` over the chunks of one
+  // Scheduler::lease sized by num_threads (inline when nothing is
+  // granted). `slot` identifies the chunk (0 = calling thread) and picks
+  // its scratch model (client_scratch); at most one live body per slot at
+  // a time.
   // Bodies must only touch per-index and per-slot state; the call blocks
   // until every index is done.
   void run_clients(

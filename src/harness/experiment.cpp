@@ -14,11 +14,18 @@
 #include "nn/serialize.h"
 #include "obs/digest.h"
 #include "obs/event_trace.h"
+#include "obs/json_writer.h"
 #include "obs/manifest.h"
 #include "obs/profile.h"
 
 namespace fedl::harness {
 namespace {
+
+// Assumption-constant estimates feeding the monitor's regret envelope (the
+// scale bench/abl_regret_fit uses for this scenario family).
+constexpr core::TheoremConstants kTheoremConstants{
+    /*g_f=*/10.0, /*g_h=*/5.0, /*radius=*/4.0,
+    /*xi=*/20.0, /*beta=*/0.2, /*delta=*/0.5};
 
 data::SyntheticSpec dataset_spec(const ScenarioConfig& cfg) {
   data::SyntheticSpec s =
@@ -375,7 +382,7 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
   auto* fedl_strategy = dynamic_cast<core::FedLStrategy*>(&strategy);
 
   std::optional<obs::InvariantMonitor> monitor;
-  if (cfg_.monitor) monitor.emplace(cfg_.monitor_config);
+  if (cfg_.monitor) monitor.emplace();
   obs::DigestChain digest;
 
   // Structured decision telemetry, buffered per run so the whole trial
@@ -466,7 +473,7 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
         if (fedl_strategy != nullptr) {
           sample.regret = result.regret.regret();
           sample.regret_bound = core::theorem2_regret_bound(
-              cfg_.theorem_constants, result.regret.v_phi(),
+              kTheoremConstants, result.regret.v_phi(),
               result.regret.v_h(), result.regret.v_h_step_max(),
               static_cast<double>(result.regret.epochs()));
         }
@@ -704,21 +711,6 @@ std::unique_ptr<core::SelectionStrategy> make_strategy(
   }
   if (name == "oracle")
     return std::make_unique<core::GreedyOracleStrategy>(base);
-  throw ConfigError("unknown strategy: " + name);
-}
-
-std::string strategy_display_name(const std::string& name) {
-  // Mirrors the name() overrides of the strategies make_strategy builds —
-  // kept here so callers that only label output (figure CSV headers) don't
-  // construct and discard a strategy to read its name.
-  if (name == "fedl") return "FedL";
-  if (name == "fedl-ind") return "FedL-Ind";
-  if (name == "fedl-fair") return "FedL-Fair";
-  if (name == "ucb") return "UCB";
-  if (name == "fedavg") return "FedAvg";
-  if (name == "fedcs") return "FedCS";
-  if (name == "powd") return "Pow-d";
-  if (name == "oracle") return "Oracle";
   throw ConfigError("unknown strategy: " + name);
 }
 

@@ -98,12 +98,6 @@ struct ScenarioConfig {
   // records are committed, so the artifact shows what tripped.
   bool monitor = false;
   bool strict_monitor = false;
-  obs::MonitorConfig monitor_config;
-  // Assumption-constant estimates feeding the regret envelope (the scale
-  // bench/abl_regret_fit uses for this scenario family).
-  core::TheoremConstants theorem_constants{/*g_f=*/10.0, /*g_h=*/5.0,
-                                          /*radius=*/4.0, /*xi=*/20.0,
-                                          /*beta=*/0.2, /*delta=*/0.5};
   // Determinism sentinel (obs/digest.h): chain an FNV-1a digest over each
   // epoch's trace record and the aggregated model parameters. Digests go to
   // RunResult::epoch_digests, to "digest" trace records (when tracing), and
@@ -163,10 +157,6 @@ class Experiment {
 // (independent-rounding ablation), "fedl-fair" (fairness extension).
 std::unique_ptr<core::SelectionStrategy> make_strategy(
     const std::string& name, const ScenarioConfig& cfg);
-
-// Display name (SelectionStrategy::name()) for a factory name, without
-// constructing the strategy. Throws ConfigError for unknown names.
-std::string strategy_display_name(const std::string& name);
 
 // The roster the paper compares (Figs. 2–7).
 std::vector<std::string> paper_roster();

@@ -38,12 +38,9 @@ std::size_t Conv2d::scratch_bytes() const {
   return bytes;
 }
 
-std::vector<BlockScratch>& Conv2d::chunk_scratch(std::size_t num_blocks) {
+std::vector<BlockScratch>& Conv2d::chunk_scratch(std::size_t chunks) {
   std::vector<BlockScratch>& sets =
       shared_scratch_ != nullptr ? *shared_scratch_ : own_scratch_;
-  // leased_parallel_for runs chunk c < min(num_blocks, thread budget).
-  const std::size_t chunks =
-      std::min(num_blocks, Scheduler::instance().thread_budget());
   if (sets.size() < chunks) sets.resize(chunks);
   for (BlockScratch& ws : sets) ws.parked = 0;
   return sets;
@@ -76,8 +73,9 @@ Tensor Conv2d::forward(Tensor input, bool train) {
   Tensor out(Shape{n, out_channels_, geom_.out_h(), geom_.out_w()});
   float* dst = out.data();
   const float* src = input.data();
-  std::vector<BlockScratch>& chunks = chunk_scratch(num_blocks);
-  leased_parallel_for(0, num_blocks, [&](std::size_t chunk, std::size_t b) {
+  const Scheduler::WorkerLease lease = Scheduler::instance().lease(num_blocks);
+  std::vector<BlockScratch>& chunks = chunk_scratch(lease.chunks());
+  lease.run(0, num_blocks, [&](std::size_t chunk, std::size_t b) {
     BlockScratch& ws = chunks[chunk];
     const std::size_t s0 = b * kBlockSamples;
     const std::size_t bn = std::min(kBlockSamples, n - s0);
@@ -116,8 +114,9 @@ void Conv2d::backward_blocks(const Tensor& grad_output, float* grad_input) {
     for (std::size_t i = 0; i < wsize; ++i) gw[i] += part[i];
   };
   const float* gsrc = grad_output.data();
-  std::vector<BlockScratch>& chunks = chunk_scratch(num_blocks);
-  leased_parallel_for(0, num_blocks, [&](std::size_t chunk, std::size_t b) {
+  const Scheduler::WorkerLease lease = Scheduler::instance().lease(num_blocks);
+  std::vector<BlockScratch>& chunks = chunk_scratch(lease.chunks());
+  lease.run(0, num_blocks, [&](std::size_t chunk, std::size_t b) {
     BlockScratch& ws = chunks[chunk];
     const std::size_t s0 = b * kBlockSamples;
     const std::size_t bn = std::min(kBlockSamples, n - s0);

@@ -16,10 +16,10 @@ namespace fedl::nn {
 // Every pass runs over fixed blocks of kBlockSamples samples. A block's
 // images are lowered into one [col_rows, blk*col_cols] column buffer and
 // meet the filter in one GEMM (bias fused into the write-back). Blocks fan
-// out over leased_parallel_for chunks, and each chunk uses one block-sized
-// BlockScratch set, so no workspace grows with the minibatch. Inside a
-// Model the sets are the model's, shared by all of its conv layers; a layer
-// outside a model keeps a set of its own.
+// out over the chunks of one Scheduler::lease per pass, and each chunk uses
+// one block-sized BlockScratch set, so no workspace grows with the
+// minibatch. Inside a Model the sets are the model's, shared by all of its
+// conv layers; a layer outside a model keeps a set of its own.
 //
 // Train mode caches the layer input (moved in, as Dense does); backward
 // lowers each block again from it. Backward per block: the block's dW
@@ -66,8 +66,9 @@ class Conv2d : public Layer {
   std::size_t out_w() const { return geom_.out_w(); }
 
  private:
-  // One scratch set per chunk the fan-out over `num_blocks` blocks may use.
-  std::vector<BlockScratch>& chunk_scratch(std::size_t num_blocks);
+  // At least `chunks` scratch sets, one per chunk of the block fan-out's
+  // lease.
+  std::vector<BlockScratch>& chunk_scratch(std::size_t chunks);
   // im2col of `samples` consecutive images into ws.cols.
   const float* lower_block(BlockScratch& ws, const float* images,
                            std::size_t samples) const;

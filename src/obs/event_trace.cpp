@@ -1,7 +1,5 @@
 #include "obs/event_trace.h"
 
-#include <sstream>
-
 #include "common/error.h"
 
 namespace fedl::obs {
@@ -10,19 +8,6 @@ EventTraceWriter::EventTraceWriter(const std::string& path, bool append)
     : path_(path),
       out_(path, append ? std::ios::app : std::ios::trunc) {
   if (!out_) throw ConfigError("cannot open event trace: " + path);
-}
-
-void EventTraceWriter::write_event(
-    const std::function<void(JsonWriter&)>& build) {
-  // Serialize into a buffer first so a line is written in one piece even
-  // with concurrent writers, and a throwing builder leaves no partial line.
-  std::ostringstream line;
-  JsonWriter w(line);
-  build(w);
-  std::lock_guard<std::mutex> lock(mutex_);
-  out_ << line.str() << '\n';
-  out_.flush();
-  if (!out_) throw ConfigError("short write on event trace: " + path_);
 }
 
 void EventTraceWriter::write_raw(const std::string& lines) {

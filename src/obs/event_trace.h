@@ -7,11 +7,8 @@
 #pragma once
 
 #include <fstream>
-#include <functional>
 #include <mutex>
 #include <string>
-
-#include "obs/json_writer.h"
 
 namespace fedl::obs {
 
@@ -21,10 +18,6 @@ class EventTraceWriter {
   explicit EventTraceWriter(const std::string& path, bool append = true);
 
   const std::string& path() const { return path_; }
-
-  // Builds one event with the supplied callback (which must write exactly
-  // one JSON value, normally an object) and commits it as a single line.
-  void write_event(const std::function<void(JsonWriter&)>& build);
 
   // Commits a pre-serialized block of newline-terminated JSONL lines as one
   // write. Used by deferred-trace producers (the experiment-grid scheduler

@@ -1,7 +1,8 @@
 // Blocking caller-participating fan-out on top of ThreadPool: the one
-// data-parallel loop behind every scheduler-leased fan-out (the GEMM macro
-// loop, conv2d's batch loops, the FL engine's per-client phases, the
-// dataset synthesis's per-sample pixel pass).
+// data-parallel loop behind Scheduler::WorkerLease::run, and so behind every
+// leased fan-out (the GEMM macro loop, conv2d's sample blocks, the FL
+// engine's per-client phases, the dataset synthesis's per-sample pixel
+// pass).
 #pragma once
 
 #include <algorithm>

@@ -93,47 +93,31 @@ void Scheduler::configure(std::size_t budget, std::size_t jobs) {
   obs::set_manifest_field("jobs", static_cast<std::uint64_t>(jobs));
 }
 
-std::size_t Scheduler::thread_budget() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return budget_;
-}
-
 std::size_t Scheduler::max_concurrent_trials() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return std::min(jobs_, budget_);
 }
 
-std::size_t Scheduler::auto_share() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t width = std::min(jobs_, budget_);
-  return std::max<std::size_t>(1, budget_ / std::max<std::size_t>(1, width));
-}
-
-bool Scheduler::in_trial() { return tl_in_trial; }
-
 Scheduler::WorkerLease::~WorkerLease() {
-  if (owner_ != nullptr && granted_ > 0) owner_->release_workers(granted_);
+  if (granted_ > 0) owner_->release_workers(granted_);
 }
 
-Scheduler::WorkerLease Scheduler::acquire_workers(std::size_t nominal,
-                                                  std::size_t max_useful,
-                                                  bool allow_steal) {
+Scheduler::WorkerLease Scheduler::lease(std::size_t max_chunks) {
+  if (max_chunks <= 1) return WorkerLease(this, 0);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (budget_ <= 1 || max_useful == 0) return WorkerLease(this, 0);
   // Every live runner thread reserves its slot (runners_), whether or not
   // its current trial has begun — otherwise an early trial could steal
   // slots that sibling runners are about to occupy. A free-standing caller
-  // (bench main thread, tests) is charged one slot for its own thread.
+  // (bench main thread, tests, pool workers) is charged one slot for its
+  // own thread.
   const std::size_t occupied = runners_ + leased_ + (tl_in_trial ? 0 : 1);
   if (occupied >= budget_) return WorkerLease(this, 0);
-  const std::size_t free = budget_ - occupied;
-  const std::size_t want = allow_steal ? max_useful
-                                       : std::min(nominal, max_useful);
-  const std::size_t granted = std::min(want, free);
-  if (granted == 0) return WorkerLease(this, 0);
+  const std::size_t granted = std::min(max_chunks - 1, budget_ - occupied);
   leased_ += granted;
-  if (granted > nominal) {
-    const std::size_t stolen = granted - nominal;
+  const std::size_t share =
+      std::max<std::size_t>(1, budget_ / std::min(jobs_, budget_)) - 1;
+  if (granted > share) {
+    const std::size_t stolen = granted - share;
     stolen_now_ += stolen;
     stolen_slots_ += stolen;
     ++steal_count_;
@@ -152,13 +136,7 @@ void Scheduler::release_workers(std::size_t granted) {
   update_gauges_locked();
 }
 
-ThreadPool& Scheduler::pool() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  FEDL_CHECK(pool_ != nullptr) << "scheduler pool unavailable at budget 1";
-  return *pool_;
-}
-
-void Scheduler::begin_trial() {
+void Scheduler::start_trial() {
   std::lock_guard<std::mutex> lock(mutex_);
   ++active_trials_;
   peak_inflight_ = std::max(peak_inflight_, active_trials_ + leased_);
@@ -197,7 +175,7 @@ void Scheduler::run_trials(std::size_t n,
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
-      begin_trial();
+      start_trial();
       try {
         fn(i);
       } catch (...) {

@@ -1,19 +1,20 @@
 // Process-wide two-level scheduler: concurrent experiment trials on top,
-// per-trial client fan-out below, both drawing from one hardware-thread
-// budget (DESIGN.md "Two-level parallelism").
+// leased fan-outs below, both drawing from one hardware-thread budget
+// (DESIGN.md "Two-level parallelism").
 //
 // Level 1 (trials): run_trials(n, fn) executes n independent trials —
 // (algorithm, setting, seed, budget) cells of an experiment grid — with at
 // most `jobs` running concurrently, each on a dedicated runner thread that
 // occupies one budget slot while its trial runs.
 //
-// Level 2 (intra-trial fan-out): instead of constructing a private
-// ThreadPool, FlEngine::run_clients asks the scheduler for extra worker
-// slots (acquire_workers). Grants are try-acquire against the remaining
-// budget, so `--jobs J --threads K` composes predictably: J runners plus
-// Σ granted leases never exceed the budget. A trial whose nominal share is
-// idle-capacity-bounded may *steal* unused slots (auto fan-out mode), so a
-// lone straggler trial ramps up to the whole machine.
+// Level 2 (fan-outs): every parallel loop — FlEngine::run_clients, the GEMM
+// strip loop, Conv2d's sample blocks, the dataset synthesis — takes its
+// workers through lease(max_chunks).run(begin, end, body). Grants are
+// try-acquire against the remaining budget, so `--jobs J --threads K`
+// composes predictably: J runners plus Σ granted leases never exceed the
+// budget. A lease may take idle slots beyond the trial's share
+// (budget/jobs), so a lone straggler trial ramps up to the whole machine;
+// such slots are counted as steals.
 //
 // Determinism: grants only change how a fan-out is chunked across worker
 // threads, never the values computed — every per-client task touches only
@@ -39,8 +40,8 @@ struct SchedulerStats {
   std::size_t leased_slots = 0;   // worker slots currently handed out
   std::size_t peak_inflight = 0;  // max(active_trials + leased_slots) seen
   std::uint64_t trials_run = 0;   // trials completed since reset_stats()
-  std::uint64_t steal_count = 0;  // leases that granted beyond the nominal
-  std::uint64_t stolen_slots = 0; // slots granted beyond nominal, cumulative
+  std::uint64_t steal_count = 0;  // leases that granted beyond the share
+  std::uint64_t stolen_slots = 0; // slots granted beyond share, cumulative
 
   std::size_t inflight() const { return active_trials + leased_slots; }
 };
@@ -61,58 +62,55 @@ class Scheduler {
   // running, no leases outstanding) — checked.
   void configure(std::size_t budget, std::size_t jobs);
 
-  std::size_t thread_budget() const;
   // Trials that may run concurrently: min(jobs, budget).
   std::size_t max_concurrent_trials() const;
-  // A trial's nominal whole-thread share (its runner included) when the
-  // fan-out is not pinned: max(1, budget / max_concurrent_trials()).
-  std::size_t auto_share() const;
 
-  // True on a thread currently executing a trial body for run_trials.
-  static bool in_trial();
-
-  // RAII grant of extra worker slots; slots return to the budget on
-  // destruction. granted() may be 0 (run inline).
+  // RAII grant of worker slots for one fan-out; the slots return to the
+  // budget on destruction.
   class WorkerLease {
    public:
-    WorkerLease() = default;
-    WorkerLease(WorkerLease&& other) noexcept { swap(other); }
-    WorkerLease& operator=(WorkerLease&& other) noexcept {
-      swap(other);
-      return *this;
-    }
     WorkerLease(const WorkerLease&) = delete;
     WorkerLease& operator=(const WorkerLease&) = delete;
     ~WorkerLease();
 
-    std::size_t granted() const { return granted_; }
+    // Chunks run() splits a range into: the grant plus the caller's own.
+    // Callers size one scratch slot per chunk from it before run().
+    std::size_t chunks() const { return granted_ + 1; }
+
+    // Runs body(chunk, i) for every i in [begin, end), each exactly once.
+    // As in parallel_for_shared_indexed, chunk c runs one contiguous index
+    // range in increasing order, chunk 0 on the calling thread, ranges
+    // ordered by c, and c < chunks(); with no grant a plain loop runs every
+    // index as chunk 0. Values never depend on the grant (bodies touch
+    // disjoint per-index state, and per-chunk scratch only, by contract).
+    template <typename Body>
+    void run(std::size_t begin, std::size_t end, const Body& body) const {
+      if (granted_ == 0) {
+        for (std::size_t i = begin; i < end; ++i) body(std::size_t{0}, i);
+        return;
+      }
+      // configure() refuses to replace the pool while slots are leased.
+      parallel_for_shared_indexed(*owner_->pool_, granted_, begin, end,
+                                  body);
+    }
 
    private:
     friend class Scheduler;
     WorkerLease(Scheduler* owner, std::size_t granted)
         : owner_(owner), granted_(granted) {}
-    void swap(WorkerLease& other) {
-      std::swap(owner_, other.owner_);
-      std::swap(granted_, other.granted_);
-    }
 
     Scheduler* owner_ = nullptr;
     std::size_t granted_ = 0;
   };
 
-  // Try-acquire up to `max_useful` extra worker slots for the calling
-  // thread's fan-out (the caller's own slot is accounted separately: every
-  // live run_trials runner reserves one slot for its whole lifetime, a
-  // non-trial caller is charged one slot implicitly). `nominal` is the fan-out's configured share of extra
-  // workers; slots beyond it are only granted when `allow_steal` and idle
-  // capacity exists, and are counted as stolen in the stats/gauges. Never
-  // blocks; granted() == 0 means "run inline".
-  WorkerLease acquire_workers(std::size_t nominal, std::size_t max_useful,
-                              bool allow_steal);
-
-  // Shared worker pool (budget - 1 workers) that executes leased fan-out
-  // chunks. Only valid when thread_budget() > 1.
-  ThreadPool& pool();
+  // Try-acquires up to max_chunks - 1 worker slots for the calling thread's
+  // fan-out over at most `max_chunks` chunks. The caller's own slot is
+  // accounted separately: every live run_trials runner reserves one slot
+  // for its whole lifetime, a non-trial caller is charged one slot
+  // implicitly. Slots granted beyond the trial's share (budget/jobs - 1)
+  // are counted as stolen in the stats and gauges. Never blocks, and takes
+  // no lock when max_chunks <= 1; a zero grant runs the fan-out inline.
+  WorkerLease lease(std::size_t max_chunks);
 
   // Runs fn(0), …, fn(n-1) — each exactly once — with at most
   // max_concurrent_trials() executing concurrently, on dedicated runner
@@ -129,7 +127,7 @@ class Scheduler {
  private:
   Scheduler();
 
-  void begin_trial();
+  void start_trial();
   void end_trial();
   void release_workers(std::size_t granted);
   void update_gauges_locked();
@@ -141,42 +139,12 @@ class Scheduler {
   std::size_t active_trials_ = 0;
   std::size_t leased_ = 0;
   std::size_t peak_inflight_ = 0;
-  std::size_t stolen_now_ = 0;     // currently-leased slots beyond nominal
+  std::size_t stolen_now_ = 0;     // currently-leased slots beyond share
   std::uint64_t trials_run_ = 0;
   std::uint64_t steal_count_ = 0;
   std::uint64_t stolen_slots_ = 0;
-  std::unique_ptr<ThreadPool> pool_;  // budget-1 workers; null when budget<=1
+  // Runs leased fan-out chunks: budget-1 workers, null when budget <= 1.
+  std::unique_ptr<ThreadPool> pool_;
 };
-
-// Budget-respecting fan-out in one call: try-acquire up to end-begin-1
-// extra workers from the scheduler (auto-share nominal, stealing enabled),
-// run body(chunk, i) over [begin, end) caller-participating, release the
-// lease. Runs inline as chunk 0 when the range is trivial or the budget is
-// saturated — so a compute layer can fan out unconditionally and still
-// compose with trial runners and per-client leases without ever
-// oversubscribing. Callers: conv2d's sample-block loops and the dataset
-// synthesis's per-sample pixel pass (data/synthetic.cpp). As in
-// parallel_for_shared_indexed, chunk c runs one contiguous index range in
-// increasing order, chunk 0 on the calling thread, ranges ordered by c, and
-// c < min(end - begin, thread_budget()), so callers can size one scratch
-// slot per chunk up front. Values never depend on the grant (bodies touch
-// disjoint per-index state, and per-chunk scratch only, by contract).
-template <typename Body>
-void leased_parallel_for(std::size_t begin, std::size_t end,
-                         const Body& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  Scheduler& sched = Scheduler::instance();
-  if (n > 1 && sched.thread_budget() > 1) {
-    Scheduler::WorkerLease lease = sched.acquire_workers(
-        sched.auto_share() - 1, n - 1, /*allow_steal=*/true);
-    if (lease.granted() > 0) {
-      parallel_for_shared_indexed(sched.pool(), lease.granted(), begin, end,
-                                  body);
-      return;
-    }
-  }
-  for (std::size_t i = begin; i < end; ++i) body(std::size_t{0}, i);
-}
 
 }  // namespace fedl

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
 #include "tensor/simd_dispatch.h"
 
@@ -329,29 +328,23 @@ void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   // C is bit-identical at any grant — workers only change which strip runs
   // where, and strips write disjoint C rows.
   const std::size_t n_strips = (m + kMr - 1) / kMr;
-  Scheduler::WorkerLease lease;
-  std::size_t extra = 0;
-  if (n_strips > 1 && 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                              static_cast<double>(k) >=
-                          kThreadMinFlops) {
-    Scheduler& sched = Scheduler::instance();
-    if (sched.thread_budget() > 1) {
-      lease = sched.acquire_workers(sched.auto_share() - 1, n_strips - 1,
-                                    /*allow_steal=*/true);
-      extra = lease.granted();
-      if (extra > 0) note_gemm_threads(extra);
-    }
-  }
+  const bool threaded = 2.0 * static_cast<double>(m) *
+                            static_cast<double>(n) * static_cast<double>(k) >=
+                        kThreadMinFlops;
+  const Scheduler::WorkerLease lease =
+      Scheduler::instance().lease(threaded ? n_strips : 1);
+  const std::size_t chunks = lease.chunks();
+  if (chunks > 1) note_gemm_threads(chunks - 1);
 
   // Packing scratch: one shared B panel (packed by the calling thread before
-  // each strip fan-out) plus a per-chunk A micro-panel and C tile so
-  // concurrent strips never share mutable scratch.
+  // each strip fan-out) plus an A micro-panel and a C tile per lease chunk,
+  // so concurrent strips never share mutable scratch.
   const std::size_t nb_cap =
       std::min(kBlockN, (n + nr_tile - 1) / nr_tile * nr_tile);
   const std::size_t kb_cap = std::min(kBlockK, k);
   std::vector<float> bpack(kb_cap * nb_cap);
-  std::vector<float> apack((extra + 1) * kMr * kb_cap);
-  std::vector<float> tiles((extra + 1) * kMr * kNrMax);
+  std::vector<float> apack(chunks * kMr * kb_cap);
+  std::vector<float> tiles(chunks * kMr * kNrMax);
 
   for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
     const std::size_t nb = std::min(kBlockN, n - j0);
@@ -377,12 +370,7 @@ void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                      alpha, beta_eff, panel_bias, bias, i0, j0 + jb);
         }
       };
-      if (extra > 0) {
-        parallel_for_shared_indexed(Scheduler::instance().pool(), extra, 0,
-                                    n_strips, run_strip);
-      } else {
-        for (std::size_t s = 0; s < n_strips; ++s) run_strip(0, s);
-      }
+      lease.run(0, n_strips, run_strip);
     }
   }
 }

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "harness/experiment.h"
 #include "parallel/scheduler.h"
 #include "tensor/gemm.h"
@@ -28,16 +27,29 @@ namespace {
 TEST(Scheduler, ConfigureDefaultsAndShares) {
   Scheduler& s = Scheduler::instance();
   s.configure(8, 2);
-  EXPECT_EQ(s.thread_budget(), 8u);
+  EXPECT_EQ(s.stats().thread_budget, 8u);
   EXPECT_EQ(s.max_concurrent_trials(), 2u);
-  EXPECT_EQ(s.auto_share(), 4u);  // 8 slots / 2 trials
+  s.reset_stats();
+  {
+    // A trial's share is 8 slots / 2 trials = 4 (3 workers): of the 7
+    // workers this non-trial caller gets, 4 are stolen.
+    const auto lease = s.lease(8);
+    EXPECT_EQ(lease.chunks(), 8u);
+    EXPECT_EQ(s.stats().stolen_slots, 4u);
+  }
 
   s.configure(3, 16);  // jobs clamp to the budget
   EXPECT_EQ(s.max_concurrent_trials(), 3u);
-  EXPECT_EQ(s.auto_share(), 1u);
+  s.reset_stats();
+  {
+    // Share 3 / 3 = 1 slot, the caller's own: every worker is stolen.
+    const auto lease = s.lease(3);
+    EXPECT_EQ(lease.chunks(), 3u);
+    EXPECT_EQ(s.stats().stolen_slots, 2u);
+  }
 
   s.configure(0, 1);  // 0 = hardware concurrency, at least one slot
-  EXPECT_GE(s.thread_budget(), 1u);
+  EXPECT_GE(s.stats().thread_budget, 1u);
 }
 
 TEST(Scheduler, LeaseAccountingAndStealing) {
@@ -46,26 +58,26 @@ TEST(Scheduler, LeaseAccountingAndStealing) {
   s.reset_stats();
 
   {
-    // Pinned fan-out (allow_steal = false): grant caps at the nominal
-    // share. The non-trial caller is charged 1 slot, so 7 remain.
-    auto pinned = s.acquire_workers(2, 7, false);
-    EXPECT_EQ(pinned.granted(), 2u);
+    // A pinned fan-out (`--threads 3`) asks for at most 3 chunks. The
+    // non-trial caller is charged 1 slot, so 7 remain.
+    const auto pinned = s.lease(3);
+    EXPECT_EQ(pinned.chunks(), 3u);
     EXPECT_EQ(s.stats().leased_slots, 2u);
 
-    // Auto fan-out: may steal the idle remainder beyond its nominal share.
-    auto greedy = s.acquire_workers(2, 7, true);
-    EXPECT_EQ(greedy.granted(), 5u);  // 8 - 1 (caller) - 2 (pinned)
+    // An auto fan-out takes the idle remainder beyond its share.
+    const auto greedy = s.lease(8);
+    EXPECT_EQ(greedy.chunks(), 6u);  // 8 - 1 (caller) - 2 (pinned) workers
     EXPECT_EQ(s.stats().leased_slots, 7u);
     EXPECT_EQ(s.stats().steal_count, 1u);
-    EXPECT_EQ(s.stats().stolen_slots, 3u);  // 5 granted - 2 nominal
+    EXPECT_EQ(s.stats().stolen_slots, 2u);  // 5 granted - 3 in the share
 
     // Budget exhausted: further requests run inline.
-    auto empty = s.acquire_workers(4, 4, true);
-    EXPECT_EQ(empty.granted(), 0u);
+    const auto empty = s.lease(5);
+    EXPECT_EQ(empty.chunks(), 1u);
   }
   // Leases are RAII: everything returned.
   EXPECT_EQ(s.stats().leased_slots, 0u);
-  EXPECT_LE(s.stats().peak_inflight, s.thread_budget());
+  EXPECT_LE(s.stats().peak_inflight, s.stats().thread_budget);
 }
 
 TEST(Scheduler, NestedLeasesComposeWithThreadedGemm) {
@@ -83,20 +95,15 @@ TEST(Scheduler, NestedLeasesComposeWithThreadedGemm) {
   std::vector<float> a(m * k, 0.5f), b(k * n, 0.25f);
 
   s.run_trials(4, [&](std::size_t) {
-    auto lease = s.acquire_workers(s.auto_share() - 1, 3, true);
-    const std::size_t width = lease.granted() + 1;
-    std::vector<std::vector<float>> cs(width, std::vector<float>(m * n));
-    const auto body = [&](std::size_t chunk, std::size_t) {
+    const auto lease = s.lease(4);
+    std::vector<std::vector<float>> cs(lease.chunks(),
+                                       std::vector<float>(m * n));
+    lease.run(0, 2 * lease.chunks(), [&](std::size_t chunk, std::size_t) {
       gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
            cs[chunk].data());
       const SchedulerStats st = s.stats();
       EXPECT_LE(st.inflight(), st.thread_budget);
-    };
-    if (lease.granted() > 0)
-      parallel_for_shared_indexed(s.pool(), lease.granted(), 0, 2 * width,
-                                  body);
-    else
-      for (std::size_t i = 0; i < 2; ++i) body(0, i);
+    });
   });
 
   const SchedulerStats st = s.stats();
@@ -116,7 +123,7 @@ TEST(Scheduler, BudgetNeverExceededWhenTrialsOutnumberSlots) {
   std::atomic<std::size_t> peak_seen{0};
   std::vector<std::size_t> runs(trials, 0);
   s.run_trials(trials, [&](std::size_t i) {
-    auto lease = s.acquire_workers(0, 8, true);
+    const auto lease = s.lease(9);
     const SchedulerStats st = s.stats();
     EXPECT_LE(st.inflight(), st.thread_budget);
     std::size_t prev = peak_seen.load();
@@ -153,18 +160,6 @@ TEST(Scheduler, RethrowsLowestIndexTrialError) {
   // A throwing trial must not stop the rest of the grid.
   EXPECT_EQ(completed.load(), 6u);
   EXPECT_EQ(s.stats().active_trials, 0u);
-}
-
-TEST(Scheduler, DisplayNamesCoverTheFactory) {
-  harness::ScenarioConfig cfg;
-  for (const char* name :
-       {"fedl", "fedl-ind", "fedl-fair", "ucb", "fedavg", "fedcs", "powd",
-        "oracle"}) {
-    EXPECT_EQ(harness::strategy_display_name(name),
-              harness::make_strategy(name, cfg)->name())
-        << name;
-  }
-  EXPECT_THROW(harness::strategy_display_name("nope"), ConfigError);
 }
 
 // -- Experiment-grid determinism ---------------------------------------
