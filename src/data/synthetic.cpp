@@ -102,7 +102,9 @@ Dataset generate(const SyntheticSpec& spec, const PrototypeBank& bank,
     labels[i] = y;
   }
 
-  Tensor images(Shape{count, spec.channels, spec.image_h, spec.image_w});
+  // Every pixel is written below, so the chunks first-touch the pages.
+  Tensor images = Tensor::uninitialized(
+      Shape{count, spec.channels, spec.image_h, spec.image_w});
   float* dst = images.data();
   Scheduler::instance().lease(count).run(
       0, count, [&](std::size_t, std::size_t i) {

@@ -8,8 +8,10 @@
 // occupies one budget slot while its trial runs.
 //
 // Level 2 (fan-outs): every parallel loop — FlEngine::run_clients, the GEMM
-// strip loop, Conv2d's sample blocks, the dataset synthesis — takes its
-// workers through lease(max_chunks).run(begin, end, body). Grants are
+// strip loop, Conv2d's sample blocks, the dataset synthesis, the He weight
+// fill — takes its workers through lease(max_chunks).run(begin, end, body),
+// whose chunk 0 runs on the caller below a stack gap, so a body may
+// capture the caller's locals by reference. Grants are
 // try-acquire against the remaining budget, so `--jobs J --threads K`
 // composes predictably: J runners plus Σ granted leases never exceed the
 // budget. A lease may take idle slots beyond the trial's share
@@ -77,20 +79,19 @@ class Scheduler {
     // Callers size one scratch slot per chunk from it before run().
     std::size_t chunks() const { return granted_ + 1; }
 
-    // Runs body(chunk, i) for every i in [begin, end), each exactly once.
-    // As in parallel_for_shared_indexed, chunk c runs one contiguous index
-    // range in increasing order, chunk 0 on the calling thread, ranges
-    // ordered by c, and c < chunks(); with no grant a plain loop runs every
-    // index as chunk 0. Values never depend on the grant (bodies touch
-    // disjoint per-index state, and per-chunk scratch only, by contract).
+    // Runs body(chunk, i) for every i in [begin, end), each exactly once,
+    // through parallel_for_shared_indexed: chunk c runs one contiguous
+    // index range in increasing order, chunk 0 on the calling thread below
+    // the fan-out's stack gap (so bodies may capture the caller's locals by
+    // reference), ranges ordered by c, and c < chunks(); with no grant one
+    // chunk runs every index inline. Values never depend on the grant
+    // (bodies touch disjoint per-index state, and per-chunk scratch only,
+    // by contract).
     template <typename Body>
     void run(std::size_t begin, std::size_t end, const Body& body) const {
-      if (granted_ == 0) {
-        for (std::size_t i = begin; i < end; ++i) body(std::size_t{0}, i);
-        return;
-      }
-      // configure() refuses to replace the pool while slots are leased.
-      parallel_for_shared_indexed(*owner_->pool_, granted_, begin, end,
+      // configure() refuses to replace the pool while slots are leased; a
+      // zero grant never touches it (there is none at budget 1).
+      parallel_for_shared_indexed(owner_->pool_.get(), granted_, begin, end,
                                   body);
     }
 

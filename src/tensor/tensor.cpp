@@ -1,9 +1,12 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "common/rng.h"
+#include "obs/profile.h"
+#include "parallel/scheduler.h"
 
 namespace fedl {
 
@@ -42,11 +45,39 @@ std::string Shape::str() const {
 Tensor::Tensor(Shape shape, float fill)
     : shape_(shape), data_(shape.numel(), fill) {}
 
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = shape;
+  t.data_.resize(shape.numel());
+  return t;
+}
+
+// Byte-identical to one serial rng.normal(0, stddev) loop: a serial pass
+// keeps a copy of the stream at each slice start and skips the slice's
+// normals (Rng::skip_normals, which leaves the stream, cached normal
+// included, where the slice's draws would), and the fan-out fills each
+// slice from its copy.
 Tensor Tensor::he_normal(Shape shape, std::size_t fan_in, Rng& rng) {
   FEDL_CHECK_GT(fan_in, 0u);
-  Tensor t(shape);
+  FEDL_PROFILE_SCOPE("nn.init");
+  Tensor t = uninitialized(shape);
   const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  for (auto& v : t.data_) v = static_cast<float>(rng.normal(0.0, stddev));
+  const std::size_t n = t.numel();
+  const std::size_t slices = (n + kHeNormalSlice - 1) / kHeNormalSlice;
+  std::vector<Rng> starts;
+  starts.reserve(slices);
+  for (std::size_t s = 0; s < slices; ++s) {
+    starts.push_back(rng);
+    rng.skip_normals(std::min(kHeNormalSlice, n - s * kHeNormalSlice));
+  }
+  float* dst = t.data();
+  Scheduler::instance().lease(slices).run(
+      0, slices, [&](std::size_t, std::size_t s) {
+        Rng draws = starts[s];
+        const std::size_t hi = std::min(n, (s + 1) * kHeNormalSlice);
+        for (std::size_t i = s * kHeNormalSlice; i < hi; ++i)
+          dst[i] = static_cast<float>(draws.normal(0.0, stddev));
+      });
   return t;
 }
 

@@ -1,7 +1,7 @@
 // Dense row-major float tensor, rank 1–4, NCHW convention for images.
 //
 // This is the numeric substrate for the NN library. It is deliberately a
-// value type with owned contiguous storage (std::vector<float>): model
+// value type with owned contiguous storage (a float std::vector): model
 // parameters and activations are copied/moved explicitly, matching the FL
 // setting where the global model is literally copied to each client every
 // iteration.
@@ -10,7 +10,10 @@
 #include <array>
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
+#include <new>  // fedl-lint: allow(naked-new) placement new allocates nothing
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -18,6 +21,26 @@
 namespace fedl {
 
 class Rng;
+
+// std::allocator whose value-less construct() default-initialises, so a
+// float vector sized without a value is left unwritten. Construction from
+// a value (copies, sized fills) falls back to std::construct_at through
+// std::allocator_traits, as for std::allocator.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
 
 // Shape of up to 4 dimensions; unused trailing dims are 1.
 class Shape {
@@ -50,7 +73,15 @@ class Tensor {
 
   static Tensor zeros(Shape shape) { return Tensor(shape, 0.0f); }
   static Tensor full(Shape shape, float v) { return Tensor(shape, v); }
-  // He/Kaiming-style normal init with stddev sqrt(2/fan_in).
+  // Storage of `shape` that nothing has written: the caller must write
+  // every element before any is read. Lets a fan-out's chunks first-touch
+  // the pages they fill instead of the calling thread zero-filling them.
+  static Tensor uninitialized(Shape shape);
+  // He/Kaiming-style normal init with stddev sqrt(2/fan_in): element i is
+  // the i-th rng.normal(0, stddev) draw, and rng ends where that serial loop
+  // leaves it. Slices of kHeNormalSlice elements fill in parallel, each
+  // from a copy of the stream where its draws start.
+  static constexpr std::size_t kHeNormalSlice = 4096;
   static Tensor he_normal(Shape shape, std::size_t fan_in, Rng& rng);
   static Tensor uniform(Shape shape, float lo, float hi, Rng& rng);
 
@@ -94,7 +125,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 }  // namespace fedl

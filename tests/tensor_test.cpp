@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "parallel/scheduler.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_workspace.h"
 #include "tensor/im2col.h"
@@ -71,6 +73,44 @@ TEST(Tensor, HeNormalStddev) {
     sq += static_cast<double>(t[i]) * t[i];
   const double stddev = std::sqrt(sq / t.numel());
   EXPECT_NEAR(stddev, std::sqrt(2.0 / 200.0), 0.005);
+}
+
+TEST(Tensor, HeNormalMatchesSerialDraws) {
+  // The sliced parallel fill must equal one serial rng.normal(0, stddev)
+  // loop byte for byte at every budget, from a fresh stream and from one
+  // holding a cached normal, and leave the stream where that loop does.
+  constexpr std::size_t kSlice = Tensor::kHeNormalSlice;
+  const std::size_t fan_in = 25;
+  const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
+  Scheduler& sched = Scheduler::instance();
+  for (const std::size_t budget : {1, 4}) {
+    sched.configure(budget, 1);
+    for (const std::size_t numel : {std::size_t{1}, kSlice - 1, kSlice,
+                                    kSlice + 1, 2 * kSlice + 1,
+                                    std::size_t{490 * 154}})
+      for (const bool cached : {false, true}) {
+        const std::string what = "budget=" + std::to_string(budget) +
+                                 " numel=" + std::to_string(numel) +
+                                 " cached=" + std::to_string(cached);
+        Rng got_rng(11);
+        Rng want_rng(11);
+        if (cached) {
+          got_rng.normal();
+          want_rng.normal();
+        }
+        const Tensor got = Tensor::he_normal(Shape{numel}, fan_in, got_rng);
+        std::vector<float> want(numel);
+        for (float& v : want)
+          v = static_cast<float>(want_rng.normal(0.0, stddev));
+        ASSERT_EQ(got.numel(), numel) << what;
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), numel * sizeof(float)),
+                  0)
+            << what;
+        EXPECT_EQ(got_rng.normal(), want_rng.normal()) << what;
+        EXPECT_EQ(got_rng(), want_rng()) << what;
+      }
+  }
+  sched.configure(0, 1);
 }
 
 TEST(Tensor, Norms) {
