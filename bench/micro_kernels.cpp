@@ -233,6 +233,7 @@ void BM_FedLDecide(benchmark::State& state) {
     out.num_iterations = dec.num_iterations;
     out.client_eta.assign(dec.selected.size(), 0.5);
     out.client_loss_reduction.assign(dec.selected.size(), 0.1);
+    out.client_completed_iters.assign(dec.selected.size(), dec.num_iterations);
     out.train_loss_all = 1.0;
     strat.observe(ctx, dec, out);
     benchmark::DoNotOptimize(dec.selected.data());

@@ -15,35 +15,10 @@ inline double clamp(double v, double lo, double hi) {
 // fit definitions and the dual update (9).
 inline double positive_part(double x) { return x > 0.0 ? x : 0.0; }
 
-inline double sigmoid(double x) {
-  if (x >= 0.0) {
-    const double e = std::exp(-x);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
-
-// Numerically stable log(sum(exp(v))).
-inline double log_sum_exp(const std::vector<double>& v) {
-  double m = v.front();
-  for (double x : v) m = std::max(m, x);
-  double s = 0.0;
-  for (double x : v) s += std::exp(x - m);
-  return m + std::log(s);
-}
-
 // Decibel <-> linear power conversions for the wireless model.
 inline double db_to_linear(double db) { return std::pow(10.0, db / 10.0); }
 inline double dbm_to_watts(double dbm) {
   return std::pow(10.0, (dbm - 30.0) / 10.0);
-}
-
-// Euclidean norm of a vector.
-inline double l2_norm(const std::vector<double>& v) {
-  double s = 0.0;
-  for (double x : v) s += x * x;
-  return std::sqrt(s);
 }
 
 // ||[v]+|| — the norm of the positive part, the paper's fit aggregation.

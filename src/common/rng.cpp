@@ -128,11 +128,6 @@ std::int64_t Rng::poisson(double lambda) {
   return draw < 0.0 ? 0 : static_cast<std::int64_t>(draw + 0.5);
 }
 
-double Rng::exponential(double lambda) {
-  FEDL_CHECK_GT(lambda, 0.0);
-  return -std::log(1.0 - uniform()) / lambda;
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   FEDL_CHECK_LE(k, n);
@@ -147,58 +142,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   }
   idx.resize(k);
   return idx;
-}
-
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  FEDL_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) total += (w > 0.0 ? w : 0.0);
-  FEDL_CHECK_GT(total, 0.0) << "all categorical weights are non-positive";
-  double u = uniform() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += (weights[i] > 0.0 ? weights[i] : 0.0);
-    if (u < acc) return i;
-  }
-  return weights.size() - 1;  // numeric fallthrough
-}
-
-double Rng::gamma(double shape) {
-  FEDL_CHECK_GT(shape, 0.0);
-  if (shape < 1.0) {
-    // Boost to shape+1 then scale back (Marsaglia–Tsang augmentation).
-    double u = uniform();
-    return gamma(shape + 1.0) * std::pow(u, 1.0 / shape);
-  }
-  const double d = shape - 1.0 / 3.0;
-  const double c = 1.0 / std::sqrt(9.0 * d);
-  for (;;) {
-    double x = normal();
-    double v = 1.0 + c * x;
-    if (v <= 0.0) continue;
-    v = v * v * v;
-    double u = uniform();
-    if (u < 1.0 - 0.0331 * x * x * x * x) return d * v;
-    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v)))
-      return d * v;
-  }
-}
-
-std::vector<double> Rng::dirichlet(double alpha, std::size_t k) {
-  FEDL_CHECK_GT(k, 0u);
-  std::vector<double> draws(k);
-  double total = 0.0;
-  for (auto& d : draws) {
-    d = gamma(alpha);
-    total += d;
-  }
-  if (total <= 0.0) {
-    // Degenerate draws (possible for tiny alpha): fall back to uniform.
-    for (auto& d : draws) d = 1.0 / static_cast<double>(k);
-    return draws;
-  }
-  for (auto& d : draws) d /= total;
-  return draws;
 }
 
 }  // namespace fedl

@@ -52,8 +52,6 @@ class Rng {
   bool bernoulli(double p);
   // Poisson with rate lambda (Knuth for small lambda, normal approx above 64).
   std::int64_t poisson(double lambda);
-  // Exponential with rate lambda.
-  double exponential(double lambda);
 
   // --- sampling utilities ----------------------------------------------------
   // In-place Fisher–Yates shuffle.
@@ -68,17 +66,6 @@ class Rng {
   // Sample k distinct indices from [0, n) without replacement.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
-
-  // Draw an index from a discrete distribution proportional to weights
-  // (weights need not be normalized; negatives are clamped to zero).
-  std::size_t categorical(const std::vector<double>& weights);
-
-  // Dirichlet(alpha, ..., alpha) over k categories, via Gamma(alpha, 1)
-  // draws (Marsaglia–Tsang).
-  std::vector<double> dirichlet(double alpha, std::size_t k);
-
-  // Gamma(shape, scale=1) draw.
-  double gamma(double shape);
 
  private:
   std::uint64_t s_[4];

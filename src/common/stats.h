@@ -11,7 +11,6 @@ namespace fedl {
 class RunningStat {
  public:
   void add(double x);
-  void merge(const RunningStat& other);
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
@@ -28,21 +27,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Exponential moving average, used for smoothing noisy accuracy curves the
-// same way the paper smooths its non-IID plots.
-class Ema {
- public:
-  explicit Ema(double alpha);
-  double add(double x);
-  double value() const { return value_; }
-  bool initialized() const { return initialized_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
 };
 
 // Percentile of a copy of the data (nearest-rank on the sorted values).

@@ -43,15 +43,4 @@ ParamVec dequantize(const QuantizedVec& q) {
   return out;
 }
 
-double quantization_mse(const ParamVec& x, const QuantizedVec& q) {
-  FEDL_CHECK_EQ(x.size(), q.size());
-  const ParamVec rec = dequantize(q);
-  double mse = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double d = static_cast<double>(x[i]) - rec[i];
-    mse += d * d;
-  }
-  return x.empty() ? 0.0 : mse / static_cast<double>(x.size());
-}
-
 }  // namespace fedl::compress

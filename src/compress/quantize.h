@@ -30,7 +30,4 @@ QuantizedVec quantize(const ParamVec& x, std::uint8_t bits, Rng& rng);
 // Reconstructs the (unbiased) estimate of the original vector.
 ParamVec dequantize(const QuantizedVec& q);
 
-// Mean squared reconstruction error (diagnostics / tests).
-double quantization_mse(const ParamVec& x, const QuantizedVec& q);
-
 }  // namespace fedl::compress

@@ -23,7 +23,6 @@ namespace fedl::core {
 struct FairnessConfig {
   bool enabled = false;
   double min_rate = 0.15;  // target long-term participation rate per client
-  double boost = 0.6;      // fraction boost per unit of quota shortfall
   // Rates are meaningless for the first few epochs; hold off until then.
   std::size_t warmup_epochs = 5;
 };

@@ -16,6 +16,9 @@ const obs::Counter& repaired_clients() {
   return c;
 }
 
+// Fairness: fraction boost per unit of relative quota shortfall.
+constexpr double kFairnessBoost = 0.6;
+
 }  // namespace
 
 FedLStrategy::FedLStrategy(std::size_t num_clients, FedLConfig cfg)
@@ -23,23 +26,13 @@ FedLStrategy::FedLStrategy(std::size_t num_clients, FedLConfig cfg)
       learner_(num_clients, cfg.learner),
       rng_(cfg.seed) {}
 
-void FedLStrategy::record_fraction(std::size_t epoch) {
-  const std::size_t cap = std::max<std::size_t>(cfg_.fraction_history, 1);
-  if (frac_history_.size() < cap) {
-    frac_history_.emplace_back(epoch, last_frac_);
-    return;
-  }
-  frac_history_[frac_next_] = {epoch, last_frac_};
-  frac_next_ = (frac_next_ + 1) % cap;
-}
-
 Decision FedLStrategy::decide(const sim::EpochContext& ctx,
                               const BudgetLedger& budget) {
   Decision dec;
   last_frac_ = learner_.decide(ctx, budget);
   const std::size_t k = last_frac_.ids.size();
   if (k == 0) {
-    record_fraction(ctx.epoch);
+    unobserved_.insert_or_assign(ctx.epoch, last_frac_);
     return dec;
   }
 
@@ -57,13 +50,13 @@ Decision FedLStrategy::decide(const sim::EpochContext& ctx,
           participation_rate(participation().get(id));
       if (shortfall > 0.0) {
         last_frac_.x[i] = std::min(
-            1.0, last_frac_.x[i] + cfg_.fairness.boost * shortfall /
+            1.0, last_frac_.x[i] + kFairnessBoost * shortfall /
                                        cfg_.fairness.min_rate);
       }
     }
   }
 
-  record_fraction(ctx.epoch);
+  unobserved_.insert_or_assign(ctx.epoch, last_frac_);
 
   // Round the fractional selections (Algorithm 2) on a copy: observe()
   // consumes the fractional x̃, so last_frac_.x must stay fractional.
@@ -167,21 +160,13 @@ void FedLStrategy::observe(const sim::EpochContext& ctx,
                            const Decision& decision,
                            const fl::EpochOutcome& outcome) {
   (void)decision;
-  // Match the outcome to the fractional decision of ITS epoch: the
-  // event-driven harness delivers feedback out of order, after newer
-  // decides have overwritten last_frac_. Fall back to last_frac_ when the
-  // epoch is not in the ring (history too small, or a caller observing
-  // synthetic outcomes) — with fraction_history == 1 the ring holds exactly
-  // the last decide, so this is the previous behavior verbatim.
-  const FractionalDecision* frac = &last_frac_;
-  for (const auto& entry : frac_history_) {
-    if (entry.first == ctx.epoch) {
-      frac = &entry.second;
-      break;
-    }
-  }
-  if (frac->ids.empty()) return;
-  learner_.observe(*frac, outcome);
+  // The outcome meets the fractional decision of its own epoch.
+  const auto it = unobserved_.find(ctx.epoch);
+  FEDL_CHECK(it != unobserved_.end())
+      << "observe() of epoch " << ctx.epoch
+      << ": no decide() of that epoch awaits an outcome";
+  if (!it->second.ids.empty()) learner_.observe(it->second, outcome);
+  unobserved_.erase(it);
 }
 
 }  // namespace fedl::core

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 
 #include "core/fairness.h"
@@ -22,13 +23,8 @@ struct FedLConfig {
   // Long-term selection fairness (the paper's future-work extension):
   // under-served clients get their fractions boosted before rounding.
   FairnessConfig fairness;
-  // Fractional decisions retained for delayed feedback. Lockstep execution
-  // observes epoch t's outcome before deciding t+1, so 1 (the default)
-  // suffices; the event-driven harness resolves cohorts out of order while
-  // newer decides overwrite last_fraction(), so it raises this to cover the
-  // deepest straggler overlap. observe() matches the outcome to the
-  // decision of the same epoch; with history 1 that lookup degenerates to
-  // the previous behavior exactly.
+  // Ignored: every decision is kept until its epoch is observed. The field
+  // stays only because perfbench/driver.cpp still assigns it.
   std::size_t fraction_history = 1;
   std::uint64_t seed = 23;
 };
@@ -56,17 +52,14 @@ class FedLStrategy : public SelectionStrategy {
   const ClientStatePool& participation() const { return learner_.pool(); }
 
  private:
-  // Remembers last_frac_ under this epoch so a delayed observe() can find
-  // the decision its outcome belongs to.
-  void record_fraction(std::size_t epoch);
-
   FedLConfig cfg_;
   OnlineLearner learner_;
   Rng rng_;
   FractionalDecision last_frac_;
-  // Ring of (epoch, fractional decision) pairs, capacity fraction_history.
-  std::vector<std::pair<std::size_t, FractionalDecision>> frac_history_;
-  std::size_t frac_next_ = 0;
+  // Each decided epoch's fractional decision, until observe() consumes it.
+  // The event-driven harness resolves cohorts out of order, long after
+  // newer decides, so an outcome must find its own epoch's fractions.
+  std::map<std::size_t, FractionalDecision> unobserved_;
 
   // Grow-only per-epoch scratch. Rounding works on a copy of the fractions
   // (observe() consumes the fractional x̃) via the in-place subset API.

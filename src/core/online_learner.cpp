@@ -41,11 +41,11 @@ OnlineLearner::OnlineLearner(std::size_t num_clients, LearnerConfig cfg)
       num_clients_(num_clients),
       // Pool defaults are the priors dense vectors used to be filled with;
       // a client that was never observed reads exactly as before.
-      pool_(ClientLearnerState{/*xfrac=*/0.5, /*eta=*/cfg.init_eta,
-                               /*delta=*/cfg.init_delta_est, /*mu=*/0.0}),
+      pool_(ClientLearnerState{/*xfrac=*/0.5, /*eta=*/kInitEta,
+                               /*delta=*/kInitDeltaEst, /*mu=*/0.0}),
       rho_(2.0),
       mu0_(0.0),  // μ_1 = 0 (Lemma 2's initialization)
-      last_loss_(cfg.init_loss) {
+      last_loss_(kInitLoss) {
   FEDL_CHECK_GT(num_clients, 0u);
   FEDL_CHECK_LE(num_clients, IdSlotMap::kMaxId + 1)
       << "client ids must fit the pool's 32-bit index";
@@ -312,10 +312,8 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
     return g;
   };
 
-  solver::ProxSolverOptions opts;
-  opts.max_iterations = 120;
   const solver::ProxSolverResult res =
-      solver::minimize_projected(set, anchor_, step.make_objective(), opts);
+      solver::minimize_projected(set, anchor_, step.make_objective());
 
   // Commit the fractional solution into persistent memory (candidates only;
   // pruned clients keep their fractional memory for future epochs).
@@ -335,37 +333,30 @@ void OnlineLearner::observe(const FractionalDecision& frac,
   FEDL_PROFILE_SCOPE("learner.observe");
   // --- estimate updates -----------------------------------------------------
   last_loss_ = outcome.train_loss_all;
-  // Per-client completed-iteration counts: a client that dropped before
-  // finishing a single DANE iteration produced no η/Δ observation, so its
-  // estimates must not be updated (EMAing η̂ toward the placeholder 0 would
-  // make the learner treat flaky clients as fast convergers). Engines that
-  // predate client_completed_iters report an empty vector: fall back to the
-  // epoch-wide iteration count.
-  auto completed = [&](std::size_t i) -> double {
-    if (i < outcome.client_completed_iters.size())
-      return static_cast<double>(outcome.client_completed_iters[i]);
-    return static_cast<double>(outcome.num_iterations);
-  };
-  for (std::size_t i = 0; i < outcome.selected.size(); ++i) {
+  const std::size_t n = outcome.selected.size();
+  FEDL_CHECK_EQ(outcome.client_completed_iters.size(), n);
+  FEDL_CHECK_EQ(outcome.client_eta.size(), n);
+  FEDL_CHECK_EQ(outcome.client_loss_reduction.size(), n);
+  // A client that dropped before finishing a single DANE iteration produced
+  // no η/Δ observation, so its estimates must not be updated (EMAing η̂
+  // toward the placeholder 0 would make the learner treat flaky clients as
+  // fast convergers).
+  for (std::size_t i = 0; i < n; ++i) {
     const std::size_t id = outcome.selected[i];
     FEDL_CHECK_LT(id, num_clients_);
-    const double iters = completed(i);
+    const double iters =
+        static_cast<double>(outcome.client_completed_iters[i]);
     if (iters <= 0.0) continue;  // dropped at iteration 0: nothing observed
-    ++pool_.touch(id).seen;  // n_k for the width-explore bonus
-    if (i < outcome.client_eta.size()) {
-      ClientLearnerState& st = pool_.touch(id);
-      st.eta = (1.0 - cfg_.ema) * st.eta + cfg_.ema * outcome.client_eta[i];
-    }
-    if (i < outcome.client_loss_reduction.size()) {
-      // The engine accumulates the reduction over the iterations the client
-      // actually completed; dividing by that count gives the per-iteration
-      // marginal Δ̂. Floor at zero so one noisy epoch can't turn a client's
-      // estimate negative forever.
-      const double per_iter =
-          positive_part(outcome.client_loss_reduction[i]) / iters;
-      ClientLearnerState& st = pool_.touch(id);
-      st.delta = (1.0 - cfg_.ema) * st.delta + cfg_.ema * per_iter;
-    }
+    ClientLearnerState& st = pool_.touch(id);
+    ++st.seen;  // n_k for the width-explore bonus
+    st.eta = (1.0 - cfg_.ema) * st.eta + cfg_.ema * outcome.client_eta[i];
+    // The engine accumulates the reduction over the iterations the client
+    // actually completed; dividing by that count gives the per-iteration
+    // marginal Δ̂. Floor at zero so one noisy epoch can't turn a client's
+    // estimate negative forever.
+    const double per_iter =
+        positive_part(outcome.client_loss_reduction[i]) / iters;
+    st.delta = (1.0 - cfg_.ema) * st.delta + cfg_.ema * per_iter;
   }
 
   // --- dual ascent (9): μ ← [μ + δ h_t(Φ̃_t)]+ -------------------------------
@@ -389,8 +380,7 @@ void OnlineLearner::observe(const FractionalDecision& frac,
     const std::size_t id = frac.ids[i];
     const std::size_t sel = sel_index_.find(id);
     const bool has_obs = sel != IdSlotMap::npos &&
-                         sel < outcome.client_eta.size() &&
-                         completed(sel) > 0.0;
+                         outcome.client_completed_iters[sel] > 0;
     const double eta = has_obs ? outcome.client_eta[sel] : pool_.get(id).eta;
     const double h = eta * frac.x[i] * rho - rho + 1.0;
     const double mu_next =

@@ -52,6 +52,12 @@
 
 namespace fedl::core {
 
+// Priors for a client the learner has never observed, and for the last
+// global loss L̂ before the first observation.
+inline constexpr double kInitEta = 0.5;         // local accuracy η̂
+inline constexpr double kInitDeltaEst = 0.1;    // optimistic per-iteration Δ̂
+inline constexpr double kInitLoss = 2.303;  // ln(10): a random 10-class model
+
 struct LearnerConfig {
   // Step sizes; Corollary 1 prescribes β = δ = O(T_C^{-1/3}), which is ≈0.3
   // for the horizons induced by the evaluation budgets (T_C ≈ 20–60).
@@ -63,9 +69,6 @@ struct LearnerConfig {
   double pacing = 1.5;    // per-epoch spend cap = pacing · n · mean cost
   double mu_max = 100.0;  // dual clip, numerical guard for ‖μ̂‖ of Lemma 2
   double ema = 0.3;       // smoothing for η̂ and Δ̂ estimates
-  double init_eta = 0.5;  // prior local accuracy for unseen clients
-  double init_delta_est = 0.1;  // optimistic prior per-iteration loss drop
-  double init_loss = 2.303;     // ln(10): loss of a random 10-class model
   // Max coordinates the prox solve sees per epoch (0 = all of E_t).
   std::size_t selection_width = 0;
   // UCB-style exploration bonus β_w for the width-pruning utility score:
@@ -145,7 +148,6 @@ class OnlineLearner {
 
   // Grow-only per-epoch scratch (no steady-state allocation in decide()).
   std::vector<std::size_t> cand_;      // candidate indices into E_t
-  std::vector<double> scratch_cost_;   // per-candidate posted cost
   std::vector<double> sorted_cost_;    // cost-sorted copy for the floor
   std::vector<double> tau_;            // τ^loc + τ^cm per candidate
   std::vector<double> eta_;            // η̂ per candidate

@@ -22,14 +22,4 @@ inline std::size_t rho_to_iters(double rho, std::size_t max_iters) {
                                static_cast<std::size_t>(std::max(1.0, l)));
 }
 
-inline double eta_to_rho(double eta) {
-  eta = std::clamp(eta, 0.0, 1.0 - 1e-9);
-  return 1.0 / (1.0 - eta);
-}
-
-inline double rho_to_eta(double rho) {
-  rho = std::max(1.0, rho);
-  return 1.0 - 1.0 / rho;
-}
-
 }  // namespace fedl::core

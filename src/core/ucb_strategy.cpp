@@ -8,6 +8,12 @@
 #include "common/math_util.h"
 
 namespace fedl::core {
+namespace {
+
+// Reward = Δloss − kLatencyWeight·(latency / the cohort's max latency).
+constexpr double kLatencyWeight = 1.0;
+
+}  // namespace
 
 UcbStrategy::UcbStrategy(std::size_t num_clients, UcbConfig cfg)
     : cfg_(cfg), reward_sum_(num_clients, 0.0), pulls_(num_clients, 0) {
@@ -86,7 +92,7 @@ void UcbStrategy::observe(const sim::EpochContext& ctx,
         (max_latency > 0.0 && i < outcome.client_latency_s.size())
             ? outcome.client_latency_s[i] / max_latency
             : 0.0;
-    reward_sum_[id] += gain - cfg_.latency_weight * rel_latency;
+    reward_sum_[id] += gain - kLatencyWeight * rel_latency;
     pulls_[id] += 1;
   }
 }

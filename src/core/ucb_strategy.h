@@ -18,8 +18,7 @@ namespace fedl::core {
 
 struct UcbConfig {
   BaselineConfig base;
-  double exploration = 1.0;     // α in the UCB index
-  double latency_weight = 1.0;  // reward = Δloss − weight·latency (normalized)
+  double exploration = 1.0;  // α in the UCB index
 };
 
 class UcbStrategy : public SelectionStrategy {

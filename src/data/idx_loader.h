@@ -21,9 +21,9 @@ Dataset load_idx(const std::string& images_path,
                  const std::string& labels_path, std::size_t num_classes = 10,
                  std::size_t limit = 0);
 
-// Writes a dataset to an IDX pair (inverse of load_idx; used by tests and
-// for exporting synthetic data to external tools). Pixels are clamped to
-// [0, 1] and quantized to bytes.
+// Writes a dataset to an IDX pair (inverse of load_idx; the IDX tests write
+// their fixtures with it). Pixels are clamped to [0, 1] and quantized to
+// bytes.
 void save_idx(const Dataset& ds, const std::string& images_path,
               const std::string& labels_path);
 

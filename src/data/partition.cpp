@@ -66,32 +66,6 @@ Partition partition_noniid_principal(const Dataset& ds,
   return p;
 }
 
-Partition partition_dirichlet(const Dataset& ds, std::size_t num_clients,
-                              double alpha, Rng& rng) {
-  FEDL_CHECK_GT(num_clients, 0u);
-  FEDL_CHECK_GT(alpha, 0.0);
-  Partition p(num_clients);
-  for (std::size_t c = 0; c < ds.num_classes(); ++c) {
-    auto idx = ds.indices_of_class(c);
-    rng.shuffle(idx);
-    const auto share = rng.dirichlet(alpha, num_clients);
-    // Convert shares to cut points over this class's samples.
-    std::size_t start = 0;
-    double acc = 0.0;
-    for (std::size_t k = 0; k < num_clients; ++k) {
-      acc += share[k];
-      const std::size_t end =
-          (k + 1 == num_clients)
-              ? idx.size()
-              : std::min(idx.size(),
-                         static_cast<std::size_t>(acc * static_cast<double>(idx.size())));
-      for (std::size_t i = start; i < end; ++i) p[k].push_back(idx[i]);
-      start = end;
-    }
-  }
-  return p;
-}
-
 std::size_t partition_total(const Partition& p) {
   std::size_t n = 0;
   for (const auto& c : p) n += c.size();

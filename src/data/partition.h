@@ -2,8 +2,7 @@
 //
 // IID: random equal split. Non-IID: the paper's "principal dataset" scheme —
 // each client draws most samples from a small set of principal classes and
-// the rest uniformly — plus a Dirichlet partitioner (the standard non-IID
-// benchmark in the FL literature) for sensitivity studies.
+// the rest uniformly.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +30,7 @@ Partition partition_noniid_principal(const Dataset& ds,
                                      std::size_t principal_classes,
                                      double principal_frac, Rng& rng);
 
-// Dirichlet(alpha) label-distribution split; alpha -> 0 is extreme non-IID,
-// alpha -> inf approaches IID.
-Partition partition_dirichlet(const Dataset& ds, std::size_t num_clients,
-                              double alpha, Rng& rng);
-
-// Sanity helpers used in tests and by the harness.
+// Sanity checks the partition tests apply to both partitioners' output.
 std::size_t partition_total(const Partition& p);
 bool partition_disjoint(const Partition& p);
 

@@ -9,6 +9,12 @@
 #include "tensor/ops.h"
 
 namespace fedl::fl {
+namespace {
+
+// Every local step clips ‖∇G‖ to this; it stabilizes early CNN training.
+constexpr double kGradClip = 10.0;
+
+}  // namespace
 
 LocalOracle::LocalOracle(nn::Model* scratch, const nn::Batch* batch)
     : scratch_(scratch), batch_(batch) {
@@ -79,7 +85,7 @@ LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
     if (step > 0) f_at_d = oracle.loss_grad(shifted, &grad_f);
     for (std::size_t i = 0; i < p; ++i)
       g[i] = grad_f[i] + static_cast<float>(prox) * d[i] + linear[i];
-    if (cfg.grad_clip > 0.0) clip_norm(g, cfg.grad_clip);
+    clip_norm(g, kGradClip);
     // The optimizer owns the update direction; track the total correction d
     // and the shifted parameters together.
     before = d;
@@ -105,9 +111,9 @@ LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
   out.surrogate_final = f_at_d + 0.5 * prox * d_sq + lin_dot;
 
   // Strong-convexity lower bound: G* ≥ G(d) − ‖∇G(d)‖² / (2(γ + prox)).
-  const double curvature = cfg.gamma + prox;
+  const double curvature = kGamma + prox;
   FEDL_CHECK_GT(curvature, 0.0)
-      << "kSgd needs gamma > 0 (Model::l2_reg) for the eta estimate";
+      << "the eta estimate needs gamma + sigma1 > 0";
   const double gap_final = g_sq / (2.0 * curvature);
   const double gap_initial = std::max(
       out.surrogate_initial - (out.surrogate_final - gap_final), 1e-12);

@@ -33,6 +33,10 @@
 
 namespace fedl::fl {
 
+// Strong convexity constant γ of F_k: the models' L2 regularization
+// (Model::l2_reg), and the curvature the η estimate assumes.
+inline constexpr double kGamma = 1e-3;
+
 enum class LocalUpdateRule {
   kDane,     // paper's rule (default)
   kFedProx,  // proximal term only
@@ -45,9 +49,6 @@ struct DaneConfig {
   double sigma2 = 1.0;      // global-gradient weight σ2 (DANE only)
   double sgd_step = 0.05;   // α
   std::size_t sgd_steps = 5;  // max gradient steps per iteration
-  double grad_clip = 10.0;  // stabilizes early CNN training
-  // Strong convexity constant γ of F_k; should match Model::l2_reg.
-  double gamma = 1e-3;
   // Inner optimizer: "sgd", "momentum", or "adam".
   std::string optimizer = "sgd";
 };

@@ -63,7 +63,7 @@ FlEngine::FlEngine(const data::Dataset* train, const data::Dataset* test,
   test_batch_ = test_->head(cfg_.eval_cap);
   compressor_ = compress::make_compressor(
       cfg_.compressor, env_->num_clients(), cfg_.seed ^ 0x5eedULL,
-      env_->spec().device.upload_bits);
+      sim::kUploadBits);
   selected_mask_.assign(env_->num_clients(), 0);
 }
 

@@ -44,52 +44,16 @@ struct TrainTrace {
     return kNever;
   }
 
-  // Result of an accuracy-at-cutoff query. `num_records` counts the trace
-  // records at or before the cutoff; 0 means no record qualified, so the
-  // returned accuracy is a sentinel (no training happened by then), not a
-  // measured value. The unchecked accessors below keep returning bare 0.0 in
-  // that case, which is indistinguishable from a measured 0.0 accuracy —
-  // callers that care must use the *_checked variants.
-  struct AccuracyQuery {
+  // Accuracy of the last record at or before simulated time `t` (records
+  // at exactly `t` included). Returns 0.0 both when no record qualifies and
+  // when the measured accuracy is genuinely zero.
+  double accuracy_at_time(double t) const {
     double accuracy = 0.0;
-    std::size_t num_records = 0;
-  };
-
-  // Accuracy of the last record at or before simulated time `t`. Records with
-  // sim_time_s exactly equal to `t` are included.
-  AccuracyQuery accuracy_at_time_checked(double t) const {
-    AccuracyQuery q;
     for (const auto& r : records) {
       if (r.sim_time_s > t) break;
-      q.accuracy = r.test_accuracy;
-      ++q.num_records;
+      accuracy = r.test_accuracy;
     }
-    return q;
-  }
-
-  // Accuracy of the last record at or before federated round `round`
-  // (inclusive on equality).
-  AccuracyQuery accuracy_at_round_checked(std::size_t round) const {
-    AccuracyQuery q;
-    for (const auto& r : records) {
-      if (r.round > round) break;
-      q.accuracy = r.test_accuracy;
-      ++q.num_records;
-    }
-    return q;
-  }
-
-  // Accuracy of the last record at or before simulated time `t`.
-  // Returns 0.0 both when no record qualifies and when the measured accuracy
-  // is genuinely zero; use accuracy_at_time_checked to tell them apart.
-  double accuracy_at_time(double t) const {
-    return accuracy_at_time_checked(t).accuracy;
-  }
-
-  // Accuracy of the last record at or before federated round `round`.
-  // Same 0.0-sentinel caveat as accuracy_at_time.
-  double accuracy_at_round(std::size_t round) const {
-    return accuracy_at_round_checked(round).accuracy;
+    return accuracy;
   }
 
   double final_accuracy() const {

@@ -318,7 +318,7 @@ nn::Model Experiment::build_model() const {
   Rng mrng(cfg_.seed * 43 + 17);
   nn::ModelSpec ms;
   ms.width_scale = cfg_.width_scale;
-  ms.l2_reg = cfg_.dane.gamma;
+  ms.l2_reg = fl::kGamma;
   if (cfg_.task == Task::kFmnistLike) {
     ms.image_h = ms.image_w = 28;
     ms.channels = 1;
@@ -418,7 +418,7 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
   double sim_time = 0.0;
   // Once the remainder cannot rent even the cheapest possible client, the FL
   // procedure is over (Algorithm 1's `while C ≥ 0` with no affordable rent).
-  const double min_rent = environment_spec().device.cost_lo;
+  const double min_rent = sim::kCostLo;
 
   // Consecutive epochs in which the strategy selected nobody: when the
   // learner keeps declaring epochs infeasible (tight budget, expensive
@@ -679,10 +679,6 @@ std::unique_ptr<core::SelectionStrategy> make_strategy(
     fc.learner.width_explore = cfg.width_explore;
     fc.l_max = std::max<std::size_t>(cfg.fixed_iterations * 2, 4);
     fc.learner.rho_max = static_cast<double>(fc.l_max);
-    // Event-driven feedback arrives out of order, long after newer decides
-    // overwrote last_fraction(): keep enough fractional history to match any
-    // straggler's outcome to its own epoch's decision.
-    if (cfg.async.enabled) fc.fraction_history = 64;
     fc.independent_rounding = (name == "fedl-ind");
     fc.fairness.enabled = (name == "fedl-fair");
     fc.seed = cfg.seed * 61 + 37;

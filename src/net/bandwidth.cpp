@@ -30,13 +30,6 @@ double bandwidth_for_deadline(double gain, double power_w,
 
 }  // namespace
 
-BandwidthPolicy parse_bandwidth_policy(const std::string& name) {
-  if (name == "equal") return BandwidthPolicy::kEqual;
-  if (name == "inverse-rate") return BandwidthPolicy::kInverseRate;
-  if (name == "minmax") return BandwidthPolicy::kMinMaxLatency;
-  throw ConfigError("unknown bandwidth policy: " + name);
-}
-
 std::string bandwidth_policy_name(BandwidthPolicy policy) {
   switch (policy) {
     case BandwidthPolicy::kEqual:
@@ -54,9 +47,9 @@ Allocation allocate_bandwidth(const ChannelModel& channel,
                               double upload_bits, BandwidthPolicy policy) {
   FEDL_CHECK(!clients.empty());
   FEDL_CHECK_GT(upload_bits, 0.0);
-  const double total = channel.spec().bandwidth_hz;
-  const double p_w = dbm_to_watts(channel.spec().tx_power_dbm);
-  const double n0_w = dbm_to_watts(channel.spec().noise_dbm_per_hz);
+  const double total = kBandwidthHz;
+  const double p_w = dbm_to_watts(kTxPowerDbm);
+  const double n0_w = dbm_to_watts(kNoiseDbmPerHz);
   const std::size_t n = clients.size();
 
   Allocation out;

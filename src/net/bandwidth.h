@@ -22,7 +22,6 @@ namespace fedl::net {
 
 enum class BandwidthPolicy { kEqual, kInverseRate, kMinMaxLatency };
 
-BandwidthPolicy parse_bandwidth_policy(const std::string& name);
 std::string bandwidth_policy_name(BandwidthPolicy policy);
 
 struct Allocation {

@@ -22,20 +22,20 @@ double shannon_rate(double bandwidth_hz, double gain, double power_w,
 }
 
 ChannelModel::ChannelModel(std::size_t num_clients, const ChannelSpec& spec)
-    : spec_(spec), rng_(spec.seed) {
+    : rng_(spec.seed) {
   FEDL_CHECK_GT(num_clients, 0u);
   distance_m_.resize(num_clients);
   shadow_db_.resize(num_clients, 0.0);
   // Uniform placement over the disk: r = R * sqrt(u) gives uniform density.
   // Distances are floored at 10 m so the path-loss model stays in range.
   for (auto& d : distance_m_) {
-    d = std::max(10.0, spec_.cell_radius_m * std::sqrt(rng_.uniform()));
+    d = std::max(10.0, kCellRadiusM * std::sqrt(rng_.uniform()));
   }
   advance_epoch();
 }
 
 void ChannelModel::advance_epoch() {
-  for (auto& s : shadow_db_) s = rng_.normal(0.0, spec_.shadow_stddev_db);
+  for (auto& s : shadow_db_) s = rng_.normal(0.0, kShadowStddevDb);
 }
 
 double ChannelModel::gain(std::size_t k) const {
@@ -45,15 +45,15 @@ double ChannelModel::gain(std::size_t k) const {
 }
 
 double ChannelModel::rate(std::size_t k, double bandwidth_hz) const {
-  const double p_w = dbm_to_watts(spec_.tx_power_dbm);
-  const double n0_w = dbm_to_watts(spec_.noise_dbm_per_hz);
+  const double p_w = dbm_to_watts(kTxPowerDbm);
+  const double n0_w = dbm_to_watts(kNoiseDbmPerHz);
   return shannon_rate(bandwidth_hz, gain(k), p_w, n0_w);
 }
 
 double ChannelModel::rate_equal_share(std::size_t k,
                                       std::size_t num_sharing) const {
   FEDL_CHECK_GT(num_sharing, 0u);
-  return rate(k, spec_.bandwidth_hz / static_cast<double>(num_sharing));
+  return rate(k, kBandwidthHz / static_cast<double>(num_sharing));
 }
 
 }  // namespace fedl::net

@@ -1,10 +1,15 @@
 // Wireless uplink model from paper §3.2/§6.1.
 //
+//  * clients placed uniformly over a cell of radius kCellRadiusM;
 //  * path loss: 128.1 + 37.6 log10(d) dB, d in km;
-//  * log-normal shadow fading with 8 dB standard deviation, redrawn each
-//    epoch (the time-varying communication status of challenge 1);
-//  * achievable rate: r = b log2(1 + h p / (N0 b)) with N0 = −174 dBm/Hz;
-//  * FDMA: participating clients share the cell bandwidth B = 20 MHz.
+//  * log-normal shadow fading with kShadowStddevDb standard deviation,
+//    redrawn each epoch (the time-varying communication status of
+//    challenge 1);
+//  * achievable rate: r = b log2(1 + h p / (N0 b)) with p = kTxPowerDbm and
+//    N0 = kNoiseDbmPerHz;
+//  * FDMA: participating clients share the cell bandwidth B = kBandwidthHz.
+//
+// The §6.1 values are the same in every experiment, so they are constants.
 #pragma once
 
 #include <cstdint>
@@ -14,12 +19,13 @@
 
 namespace fedl::net {
 
+inline constexpr double kCellRadiusM = 500.0;
+inline constexpr double kBandwidthHz = 20e6;      // B
+inline constexpr double kNoiseDbmPerHz = -174.0;  // N0
+inline constexpr double kShadowStddevDb = 8.0;
+inline constexpr double kTxPowerDbm = 10.0;  // p_k (paper: 10 dB max power)
+
 struct ChannelSpec {
-  double cell_radius_m = 500.0;
-  double bandwidth_hz = 20e6;          // B
-  double noise_dbm_per_hz = -174.0;    // N0
-  double shadow_stddev_db = 8.0;
-  double tx_power_dbm = 10.0;          // p_k (paper: 10 dB max transmit power)
   std::uint64_t seed = 11;
 };
 
@@ -36,7 +42,6 @@ class ChannelModel {
   ChannelModel(std::size_t num_clients, const ChannelSpec& spec);
 
   std::size_t num_clients() const { return distance_m_.size(); }
-  const ChannelSpec& spec() const { return spec_; }
   double distance_m(std::size_t k) const { return distance_m_[k]; }
 
   // Redraw shadow fading for all clients (call once per epoch).
@@ -52,7 +57,6 @@ class ChannelModel {
   double rate_equal_share(std::size_t k, std::size_t num_sharing) const;
 
  private:
-  ChannelSpec spec_;
   Rng rng_;
   std::vector<double> distance_m_;
   std::vector<double> shadow_db_;

@@ -42,7 +42,7 @@ Model make_mlp(std::size_t input_dim, std::size_t hidden, std::size_t classes,
                double l2_reg, Rng& rng);
 
 // Multinomial logistic regression — convex, matching the paper's strong
-// convexity assumption exactly; used by the convergence/regret analyses.
+// convexity assumption exactly; the tests' convex training fixture.
 Model make_logistic(std::size_t input_dim, std::size_t classes, double l2_reg,
                     Rng& rng);
 

@@ -137,12 +137,6 @@ void Model::set_params_flat(std::span<const float> flat) {
   FEDL_CHECK_EQ(offset, flat.size()) << "flat vector size mismatch";
 }
 
-ParamVec Model::grads_flat() const {
-  ParamVec out;
-  grads_flat_into(out);
-  return out;
-}
-
 void Model::grads_flat_into(ParamVec& out) const {
   out.clear();
   out.reserve(num_params());

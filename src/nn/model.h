@@ -3,8 +3,8 @@
 // The FL machinery treats model parameters as one vector w ∈ R^P:
 //  * the server broadcasts w and aggregates client deltas d ∈ R^P,
 //  * the DANE solver differentiates surrogates of F_k at shifted points,
-// so Model exposes params_flat()/set_params_flat()/grads_flat() alongside
-// the usual forward/backward.
+// so Model exposes params_flat()/set_params_flat()/grads_flat_into()
+// alongside the usual forward/backward.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,6 @@ class Model {
   Model& operator=(Model&&) = default;
 
   void add(LayerPtr layer);
-  std::size_t num_layers() const { return layers_.size(); }
 
   // Deep copy: independent parameter/gradient buffers with identical values
   // and fresh, empty block scratch.
@@ -76,9 +75,8 @@ class Model {
   std::size_t num_params() const;
   ParamVec params_flat() const;
   void set_params_flat(std::span<const float> flat);
-  ParamVec grads_flat() const;
-  // grads_flat() into a caller-owned vector, reusing its capacity — the
-  // allocation-free variant for per-iteration hot paths (LocalOracle).
+  // The flat gradient vector, written into a caller-owned vector whose
+  // capacity is reused across calls (LocalOracle's per-iteration path).
   void grads_flat_into(ParamVec& out) const;
   void zero_grad();
 

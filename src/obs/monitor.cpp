@@ -49,19 +49,13 @@ std::string format_double(double v) {
 
 }  // namespace
 
-InvariantMonitor::InvariantMonitor(MonitorConfig config)
-    : config_(config) {
+InvariantMonitor::InvariantMonitor() {
   // Touch the anomaly counters so a healthy run exports them as explicit
   // zeros (a scraper must distinguish "armed and silent" from "absent").
   anomaly_total_counter();
   for (const char* name : {"regret_envelope", "budget_pacing",
                            "estimator_drift", "dropout_rate"})
     monitor_counter(name);
-  FEDL_CHECK(config_.dropout_window > 0) << "dropout_window must be positive";
-  FEDL_CHECK(config_.regret_margin > 0.0) << "regret_margin must be positive";
-  FEDL_CHECK(config_.drift_decay > 0.0 && config_.drift_decay <= 1.0)
-      << "drift_decay must be in (0, 1]";
-  dropout_rates_.assign(config_.dropout_window, 0.0);
 }
 
 std::vector<AnomalyRecord> InvariantMonitor::on_epoch(
@@ -78,7 +72,6 @@ std::vector<AnomalyRecord> InvariantMonitor::on_epoch(
     fired.push_back(std::move(record));
     monitor_counter(monitor).add();
     anomaly_total_counter().add();
-    ++fired_;
   };
 
   // regret_envelope — skip when the bound is absent or infinite (Lemma 2
@@ -87,7 +80,7 @@ std::vector<AnomalyRecord> InvariantMonitor::on_epoch(
   if (available(sample.regret) && available(sample.regret_bound) &&
       std::isfinite(sample.regret_bound)) {
     checks_counter(0).add();
-    const double limit = config_.regret_margin * sample.regret_bound;
+    const double limit = kRegretMargin * sample.regret_bound;
     const bool violating = sample.regret > limit;
     if (violating && !regret_violating_)
       fire("regret_envelope", sample.regret, limit,
@@ -111,7 +104,7 @@ std::vector<AnomalyRecord> InvariantMonitor::on_epoch(
       detail = "cumulative spend " + format_double(observed) +
                " overdraws budget C=" + format_double(limit);
     } else if (available(sample.epoch_cost) && available(sample.pacing_cap)) {
-      limit = sample.pacing_cap * (1.0 + config_.pacing_tolerance);
+      limit = sample.pacing_cap * (1.0 + kPacingTolerance);
       if (sample.epoch_cost > limit) {
         violating = true;
         observed = sample.epoch_cost;
@@ -128,29 +121,28 @@ std::vector<AnomalyRecord> InvariantMonitor::on_epoch(
   if (available(sample.eta_max)) {
     checks_counter(2).add();
     bool violating = false;
-    double observed = sample.eta_max, limit = config_.eta_limit;
+    double observed = sample.eta_max, limit = kEtaLimit;
     std::string detail;
     if (!std::isfinite(sample.eta_max) || sample.eta_max < 0.0 ||
-        sample.eta_max > config_.eta_limit) {
+        sample.eta_max > kEtaLimit) {
       violating = true;
       detail = "eta estimate " + format_double(sample.eta_max) +
-               " outside [0, " + format_double(config_.eta_limit) + "]";
+               " outside [0, " + format_double(kEtaLimit) + "]";
     } else {
       if (available(prev_eta_)) {
         const double step = std::fabs(sample.eta_max - prev_eta_);
-        drift_ema_ = config_.drift_decay * step +
-                     (1.0 - config_.drift_decay) * drift_ema_;
+        drift_ema_ = kDriftDecay * step + (1.0 - kDriftDecay) * drift_ema_;
         ++drift_epochs_;
       }
       prev_eta_ = sample.eta_max;
-      if (drift_epochs_ >= config_.drift_warmup_epochs &&
-          drift_ema_ > config_.drift_threshold) {
+      if (drift_epochs_ >= kDriftWarmupEpochs &&
+          drift_ema_ > kDriftThreshold) {
         violating = true;
         observed = drift_ema_;
-        limit = config_.drift_threshold;
+        limit = kDriftThreshold;
         detail = "eta estimate EMA drift " + format_double(drift_ema_) +
                  " not converging (threshold " +
-                 format_double(config_.drift_threshold) + ")";
+                 format_double(kDriftThreshold) + ")";
       }
     }
     if (violating && !drift_violating_)
@@ -162,20 +154,19 @@ std::vector<AnomalyRecord> InvariantMonitor::on_epoch(
   if (available(sample.num_selected) && sample.num_selected > 0.0) {
     const double dropped = available(sample.num_dropped) ? sample.num_dropped : 0.0;
     dropout_rates_[dropout_head_] = dropped / sample.num_selected;
-    dropout_head_ = (dropout_head_ + 1) % config_.dropout_window;
-    if (dropout_count_ < config_.dropout_window) ++dropout_count_;
-    if (dropout_count_ == config_.dropout_window) {
+    dropout_head_ = (dropout_head_ + 1) % kDropoutWindow;
+    if (dropout_count_ < kDropoutWindow) ++dropout_count_;
+    if (dropout_count_ == kDropoutWindow) {
       checks_counter(3).add();
       double mean = 0.0;
       for (const double rate : dropout_rates_) mean += rate;
-      mean /= static_cast<double>(config_.dropout_window);
-      const bool violating = mean > config_.dropout_threshold;
+      mean /= static_cast<double>(kDropoutWindow);
+      const bool violating = mean > kDropoutThreshold;
       if (violating && !dropout_violating_)
-        fire("dropout_rate", mean, config_.dropout_threshold,
+        fire("dropout_rate", mean, kDropoutThreshold,
              "windowed dropout rate " + format_double(mean) +
-                 " over last " + std::to_string(config_.dropout_window) +
-                 " epochs exceeds " +
-                 format_double(config_.dropout_threshold));
+                 " over last " + std::to_string(kDropoutWindow) +
+                 " epochs exceeds " + format_double(kDropoutThreshold));
       dropout_violating_ = violating;
     }
   }

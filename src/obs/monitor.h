@@ -3,7 +3,7 @@
 //
 // Four monitors, one per claim:
 //   regret_envelope  empirical dynamic regret R_T must stay inside the
-//                    Theorem 2 envelope (times a configurable margin);
+//                    Theorem 2 envelope (times kRegretMargin);
 //                    skipped per-epoch when the bound is infinite (Lemma 2
 //                    degenerate case) or the caller has no bound yet.
 //   budget_pacing    the realized epoch spend must respect the ρ_t-implied
@@ -31,6 +31,7 @@
 // harness decides whether --strict-monitor escalates to FEDL_CHECK.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -38,25 +39,23 @@
 
 namespace fedl::obs {
 
-struct MonitorConfig {
-  // regret_envelope: fire when regret > regret_margin * bound.
-  double regret_margin = 1.0;
-  // budget_pacing: fire when epoch_cost > pacing_cap * (1 + pacing_tolerance)
-  // or budget_spent > budget_total. The tolerance absorbs the documented
-  // post-rounding overshoot of the fractional cap.
-  double pacing_tolerance = 0.05;
-  // estimator_drift: η̂ must be in [0, eta_limit]; the EMA (decay
-  // drift_decay) of |Δη̂| must stay under drift_threshold once
-  // drift_warmup_epochs have passed.
-  double eta_limit = 1.0;
-  double drift_threshold = 0.25;
-  double drift_decay = 0.1;
-  std::uint64_t drift_warmup_epochs = 8;
-  // dropout_rate: windowed mean of dropped/selected over dropout_window
-  // epochs must stay under dropout_threshold (window must fill first).
-  std::size_t dropout_window = 8;
-  double dropout_threshold = 0.5;
-};
+// regret_envelope: fire when regret > kRegretMargin * bound.
+inline constexpr double kRegretMargin = 1.0;
+// budget_pacing: fire when epoch_cost > pacing_cap * (1 + kPacingTolerance)
+// or budget_spent > budget_total. The tolerance absorbs the documented
+// post-rounding overshoot of the fractional cap.
+inline constexpr double kPacingTolerance = 0.05;
+// estimator_drift: η̂ must be in [0, kEtaLimit]; the EMA (decay
+// kDriftDecay) of |Δη̂| must stay under kDriftThreshold once
+// kDriftWarmupEpochs have passed.
+inline constexpr double kEtaLimit = 1.0;
+inline constexpr double kDriftThreshold = 0.25;
+inline constexpr double kDriftDecay = 0.1;
+inline constexpr std::uint64_t kDriftWarmupEpochs = 8;
+// dropout_rate: windowed mean of dropped/selected over kDropoutWindow
+// epochs must stay under kDropoutThreshold (the window must fill first).
+inline constexpr std::size_t kDropoutWindow = 8;
+inline constexpr double kDropoutThreshold = 0.5;
 
 struct AnomalyRecord {
   std::string monitor;  // regret_envelope | budget_pacing | ...
@@ -85,19 +84,13 @@ struct EpochSample {
 
 class InvariantMonitor {
  public:
-  explicit InvariantMonitor(MonitorConfig config = {});
+  InvariantMonitor();
 
   // Evaluates every armed monitor against the sample; returns the anomalies
   // that fired on *this* epoch (empty on a healthy or recovering epoch).
   std::vector<AnomalyRecord> on_epoch(const EpochSample& sample);
 
-  std::uint64_t anomalies_fired() const { return fired_; }
-  const MonitorConfig& config() const { return config_; }
-
  private:
-  MonitorConfig config_;
-  std::uint64_t fired_ = 0;
-
   // Edge-trigger state: true while the monitor is inside a violation.
   bool regret_violating_ = false;
   bool pacing_violating_ = false;
@@ -109,8 +102,8 @@ class InvariantMonitor {
   double drift_ema_ = 0.0;
   std::uint64_t drift_epochs_ = 0;
 
-  // dropout_rate sliding window (ring over config_.dropout_window).
-  std::vector<double> dropout_rates_;
+  // dropout_rate sliding window (ring over kDropoutWindow epochs).
+  std::array<double, kDropoutWindow> dropout_rates_{};
   std::size_t dropout_head_ = 0;
   std::size_t dropout_count_ = 0;
 };

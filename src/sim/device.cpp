@@ -7,19 +7,16 @@ namespace fedl::sim {
 DeviceFleet::DeviceFleet(std::size_t num_clients, const DeviceSpec& spec)
     : spec_(spec), rng_(spec.seed) {
   FEDL_CHECK_GT(num_clients, 0u);
-  FEDL_CHECK_LT(spec.cost_lo, spec.cost_hi);
-  FEDL_CHECK_GT(spec.cost_lo, 0.0);
   FEDL_CHECK(spec.availability_prob > 0.0 && spec.availability_prob <= 1.0);
   devices_.reserve(num_clients);
   for (std::size_t k = 0; k < num_clients; ++k) {
     Device d;
     // Heterogeneous CPUs: between 20% and 100% of f^max.
-    d.cpu_hz = rng_.uniform(0.2 * spec.cpu_hz_max, spec.cpu_hz_max);
-    d.cycles_per_bit =
-        rng_.uniform(spec.cycles_per_bit_lo, spec.cycles_per_bit_hi);
+    d.cpu_hz = rng_.uniform(0.2 * kCpuHzMax, kCpuHzMax);
+    d.cycles_per_bit = rng_.uniform(kCyclesPerBitLo, kCyclesPerBitHi);
     devices_.push_back(d);
   }
-  cost_.resize(num_clients, spec.cost_lo);
+  cost_.resize(num_clients, kCostLo);
   available_.resize(num_clients, true);
   advance_epoch();
 }
@@ -39,7 +36,7 @@ double DeviceFleet::compute_latency(std::size_t k,
 
 void DeviceFleet::advance_epoch() {
   for (std::size_t k = 0; k < devices_.size(); ++k) {
-    cost_[k] = rng_.uniform(spec_.cost_lo, spec_.cost_hi);
+    cost_[k] = rng_.uniform(kCostLo, kCostHi);
     available_[k] = rng_.bernoulli(spec_.availability_prob);
   }
 }
@@ -52,13 +49,6 @@ double DeviceFleet::cost(std::size_t k) const {
 bool DeviceFleet::available(std::size_t k) const {
   FEDL_CHECK_LT(k, available_.size());
   return available_[k];
-}
-
-std::vector<std::size_t> DeviceFleet::available_set() const {
-  std::vector<std::size_t> out;
-  for (std::size_t k = 0; k < available_.size(); ++k)
-    if (available_[k]) out.push_back(k);
-  return out;
 }
 
 }  // namespace fedl::sim

@@ -2,7 +2,8 @@
 //
 // Paper §3.2/§6.1 parameters: e_k ~ U[10, 30] cycles/bit, CPU up to 2 GHz,
 // rent cost c_{t,k} ~ U[0.1, 12] (Amazon dynamic prices), availability is a
-// Bernoulli draw per epoch.
+// Bernoulli draw per epoch. The ranges and the update size s are the same
+// in every experiment, so they are constants.
 #pragma once
 
 #include <cstdint>
@@ -12,15 +13,16 @@
 
 namespace fedl::sim {
 
+inline constexpr double kCpuHzMax = 2e9;         // f^max
+inline constexpr double kCyclesPerBitLo = 10.0;  // e_k lower bound
+inline constexpr double kCyclesPerBitHi = 30.0;  // e_k upper bound
+inline constexpr double kCostLo = 0.1;           // c_{t,k} lower bound
+inline constexpr double kCostHi = 12.0;          // c_{t,k} upper bound
+inline constexpr double kUploadBits = 1e7;  // s: model update size (bits)
+
 struct DeviceSpec {
-  double cpu_hz_max = 2e9;            // f^max
-  double cycles_per_bit_lo = 10.0;    // e_k lower bound
-  double cycles_per_bit_hi = 30.0;    // e_k upper bound
-  double cost_lo = 0.1;               // c_{t,k} lower bound
-  double cost_hi = 12.0;              // c_{t,k} upper bound
   double availability_prob = 0.8;     // Bernoulli availability per epoch
   double bits_per_sample = 28.0 * 28.0 * 32.0;  // payload of one sample
-  double upload_bits = 1e7;           // s: model update size (bits), constant
   std::uint64_t seed = 13;
 };
 
@@ -35,7 +37,6 @@ class DeviceFleet {
   DeviceFleet(std::size_t num_clients, const DeviceSpec& spec);
 
   std::size_t size() const { return devices_.size(); }
-  const DeviceSpec& spec() const { return spec_; }
   const Device& device(std::size_t k) const;
 
   // τ^loc_{t,k}: seconds for ONE local update over `num_samples` samples.
@@ -46,7 +47,6 @@ class DeviceFleet {
 
   double cost(std::size_t k) const;       // c_{t,k}
   bool available(std::size_t k) const;    // k ∈ E_t ?
-  std::vector<std::size_t> available_set() const;
 
  private:
   DeviceSpec spec_;

@@ -19,6 +19,10 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   return z ^ (z >> 31);
 }
 
+// Per-client sample count range of a lazy roster, U{kLazyDataLo..kLazyDataHi}.
+constexpr std::int64_t kLazyDataLo = 32;
+constexpr std::int64_t kLazyDataHi = 128;
+
 }  // namespace
 
 bool EpochContext::is_available(std::size_t client_id) const {
@@ -54,12 +58,8 @@ EdgeEnvironment::EdgeEnvironment(EnvironmentSpec spec) : spec_(spec) {
       << "spec-only ctor is for lazy_sampling environments";
   FEDL_CHECK_GT(spec_.num_clients, 0u);
   FEDL_CHECK_GT(spec_.expected_participants, 0u);
-  FEDL_CHECK_LT(spec_.device.cost_lo, spec_.device.cost_hi);
-  FEDL_CHECK_GT(spec_.device.cost_lo, 0.0);
   FEDL_CHECK(spec_.device.availability_prob > 0.0 &&
              spec_.device.availability_prob <= 1.0);
-  FEDL_CHECK_GE(spec_.lazy_data_lo, 1u);
-  FEDL_CHECK_GE(spec_.lazy_data_hi, spec_.lazy_data_lo);
   context_.epoch = 0;
 }
 
@@ -102,7 +102,7 @@ const EpochContext& EdgeEnvironment::advance_epoch() {
     obs.tau_loc = fleet_->compute_latency(k, d);
     const double rate =
         channel_->rate_equal_share(k, spec_.expected_participants);
-    obs.tau_cm_est = fleet_->spec().upload_bits / rate;
+    obs.tau_cm_est = kUploadBits / rate;
     context_.available.push_back(obs);
   }
   return context_;
@@ -112,13 +112,12 @@ void EdgeEnvironment::advance_epoch_lazy() {
   context_.epoch += 1;
   context_.available.clear();
   const DeviceSpec& dev = spec_.device;
-  const net::ChannelSpec& ch = spec_.channel;
   const double p = dev.availability_prob;
   const std::size_t m = spec_.num_clients;
-  const double tx_w = dbm_to_watts(ch.tx_power_dbm);
-  const double n0_w = dbm_to_watts(ch.noise_dbm_per_hz);
+  const double tx_w = dbm_to_watts(net::kTxPowerDbm);
+  const double n0_w = dbm_to_watts(net::kNoiseDbmPerHz);
   const double share_hz =
-      ch.bandwidth_hz / static_cast<double>(spec_.expected_participants);
+      net::kBandwidthHz / static_cast<double>(spec_.expected_participants);
   const std::uint64_t epoch_key = mix(dev.seed, context_.epoch);
 
   // Walk E_t directly: the gap to the next available client under i.i.d.
@@ -140,27 +139,23 @@ void EdgeEnvironment::advance_epoch_lazy() {
     // Client-static hardware: keyed by (seed, id) only, so client k has the
     // same CPU, energy profile and position every time it shows up.
     Rng hw(mix(mix(dev.seed, 0x4a3dULL), k));
-    const double cpu_hz = hw.uniform(0.2 * dev.cpu_hz_max, dev.cpu_hz_max);
-    const double cycles_per_bit =
-        hw.uniform(dev.cycles_per_bit_lo, dev.cycles_per_bit_hi);
+    const double cpu_hz = hw.uniform(0.2 * kCpuHzMax, kCpuHzMax);
+    const double cycles_per_bit = hw.uniform(kCyclesPerBitLo, kCyclesPerBitHi);
     const double distance_m =
-        std::max(10.0, ch.cell_radius_m * std::sqrt(hw.uniform()));
+        std::max(10.0, net::kCellRadiusM * std::sqrt(hw.uniform()));
     // Epoch-varying draws: keyed by (seed, epoch, id).
     Rng ep(mix(epoch_key, k));
-    obs.cost = ep.uniform(dev.cost_lo, dev.cost_hi);
-    obs.data_size = spec_.lazy_data_lo == spec_.lazy_data_hi
-                        ? spec_.lazy_data_lo
-                        : static_cast<std::size_t>(ep.uniform_int(
-                              static_cast<std::int64_t>(spec_.lazy_data_lo),
-                              static_cast<std::int64_t>(spec_.lazy_data_hi)));
+    obs.cost = ep.uniform(kCostLo, kCostHi);
+    obs.data_size = static_cast<std::size_t>(
+        ep.uniform_int(kLazyDataLo, kLazyDataHi));
     const double bits =
         dev.bits_per_sample * static_cast<double>(obs.data_size);
     obs.tau_loc = cycles_per_bit * bits / cpu_hz;
-    const double shadow_db = ep.normal(0.0, ch.shadow_stddev_db);
+    const double shadow_db = ep.normal(0.0, net::kShadowStddevDb);
     const double gain =
         db_to_linear(-(net::path_loss_db(distance_m) + shadow_db));
     const double rate = net::shannon_rate(share_hz, gain, tx_w, n0_w);
-    obs.tau_cm_est = dev.upload_bits / rate;
+    obs.tau_cm_est = kUploadBits / rate;
     context_.available.push_back(obs);
     ++k;
   }

@@ -55,10 +55,9 @@ struct EnvironmentSpec {
   // client-static hardware draws are keyed by (seed, id) alone, so a client
   // looks the same whenever it reappears. A lazy environment has no data
   // partition, so the training engine cannot run against it; it serves the
-  // selection layer and the scale benches.
+  // selection layer and the scale benches. A lazy client holds
+  // U{32..128} samples each epoch.
   bool lazy_sampling = false;
-  std::size_t lazy_data_lo = 32;   // per-client sample count range (lazy)
-  std::size_t lazy_data_hi = 128;
 };
 
 class EdgeEnvironment {

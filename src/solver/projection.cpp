@@ -16,25 +16,20 @@ bool FeasibleSet::contains(const std::vector<double>& x, double tol) const {
   return true;
 }
 
+namespace {
+
+// Dual coordinate-ascent sweeps of project_intersection, and the max |Δλ|
+// per sweep that declares it converged.
+constexpr std::size_t kMaxSweeps = 200;
+constexpr double kSweepTolerance = 1e-12;
+
+// In-place projection onto the box.
 void project_box(const std::vector<double>& lo, const std::vector<double>& hi,
                  std::vector<double>& x) {
   FEDL_CHECK_EQ(x.size(), lo.size());
   FEDL_CHECK_EQ(x.size(), hi.size());
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = clamp(x[i], lo[i], hi[i]);
 }
-
-void project_halfspace(const Halfspace& h, std::vector<double>& x) {
-  FEDL_CHECK_EQ(x.size(), h.a.size());
-  const double viol = dot(h.a, x) - h.b;
-  if (viol <= 0.0) return;
-  double a_sq = 0.0;
-  for (double ai : h.a) a_sq += ai * ai;
-  if (a_sq == 0.0) return;  // degenerate constraint (0 <= b violated) — skip
-  const double scale = viol / a_sq;
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] -= scale * h.a[i];
-}
-
-namespace {
 
 // Solves λ ≥ 0 with a·clamp(base − λa, lo, hi) = b when the constraint is
 // violated at λ = 0, by bracketing + bisection (g is non-increasing in λ).
@@ -78,7 +73,6 @@ void project_box_halfspace(const std::vector<double>& lo,
 
 std::vector<double> project_intersection(const FeasibleSet& set,
                                          std::vector<double> x,
-                                         const ProjectionOptions& opts,
                                          bool* converged) {
   FEDL_CHECK_EQ(x.size(), set.dim());
   const std::size_t n = x.size();
@@ -103,7 +97,7 @@ std::vector<double> project_intersection(const FeasibleSet& set,
   bool ok = false;
 
   bool stationary = false;
-  for (std::size_t sweep = 0; sweep < opts.max_sweeps; ++sweep) {
+  for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     double max_change = 0.0;
     for (std::size_t s = 0; s < k; ++s) {
       // base = y − Σ_{t≠s} λ_t a_t
@@ -118,7 +112,7 @@ std::vector<double> project_intersection(const FeasibleSet& set,
       max_change = std::max(max_change, std::abs(new_lambda - lambda[s]));
       lambda[s] = new_lambda;
     }
-    if (max_change < opts.tolerance) {
+    if (max_change < kSweepTolerance) {
       stationary = true;
       break;
     }

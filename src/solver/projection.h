@@ -32,23 +32,11 @@ struct FeasibleSet {
   bool contains(const std::vector<double>& x, double tol = 1e-9) const;
 };
 
-// In-place projection onto the box.
-void project_box(const std::vector<double>& lo, const std::vector<double>& hi,
-                 std::vector<double>& x);
-
-// In-place projection onto one halfspace (no-op when already inside).
-void project_halfspace(const Halfspace& h, std::vector<double>& x);
-
 // Exact Euclidean projection onto box ∩ {a·x <= b} via the KKT system:
 // P(y) = clamp(y − λa) with λ ≥ 0 found by monotone bisection.
 void project_box_halfspace(const std::vector<double>& lo,
                            const std::vector<double>& hi, const Halfspace& h,
                            std::vector<double>& x);
-
-struct ProjectionOptions {
-  std::size_t max_sweeps = 200;   // dual coordinate-ascent sweeps
-  double tolerance = 1e-12;       // max |Δλ| per sweep to declare converged
-};
 
 // Euclidean projection of x onto the intersection. Returns the projected
 // point; sets *converged (if non-null) to whether the sweep tolerance was
@@ -56,7 +44,6 @@ struct ProjectionOptions {
 // validate with FeasibleSet::contains.
 std::vector<double> project_intersection(const FeasibleSet& set,
                                          std::vector<double> x,
-                                         const ProjectionOptions& opts = {},
                                          bool* converged = nullptr);
 
 }  // namespace fedl::solver

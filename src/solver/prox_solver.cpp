@@ -10,6 +10,18 @@
 namespace fedl::solver {
 namespace {
 
+// At most kMaxIterations projected-gradient steps. Each starts at
+// kInitialStep (or less, after a backtrack) and shrinks by kBacktrackFactor,
+// at most kMaxBacktracks times, until f(candidate) ≤ f(x) + kArmijoC·∇f·d.
+// The solve stops when a step moves x by less than kTolerance in squared
+// norm.
+constexpr std::size_t kMaxIterations = 120;
+constexpr double kInitialStep = 1.0;
+constexpr double kBacktrackFactor = 0.5;
+constexpr double kArmijoC = 1e-4;
+constexpr std::size_t kMaxBacktracks = 40;
+constexpr double kTolerance = 1e-12;
+
 // Solver telemetry: call volume and total inner iterations; the per-call
 // iteration count lands in a histogram so convergence behaviour is visible
 // without logging every solve.
@@ -40,20 +52,19 @@ struct SolveRecord {
 
 ProxSolverResult minimize_projected(const FeasibleSet& set,
                                     std::vector<double> x0,
-                                    const Objective& objective,
-                                    const ProxSolverOptions& opts) {
+                                    const Objective& objective) {
   FEDL_PROFILE_SCOPE("solver.minimize");
   solver_calls().add();
   FEDL_CHECK_EQ(x0.size(), set.dim());
   ProxSolverResult res;
   SolveRecord record(res);  // flushes iteration telemetry on every exit path
-  res.x = project_intersection(set, std::move(x0), opts.projection);
+  res.x = project_intersection(set, std::move(x0));
 
   std::vector<double> grad(res.x.size());
   double value = objective(res.x, &grad);
-  double step = opts.initial_step;
+  double step = kInitialStep;
 
-  for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     res.iterations = iter + 1;
 
     // Backtracking projected-gradient step: candidate = P(x − step·∇),
@@ -62,11 +73,11 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
     std::vector<double> candidate;
     double cand_value = 0.0;
     double local_step = step;
-    for (std::size_t bt = 0; bt < opts.max_backtracks; ++bt) {
+    for (std::size_t bt = 0; bt < kMaxBacktracks; ++bt) {
       candidate = res.x;
       for (std::size_t i = 0; i < candidate.size(); ++i)
         candidate[i] -= local_step * grad[i];
-      candidate = project_intersection(set, std::move(candidate), opts.projection);
+      candidate = project_intersection(set, std::move(candidate));
 
       // Projected direction d = candidate − x; Armijo on g(x)·d.
       double gd = 0.0;
@@ -76,18 +87,18 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
         gd += grad[i] * d;
         d_sq += d * d;
       }
-      if (d_sq < opts.tolerance) {
+      if (d_sq < kTolerance) {
         // The projected gradient step no longer moves: stationary point.
         res.converged = true;
         res.objective = value;
         return res;
       }
       cand_value = objective(candidate, nullptr);
-      if (cand_value <= value + opts.armijo_c * gd) {
+      if (cand_value <= value + kArmijoC * gd) {
         accepted = true;
         break;
       }
-      local_step *= opts.backtrack_factor;
+      local_step *= kBacktrackFactor;
     }
     if (!accepted) {
       // Could not decrease even with a tiny step — treat current point as
@@ -105,8 +116,8 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
     res.x = std::move(candidate);
     value = objective(res.x, &grad);
     // Mild step recovery: successful steps let the step size grow back.
-    step = std::min(opts.initial_step, local_step * 2.0);
-    if (move_sq < opts.tolerance) {
+    step = std::min(kInitialStep, local_step * 2.0);
+    if (move_sq < kTolerance) {
       res.converged = true;
       break;
     }

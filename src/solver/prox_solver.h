@@ -21,17 +21,6 @@ namespace fedl::solver {
 using Objective =
     std::function<double(const std::vector<double>& x, std::vector<double>* grad)>;
 
-struct ProxSolverOptions {
-  std::size_t max_iterations = 200;
-  double initial_step = 1.0;
-  double backtrack_factor = 0.5;
-  double armijo_c = 1e-4;
-  std::size_t max_backtracks = 40;
-  // Stop when ‖x_{k+1} − x_k‖² falls below this.
-  double tolerance = 1e-12;
-  ProjectionOptions projection;
-};
-
 struct ProxSolverResult {
   std::vector<double> x;
   double objective = 0.0;
@@ -40,11 +29,11 @@ struct ProxSolverResult {
 };
 
 // Minimizes `objective` over `set` starting from x0 (projected first if
-// infeasible). The objective should already include the proximal term.
+// infeasible) in at most 120 projected-gradient steps. The objective should
+// already include the proximal term.
 ProxSolverResult minimize_projected(const FeasibleSet& set,
                                     std::vector<double> x0,
-                                    const Objective& objective,
-                                    const ProxSolverOptions& opts = {});
+                                    const Objective& objective);
 
 // Convenience builder for step (8)'s objective:
 //   value(Φ) = grad_f·(Φ − Φ_anchor) + μ·h(Φ) + ‖Φ − Φ_anchor‖²/(2β)

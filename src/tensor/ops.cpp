@@ -3,32 +3,24 @@
 #include <cmath>
 
 namespace fedl {
+namespace {
+
+double vnorm(std::span<const float> v) {
+  double s = 0.0;
+  for (float x : v) s += static_cast<double>(x) * static_cast<double>(x);
+  return std::sqrt(s);
+}
+
+void vscale(float alpha, std::span<float> v) {
+  for (auto& x : v) x *= alpha;
+}
+
+}  // namespace
 
 void axpy(float alpha, const Tensor& x, Tensor& y) {
   FEDL_CHECK(x.shape() == y.shape())
       << x.shape().str() << " vs " << y.shape().str();
   axpy(alpha, x.span(), y.span());
-}
-
-void scale(float alpha, Tensor& y) { vscale(alpha, y.span()); }
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  FEDL_CHECK(a.shape() == b.shape());
-  Tensor out = a;
-  axpy(1.0f, b, out);
-  return out;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  FEDL_CHECK(a.shape() == b.shape());
-  Tensor out = a;
-  axpy(-1.0f, b, out);
-  return out;
-}
-
-double tdot(const Tensor& a, const Tensor& b) {
-  FEDL_CHECK_EQ(a.numel(), b.numel());
-  return vdot(a.span(), b.span());
 }
 
 void relu_inplace(Tensor& t) {
@@ -48,38 +40,6 @@ void mul_inplace(Tensor& y, const Tensor& mask) {
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   FEDL_CHECK_EQ(x.size(), y.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-double vdot(std::span<const float> a, std::span<const float> b) {
-  FEDL_CHECK_EQ(a.size(), b.size());
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    s += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  return s;
-}
-
-double vnorm(std::span<const float> v) {
-  double s = 0.0;
-  for (float x : v) s += static_cast<double>(x) * static_cast<double>(x);
-  return std::sqrt(s);
-}
-
-ParamVec vadd(std::span<const float> a, std::span<const float> b) {
-  FEDL_CHECK_EQ(a.size(), b.size());
-  ParamVec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-ParamVec vsub(std::span<const float> a, std::span<const float> b) {
-  FEDL_CHECK_EQ(a.size(), b.size());
-  ParamVec out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-void vscale(float alpha, std::span<float> v) {
-  for (auto& x : v) x *= alpha;
 }
 
 void clip_norm(std::span<float> v, double max_norm) {
@@ -109,23 +69,6 @@ void softmax_rows(const Tensor& logits, Tensor& out) {
     const float inv = 1.0f / denom;
     for (std::size_t c = 0; c < cols; ++c) orow[c] *= inv;
   }
-}
-
-std::vector<std::size_t> argmax_rows(const Tensor& m) {
-  FEDL_CHECK_EQ(m.shape().rank(), 2u);
-  const std::size_t rows = m.shape()[0];
-  const std::size_t cols = m.shape()[1];
-  FEDL_CHECK_GT(cols, 0u);
-  std::vector<std::size_t> out(rows);
-  const float* p = m.data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = p + r * cols;
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < cols; ++c)
-      if (row[c] > row[best]) best = c;
-    out[r] = best;
-  }
-  return out;
 }
 
 }  // namespace fedl

@@ -1,6 +1,6 @@
 // Elementwise and BLAS-1 style operations on tensors / flat parameter
 // vectors. These are the primitives the DANE local solver composes:
-// w_k = w + d, d -= alpha * grad, norms for convergence-accuracy estimates.
+// w_k = w + d, d -= alpha * grad, gradient clipping.
 #pragma once
 
 #include <span>
@@ -12,14 +12,6 @@ namespace fedl {
 
 // y += alpha * x (shapes must match).
 void axpy(float alpha, const Tensor& x, Tensor& y);
-// y = alpha * y.
-void scale(float alpha, Tensor& y);
-// out = a + b.
-Tensor add(const Tensor& a, const Tensor& b);
-// out = a - b.
-Tensor sub(const Tensor& a, const Tensor& b);
-// Dot product of flattened tensors.
-double tdot(const Tensor& a, const Tensor& b);
 // ReLU forward in place.
 void relu_inplace(Tensor& t);
 // Elementwise multiply: y *= mask (used for ReLU backward).
@@ -28,21 +20,14 @@ void mul_inplace(Tensor& y, const Tensor& mask);
 // --- flat parameter-vector views -------------------------------------------
 // A model's parameters live in several tensors; DANE and the aggregation
 // rules treat them as one flat vector. ParamVec provides that view as an
-// owned std::vector<float> with helpers mirroring the BLAS-1 ops.
+// owned std::vector<float>.
 using ParamVec = std::vector<float>;
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
-double vdot(std::span<const float> a, std::span<const float> b);
-double vnorm(std::span<const float> v);
-ParamVec vadd(std::span<const float> a, std::span<const float> b);
-ParamVec vsub(std::span<const float> a, std::span<const float> b);
-void vscale(float alpha, std::span<float> v);
 // Clip v to max L2 norm `max_norm` (no-op when already within).
 void clip_norm(std::span<float> v, double max_norm);
 
 // Row-wise softmax of a [N, C] logits matrix, written into out ([N, C]).
 void softmax_rows(const Tensor& logits, Tensor& out);
-// Argmax per row of a [N, C] matrix.
-std::vector<std::size_t> argmax_rows(const Tensor& m);
 
 }  // namespace fedl

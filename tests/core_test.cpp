@@ -70,14 +70,6 @@ TEST(Types, RhoToItersCeil) {
   EXPECT_EQ(rho_to_iters(std::nan(""), 10), 1u);
 }
 
-TEST(Types, EtaRhoRoundTrip) {
-  for (double eta : {0.0, 0.3, 0.9}) {
-    EXPECT_NEAR(rho_to_eta(eta_to_rho(eta)), eta, 1e-9);
-  }
-  EXPECT_GE(eta_to_rho(0.999999999999), 1.0);
-  EXPECT_EQ(eta_to_rho(0.0), 1.0);
-}
-
 // --- online learner -----------------------------------------------------------------
 
 sim::EpochContext make_ctx(std::size_t k, std::size_t epoch = 1) {
@@ -157,6 +149,7 @@ TEST(OnlineLearner, DualAscentFollowsUpdateRule) {
   out.num_iterations = 2;
   out.client_eta = {0.9};
   out.client_loss_reduction = {0.2};
+  out.client_completed_iters = {2};
   out.train_loss_all = 1.5;  // h^0 = 1.5 − 0.5 = 1.0
   learner.observe(frac, out);
 
@@ -179,13 +172,14 @@ TEST(OnlineLearner, EstimatesTrackObservations) {
   out.num_iterations = 4;
   out.client_eta = {0.7};
   out.client_loss_reduction = {0.8};  // per-iter = 0.2
+  out.client_completed_iters = {4};
   out.train_loss_all = 1.2;
   learner.observe(frac, out);
 
   EXPECT_NEAR(learner.eta_estimate(1), 0.7, 1e-12);
   EXPECT_NEAR(learner.delta_estimate(1), 0.2, 1e-12);
   // Unselected clients keep their priors.
-  EXPECT_NEAR(learner.eta_estimate(0), cfg.init_eta, 1e-12);
+  EXPECT_NEAR(learner.eta_estimate(0), kInitEta, 1e-12);
 }
 
 TEST(OnlineLearner, NegativeLossReductionFlooredAtZero) {
@@ -200,6 +194,7 @@ TEST(OnlineLearner, NegativeLossReductionFlooredAtZero) {
   out.num_iterations = 1;
   out.client_eta = {0.5};
   out.client_loss_reduction = {-0.4};
+  out.client_completed_iters = {1};
   out.train_loss_all = 1.0;
   learner.observe(frac, out);
   EXPECT_DOUBLE_EQ(learner.delta_estimate(0), 0.0);

@@ -300,25 +300,6 @@ TEST_P(PartitionProperties, NonIidPrincipalConcentratesLabels) {
   EXPECT_GT(avg_top2 / static_cast<double>(dist.size()), 0.6);
 }
 
-TEST_P(PartitionProperties, DirichletConservesAndSkews) {
-  Dataset d = make_synthetic(fmnist_like_spec(400, GetParam()));
-  Rng rng(GetParam() + 2);
-  Partition skewed = partition_dirichlet(d, 6, 0.1, rng);
-  EXPECT_EQ(partition_total(skewed), d.size());
-  EXPECT_TRUE(partition_disjoint(skewed));
-
-  Rng rng2(GetParam() + 3);
-  Partition balanced = partition_dirichlet(d, 6, 100.0, rng2);
-  // Low alpha should produce higher max-label concentration than high alpha.
-  auto max_concentration = [&](const Partition& p) {
-    double worst = 0.0;
-    for (const auto& probs : label_distribution(d, p))
-      for (double v : probs) worst = std::max(worst, v);
-    return worst;
-  };
-  EXPECT_GT(max_concentration(skewed), max_concentration(balanced));
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionProperties,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 

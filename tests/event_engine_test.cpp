@@ -2,13 +2,17 @@
 // buffer accounting, dropout-as-total-loss, staleness damping, and the
 // harness-level determinism contract (same-seed byte identity, equal digest
 // chains across --jobs/--threads, budget never overdrawn, clean monitored
-// runs fire nothing).
+// runs fire nothing), and FedL's delayed feedback (each outcome meets its own
+// epoch's decision).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
 
+#include "common/error.h"
+#include "core/fedl_strategy.h"
 #include "core/staleness.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
@@ -401,6 +405,86 @@ TEST(AsyncHarness, SurvivesMidFlightDropouts) {
   const auto res = exp.run(*strat);
   EXPECT_GT(res.epochs_run, 0u);
   EXPECT_LE(res.trace.total_cost(), cfg.budget + 1e-9);
+}
+
+// --- delayed feedback ------------------------------------------------------------
+
+// Epoch `epoch` offering clients [first, first + count) at unit rent.
+sim::EpochContext feedback_ctx(std::size_t epoch, std::size_t first,
+                               std::size_t count) {
+  sim::EpochContext ctx;
+  ctx.epoch = epoch;
+  for (std::size_t id = first; id < first + count; ++id) {
+    sim::ClientObservation o;
+    o.id = id;
+    o.cost = 1.0;
+    o.data_size = 20;
+    o.tau_loc = 0.1 * static_cast<double>(id + 1);
+    o.tau_cm_est = 0.05;
+    ctx.available.push_back(o);
+  }
+  return ctx;
+}
+
+// The outcome of `dec` with every selected client finishing its iterations
+// at local accuracy `eta`.
+EpochOutcome feedback_outcome(const core::Decision& dec, double eta) {
+  EpochOutcome out;
+  out.selected = dec.selected;
+  out.num_iterations = dec.num_iterations;
+  out.client_eta.assign(dec.selected.size(), eta);
+  out.client_loss_reduction.assign(dec.selected.size(), 0.05);
+  out.client_completed_iters.assign(dec.selected.size(), dec.num_iterations);
+  out.train_loss_all = 1.0;
+  return out;
+}
+
+// Event mode resolves a cohort after newer epochs were decided (DESIGN.md
+// §12.3): its outcome must meet its own epoch's fractional decision. Two
+// epochs with disjoint candidates are decided, then the first is observed.
+TEST(FedLFeedback, DelayedOutcomeMeetsItsOwnEpochsDecision) {
+  core::FedLConfig cfg;
+  cfg.learner.n_min = 2;
+  core::FedLStrategy s(6, cfg);
+  core::BudgetLedger budget(1e6);
+  const sim::EpochContext ctx1 = feedback_ctx(1, 0, 3);
+  const core::Decision d1 = s.decide(ctx1, budget);
+  const core::FractionalDecision f1 = s.last_fraction();
+  s.decide(feedback_ctx(2, 3, 3), budget);
+
+  constexpr double kEta = 0.9;
+  s.observe(ctx1, d1, feedback_outcome(d1, kEta));
+
+  // Step (9) from μ = 0: μ^k = min([δ·h^k]+, μ_max) with
+  // h^k = η x̃_k ρ − ρ + 1, η realized for a selected client, else the prior.
+  bool moved = false;
+  for (std::size_t i = 0; i < f1.ids.size(); ++i) {
+    const bool selected = std::count(d1.selected.begin(), d1.selected.end(),
+                                     f1.ids[i]) > 0;
+    const double eta = selected ? kEta : core::kInitEta;
+    const double h = eta * f1.x[i] * f1.rho - f1.rho + 1.0;
+    const double mu =
+        std::min(std::max(0.0, cfg.learner.delta * h), cfg.learner.mu_max);
+    EXPECT_DOUBLE_EQ(s.learner().mu_k(f1.ids[i]), mu) << "client " << f1.ids[i];
+    moved = moved || mu > 0.0;
+  }
+  EXPECT_TRUE(moved) << "no first-epoch dual moved; the check is vacuous";
+  for (std::size_t id = 3; id < 6; ++id)
+    EXPECT_EQ(s.learner().mu_k(id), 0.0) << "second-epoch client " << id;
+}
+
+TEST(FedLFeedback, ObserveOfAnUndecidedEpochThrows) {
+  core::FedLStrategy s(3, core::FedLConfig{});
+  EXPECT_THROW(s.observe(feedback_ctx(7, 0, 3), core::Decision{},
+                         EpochOutcome{}),
+               CheckError);
+  // observe() consumes the decision: its epoch cannot be observed twice.
+  core::BudgetLedger budget(1e6);
+  const sim::EpochContext ctx = feedback_ctx(1, 0, 3);
+  const core::Decision d = s.decide(ctx, budget);
+  const EpochOutcome out = feedback_outcome(d, 0.5);
+  s.observe(ctx, d, out);
+  EXPECT_THROW(s.observe(ctx, d, out), CheckError);
 }
 
 }  // namespace

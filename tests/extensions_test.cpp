@@ -161,6 +161,7 @@ TEST(Fairness, BoostRaisesJainsIndex) {
       out.num_iterations = d.num_iterations;
       out.client_eta.assign(d.selected.size(), 0.5);
       out.client_loss_reduction.assign(d.selected.size(), 0.05);
+      out.client_completed_iters.assign(d.selected.size(), d.num_iterations);
       out.train_loss_all = 0.4;
       s.observe(ctx, d, out);
     }
@@ -262,8 +263,13 @@ TEST(LocalSolver, FedProxKeepsUpdateSmallerThanSgd) {
   fl::DaneConfig sgd = prox;
   sgd.rule = fl::LocalUpdateRule::kSgd;
 
-  const double d_prox = vnorm(fl::dane_local_step(oracle, w, {}, prox).d);
-  const double d_sgd = vnorm(fl::dane_local_step(oracle, w, {}, sgd).d);
+  const auto norm = [](const nn::ParamVec& d) {
+    double s = 0.0;
+    for (float x : d) s += static_cast<double>(x) * static_cast<double>(x);
+    return std::sqrt(s);
+  };
+  const double d_prox = norm(fl::dane_local_step(oracle, w, {}, prox).d);
+  const double d_sgd = norm(fl::dane_local_step(oracle, w, {}, sgd).d);
   EXPECT_LT(d_prox, d_sgd);
 }
 

@@ -195,35 +195,7 @@ TEST(Trace, DerivedMetricsBehave) {
   EXPECT_DOUBLE_EQ(t.rounds_to_accuracy(0.2), 4.0);
   EXPECT_DOUBLE_EQ(t.accuracy_at_time(35.0), 0.3);
   EXPECT_DOUBLE_EQ(t.accuracy_at_time(5.0), 0.0);
-  EXPECT_DOUBLE_EQ(t.accuracy_at_round(6), 0.3);
   EXPECT_DOUBLE_EQ(t.final_accuracy(), 0.5);
-}
-
-TEST(Trace, CheckedQueriesDistinguishEmptyFromZeroAccuracy) {
-  fl::TrainTrace t;
-  t.algorithm = "x";
-  fl::TraceRecord r;
-  r.round = 4;
-  r.sim_time_s = 10.0;
-  r.test_accuracy = 0.0;  // a measured zero, not a sentinel
-  t.records.push_back(r);
-
-  // Probe before the first record: the bare accessor returns 0.0 either way,
-  // the checked one exposes that nothing qualified.
-  const auto before = t.accuracy_at_time_checked(5.0);
-  EXPECT_EQ(before.num_records, 0u);
-  EXPECT_DOUBLE_EQ(before.accuracy, 0.0);
-  EXPECT_DOUBLE_EQ(t.accuracy_at_time(5.0), before.accuracy);
-
-  // Probe exactly at the first record's time: inclusive boundary.
-  const auto at = t.accuracy_at_time_checked(10.0);
-  EXPECT_EQ(at.num_records, 1u);
-  EXPECT_DOUBLE_EQ(at.accuracy, 0.0);
-
-  const auto round_before = t.accuracy_at_round_checked(3);
-  EXPECT_EQ(round_before.num_records, 0u);
-  const auto round_at = t.accuracy_at_round_checked(4);  // inclusive boundary
-  EXPECT_EQ(round_at.num_records, 1u);
 }
 
 TEST(Trace, CheckedQueryAtExactRecordedAccuracyBoundary) {
@@ -236,11 +208,10 @@ TEST(Trace, CheckedQueryAtExactRecordedAccuracyBoundary) {
     t.records.push_back(r);
   }
   // time_to_accuracy with a target exactly equal to a recorded accuracy must
-  // stop at that record (>= comparison), matching the checked count.
+  // stop at that record (>= comparison), and accuracy_at_time at that
+  // record's time must include it.
   EXPECT_DOUBLE_EQ(t.time_to_accuracy(0.2), 2.0);
-  const auto q = t.accuracy_at_time_checked(2.0);
-  EXPECT_EQ(q.num_records, 2u);
-  EXPECT_DOUBLE_EQ(q.accuracy, 0.2);
+  EXPECT_DOUBLE_EQ(t.accuracy_at_time(2.0), 0.2);
 }
 
 TEST(Integration, WarmStartContinuesFromSavedModel) {

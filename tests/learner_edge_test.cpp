@@ -73,6 +73,7 @@ TEST(LearnerEdge, FractionsStayInBoxOverManyEpochs) {
     out.num_iterations = 1;
     out.client_eta = {0.5};
     out.client_loss_reduction = {0.1};
+    out.client_completed_iters = {1};
     out.train_loss_all = 2.0;  // persistent violation: duals keep growing
     learner.observe(dec, out);
   }
@@ -123,6 +124,7 @@ TEST(LearnerEdge, HigherDeltaEstimateRaisesSelectionPressure) {
     out.num_iterations = 1;
     out.client_eta = {0.5, 0.5};
     out.client_loss_reduction = {0.5, 0.01};  // client 0 is far more useful
+    out.client_completed_iters = {1, 1};
     out.train_loss_all = 2.0;                 // θ violated -> μ0 active
     learner.observe(frac, out);
   }
@@ -276,6 +278,7 @@ TEST(FedLEdge, FairnessInactiveDuringWarmup) {
     out.num_iterations = d1.num_iterations;
     out.client_eta.assign(d1.selected.size(), 0.5);
     out.client_loss_reduction.assign(d1.selected.size(), 0.1);
+    out.client_completed_iters.assign(d1.selected.size(), d1.num_iterations);
     out.train_loss_all = 0.3;
     with_warmup.observe(ctx, d1, out);
     without.observe(ctx, d2, out);
@@ -293,6 +296,9 @@ TEST(FedLEdge, ParticipationTrackerCountsEveryEpoch) {
     const auto d = s.decide(ctx, budget);
     fl::EpochOutcome out;
     out.selected = d.selected;
+    out.client_eta.assign(d.selected.size(), 0.0);
+    out.client_loss_reduction.assign(d.selected.size(), 0.0);
+    out.client_completed_iters.assign(d.selected.size(), 0);
     out.train_loss_all = 0.5;
     s.observe(ctx, d, out);
   }
@@ -317,6 +323,7 @@ TEST(FedLEdge, IterationCountRespectsLMax) {
     out.num_iterations = d.num_iterations;
     out.client_eta.assign(d.selected.size(), 0.99);  // demands huge ρ
     out.client_loss_reduction.assign(d.selected.size(), 0.01);
+    out.client_completed_iters.assign(d.selected.size(), d.num_iterations);
     out.train_loss_all = 3.0;
     s.observe(ctx, d, out);
   }

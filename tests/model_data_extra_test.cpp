@@ -143,28 +143,6 @@ TEST(SyntheticPresets, CifarIsHarderThanFmnist) {
             snr(data::cifar_like_spec(600, 3)));
 }
 
-TEST(Dirichlet, HugeAlphaApproachesUniformSplit) {
-  data::Dataset ds = data::make_synthetic(data::fmnist_like_spec(500, 9));
-  Rng rng(9);
-  const auto p = data::partition_dirichlet(ds, 5, 1000.0, rng);
-  for (const auto& client : p) {
-    EXPECT_GT(client.size(), 60u);
-    EXPECT_LT(client.size(), 140u);
-  }
-}
-
-TEST(Dirichlet, TinyAlphaConcentrates) {
-  data::Dataset ds = data::make_synthetic(data::fmnist_like_spec(500, 11));
-  Rng rng(11);
-  const auto p = data::partition_dirichlet(ds, 5, 0.05, rng);
-  const auto dist = data::label_distribution(ds, p);
-  // At least one client should be dominated by a single class.
-  double best = 0.0;
-  for (const auto& probs : dist)
-    for (double v : probs) best = std::max(best, v);
-  EXPECT_GT(best, 0.5);
-}
-
 TEST(OnlineStream, MinSamplesFloorBindsOnTinyPartitions) {
   data::Dataset ds = data::make_synthetic(data::fmnist_like_spec(40, 13));
   data::Partition p(1);

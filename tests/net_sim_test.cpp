@@ -59,12 +59,10 @@ TEST(Channel, FadingChangesPerEpochGainStableWithin) {
 }
 
 TEST(Channel, DistancesWithinCell) {
-  net::ChannelSpec spec;
-  spec.cell_radius_m = 500.0;
-  net::ChannelModel ch(200, spec);
+  net::ChannelModel ch(200, {});
   for (std::size_t k = 0; k < 200; ++k) {
     EXPECT_GE(ch.distance_m(k), 10.0);
-    EXPECT_LE(ch.distance_m(k), 500.0);
+    EXPECT_LE(ch.distance_m(k), net::kCellRadiusM);
   }
 }
 
@@ -84,11 +82,11 @@ TEST(DeviceFleet, ParameterRangesMatchSpec) {
   for (std::size_t k = 0; k < 100; ++k) {
     const auto& d = fleet.device(k);
     EXPECT_GT(d.cpu_hz, 0.0);
-    EXPECT_LE(d.cpu_hz, spec.cpu_hz_max);
-    EXPECT_GE(d.cycles_per_bit, spec.cycles_per_bit_lo);
-    EXPECT_LE(d.cycles_per_bit, spec.cycles_per_bit_hi);
-    EXPECT_GE(fleet.cost(k), spec.cost_lo);
-    EXPECT_LE(fleet.cost(k), spec.cost_hi);
+    EXPECT_LE(d.cpu_hz, sim::kCpuHzMax);
+    EXPECT_GE(d.cycles_per_bit, sim::kCyclesPerBitLo);
+    EXPECT_LE(d.cycles_per_bit, sim::kCyclesPerBitHi);
+    EXPECT_GE(fleet.cost(k), sim::kCostLo);
+    EXPECT_LE(fleet.cost(k), sim::kCostHi);
   }
 }
 
@@ -109,7 +107,7 @@ TEST(DeviceFleet, AvailabilityFrequencyMatchesBernoulli) {
   std::size_t available = 0, total = 0;
   for (int epoch = 0; epoch < 200; ++epoch) {
     fleet.advance_epoch();
-    available += fleet.available_set().size();
+    for (std::size_t k = 0; k < 50; ++k) available += fleet.available(k);
     total += 50;
   }
   EXPECT_NEAR(static_cast<double>(available) / total, 0.6, 0.03);
@@ -184,7 +182,7 @@ TEST(Environment, RealizedTauCmGrowsWithSharers) {
   }
   ASSERT_GE(cohort.size(), 2u);
   const std::size_t k = cohort.front();
-  const double s = env.spec().device.upload_bits;
+  const double s = sim::kUploadBits;
   const double alone = env.step_times({k}, {s})[0];
   EXPECT_DOUBLE_EQ(alone, env.context().find(k)->tau_loc +
                               s / env.channel().rate_equal_share(k, 1));

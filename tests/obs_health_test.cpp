@@ -94,7 +94,6 @@ TEST(Monitor, OverdrawnPacingFiresExactlyOnce) {
     }
   }
   EXPECT_EQ(fired, 1u);
-  EXPECT_EQ(monitor.anomalies_fired(), 1u);
 
   // Recovery re-arms: a healthy epoch, then a new violation fires again.
   EXPECT_TRUE(monitor.on_epoch(pacing_sample(11, 5.0, 10.0)).empty());
@@ -165,19 +164,16 @@ TEST(Monitor, EstimatorRangeAndDriftFire) {
 }
 
 TEST(Monitor, DropoutWindowMustFillBeforeFiring) {
-  obs::MonitorConfig cfg;
-  cfg.dropout_window = 4;
-  cfg.dropout_threshold = 0.5;
-  obs::InvariantMonitor monitor(cfg);
+  obs::InvariantMonitor monitor;  // 8-epoch window, threshold 0.5
   std::size_t fired = 0;
-  for (std::uint64_t e = 1; e <= 4; ++e) {
+  for (std::uint64_t e = 1; e <= obs::kDropoutWindow; ++e) {
     obs::EpochSample s;
     s.epoch = e;
     s.num_selected = 4.0;
     s.num_dropped = 4.0;  // 100% dropout every epoch
     const auto anomalies = monitor.on_epoch(s);
     fired += anomalies.size();
-    if (e < 4) {
+    if (e < obs::kDropoutWindow) {
       EXPECT_TRUE(anomalies.empty()) << "fired before window filled";
     }
   }
@@ -191,7 +187,6 @@ TEST(Monitor, AllAbsentInputsFireNothing) {
     s.epoch = e;
     EXPECT_TRUE(monitor.on_epoch(s).empty());
   }
-  EXPECT_EQ(monitor.anomalies_fired(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -115,6 +115,8 @@ TEST_P(RepairInvariants, FedLDecisionsAlwaysFeasible) {
     out.num_iterations = dec.num_iterations;
     out.client_eta.assign(dec.selected.size(), rng.uniform(0.1, 0.95));
     out.client_loss_reduction.assign(dec.selected.size(), rng.uniform(0.0, 0.3));
+    out.client_completed_iters.assign(dec.selected.size(),
+                                      dec.num_iterations);
     out.train_loss_all = rng.uniform(0.2, 2.5);
     out.cost = cost;
     strat.observe(ctx, dec, out);

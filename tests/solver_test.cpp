@@ -14,23 +14,34 @@ namespace fedl::solver {
 namespace {
 
 TEST(ProjectBox, ClampsCoordinates) {
-  std::vector<double> x = {-1.0, 0.5, 3.0};
-  project_box({0, 0, 0}, {1, 1, 1}, x);
-  EXPECT_EQ(x, (std::vector<double>{0.0, 0.5, 1.0}));
+  // With no halfspaces the intersection is the box: a coordinate clamp.
+  FeasibleSet set;
+  set.lo = {0, 0, 0};
+  set.hi = {1, 1, 1};
+  bool converged = false;
+  const auto p = project_intersection(set, {-1.0, 0.5, 3.0}, &converged);
+  EXPECT_TRUE(converged);
+  EXPECT_EQ(p, (std::vector<double>{0.0, 0.5, 1.0}));
+}
+
+// project_box_halfspace with a box too wide to bind is the orthogonal
+// projection onto the halfspace alone.
+std::vector<double> project_slack_box(const Halfspace& h,
+                                      std::vector<double> x) {
+  const std::vector<double> lo(x.size(), -1e3), hi(x.size(), 1e3);
+  project_box_halfspace(lo, hi, h, x);
+  return x;
 }
 
 TEST(ProjectHalfspace, NoopInside) {
   Halfspace h{{1.0, 1.0}, 5.0};
-  std::vector<double> x = {1.0, 2.0};
-  project_halfspace(h, x);
-  EXPECT_EQ(x, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(project_slack_box(h, {1.0, 2.0}), (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(ProjectHalfspace, OrthogonalProjectionOutside) {
   // {x + y <= 0}; projecting (1,1) gives (0,0).
   Halfspace h{{1.0, 1.0}, 0.0};
-  std::vector<double> x = {1.0, 1.0};
-  project_halfspace(h, x);
+  const auto x = project_slack_box(h, {1.0, 1.0});
   EXPECT_NEAR(x[0], 0.0, 1e-12);
   EXPECT_NEAR(x[1], 0.0, 1e-12);
 }
@@ -48,8 +59,7 @@ TEST(ProjectHalfspace, ResultSatisfiesConstraintAndIsClosest) {
     if (l2_norm_zero(h)) continue;
     std::vector<double> x = {rng.normal() * 3, rng.normal() * 3,
                              rng.normal() * 3};
-    std::vector<double> p = x;
-    project_halfspace(h, p);
+    const std::vector<double> p = project_slack_box(h, x);
     double ax = 0, ap = 0;
     for (int i = 0; i < 3; ++i) {
       ax += h.a[i] * x[i];
@@ -106,7 +116,7 @@ TEST_P(IntersectionVsBruteForce, MatchesOracleIn2D) {
   if (!set.contains(oracle, 1e-6)) return;  // empty-ish intersection: skip
 
   bool converged = false;
-  const auto proj = project_intersection(set, x, {}, &converged);
+  const auto proj = project_intersection(set, x, &converged);
   EXPECT_TRUE(converged);
   EXPECT_TRUE(set.contains(proj, 1e-5));
   // The projection must be at least as close to x as the best grid point
@@ -148,7 +158,7 @@ TEST(ProjectIntersection, HighDimensionalFeasibility) {
   std::vector<double> x(n);
   for (auto& v : x) v = rng.uniform(-1.0, 2.0);
   bool converged = false;
-  const auto p = project_intersection(set, x, {}, &converged);
+  const auto p = project_intersection(set, x, &converged);
   EXPECT_TRUE(converged);
   EXPECT_TRUE(set.contains(p, 1e-6));
 }

@@ -230,13 +230,6 @@ TEST(FedL, TinyBudgetNeverOverspends) {
   }
 }
 
-TEST(FedL, ObserveBeforeDecideIsSafe) {
-  FedLStrategy s(5, fedl_cfg());
-  sim::EpochContext ctx = make_ctx(5);
-  fl::EpochOutcome out;
-  EXPECT_NO_THROW(s.observe(ctx, Decision{}, out));  // no fraction yet
-}
-
 TEST(FedL, LearnsToAvoidSlowClients) {
   // Feed epochs where client latency differences dominate; FedL should end
   // up preferring the fast half.
@@ -262,6 +255,7 @@ TEST(FedL, LearnsToAvoidSlowClients) {
     out.num_iterations = d.num_iterations;
     out.client_eta.assign(d.selected.size(), 0.5);
     out.client_loss_reduction.assign(d.selected.size(), 0.05);
+    out.client_completed_iters.assign(d.selected.size(), d.num_iterations);
     out.train_loss_all = 0.4;  // satisfied: latency pressure dominates
     s.observe(ctx, d, out);
   }
