@@ -170,6 +170,8 @@ void BM_DaneLocalStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DaneLocalStep);
 
+// decide()'s projection onto box ∩ budget ∩ floor; n = 1000 is the
+// perfbench select_1m workload's |E_t|.
 void BM_ProjectIntersection(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
@@ -191,7 +193,7 @@ void BM_ProjectIntersection(benchmark::State& state) {
     benchmark::DoNotOptimize(p.data());
   }
 }
-BENCHMARK(BM_ProjectIntersection)->Arg(20)->Arg(100);
+BENCHMARK(BM_ProjectIntersection)->Arg(20)->Arg(100)->Arg(1000);
 
 void BM_RdcsRound(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -207,7 +209,8 @@ void BM_RdcsRound(benchmark::State& state) {
 BENCHMARK(BM_RdcsRound)->Arg(20)->Arg(100);
 
 // Theorem 4: FedL's per-epoch decision is polynomial, O(T_C K²). One
-// decide()+observe() cycle as a function of the available-client count K.
+// decide()+observe() cycle as a function of the available-client count K
+// (K = 1000 as in the perfbench select_1m workload).
 void BM_FedLDecide(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
@@ -239,7 +242,7 @@ void BM_FedLDecide(benchmark::State& state) {
     benchmark::DoNotOptimize(dec.selected.data());
   }
 }
-BENCHMARK(BM_FedLDecide)->Arg(10)->Arg(50)->Arg(100);
+BENCHMARK(BM_FedLDecide)->Arg(10)->Arg(50)->Arg(100)->Arg(1000);
 
 void BM_SyntheticGeneration(benchmark::State& state) {
   for (auto _ : state) {

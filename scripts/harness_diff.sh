@@ -6,7 +6,7 @@
 #
 # Builds tools/harness_dump (Release) twice — against the sources of REV,
 # extracted with `git archive`, and against the working tree — dumps the
-# 120-run matrix at thread budgets 1 and 4 with each, and compares the
+# 96-run matrix at thread budgets 1 and 4 with each, and compares the
 # dumps with cmp: REV against the working tree at each budget, and the
 # working tree's budget 1 against its budget 4. Exits 0 only when all three
 # match. No golden dump is stored: digests depend on the GEMM kernel tier,

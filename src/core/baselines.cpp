@@ -172,32 +172,4 @@ void PowDStrategy::observe(const sim::EpochContext& ctx,
     l = 0.95 * l + 0.05 * outcome.train_loss_all;
 }
 
-// --- Greedy oracle -------------------------------------------------------------
-
-GreedyOracleStrategy::GreedyOracleStrategy(BaselineConfig cfg) : cfg_(cfg) {}
-
-Decision GreedyOracleStrategy::decide(const sim::EpochContext& ctx,
-                                      const BudgetLedger& budget) {
-  const std::size_t k = ctx.available.size();
-  if (k == 0) return {};
-  std::vector<std::size_t> order(k);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const auto& oa = ctx.available[a];
-    const auto& ob = ctx.available[b];
-    return oa.tau_loc + oa.tau_cm_est < ob.tau_loc + ob.tau_cm_est;
-  });
-  const double cap =
-      per_epoch_cap(ctx, budget, cfg_.n_select, cfg_.pacing);
-  std::vector<std::size_t> picks;
-  double cost = 0.0;
-  for (std::size_t i : order) {
-    if (picks.size() >= cfg_.n_select) break;
-    if (cost + ctx.available[i].cost > cap) continue;
-    picks.push_back(i);
-    cost += ctx.available[i].cost;
-  }
-  return to_decision(ctx, picks, 1);  // ρ* = 1 minimizes f_t
-}
-
 }  // namespace fedl::core

@@ -1,5 +1,4 @@
-// The paper's comparison schemes (§6.1) plus a 1-lookahead greedy oracle
-// used by the regret analysis.
+// The paper's comparison schemes (§6.1).
 //
 //  * FedAvg [19]: the server selects participants uniformly at random.
 //  * FedCS [21]: resource-aware — selects as many clients as possible whose
@@ -79,20 +78,6 @@ class PowDStrategy : public SelectionStrategy {
   PowDConfig cfg_;
   Rng rng_;
   std::vector<double> loss_est_;  // last known local loss per client
-};
-
-// 1-lookahead greedy: picks the n fastest available clients this epoch at
-// ρ = 1. Not a paper baseline — it approximates the per-epoch optimum Φ*_t
-// for the regret benches (A2).
-class GreedyOracleStrategy : public SelectionStrategy {
- public:
-  explicit GreedyOracleStrategy(BaselineConfig cfg);
-  Decision decide(const sim::EpochContext& ctx,
-                  const BudgetLedger& budget) override;
-  std::string name() const override { return "Oracle"; }
-
- private:
-  BaselineConfig cfg_;
 };
 
 }  // namespace fedl::core

@@ -164,6 +164,46 @@ double OnlineLearner::select_candidates(const sim::EpochContext& ctx) {
   return mean_cost;
 }
 
+// Step (8)'s objective at Φ = [x̃, ρ] over the candidates decide() staged in
+// anchor_, grad_f_, mu_local_, eta_ and delta_ (header: h^0, h^k):
+//   ∇f_t·(Φ − Φ_t) + ‖Φ − Φ_t‖²/(2β) + μ·h(Φ),
+// and its gradient into *grad when grad is non-null. Every sum keeps one
+// fixed order (μ·h summed apart from 0, ∂(μ·h)/∂ρ likewise), which the
+// decisions' digest chains pin bit for bit.
+double OnlineLearner::step_objective(const std::vector<double>& phi,
+                                     std::vector<double>* grad) const {
+  FEDL_CHECK_EQ(phi.size(), anchor_.size());
+  const std::size_t w = anchor_.size() - 1;
+  const double n_d = static_cast<double>(cfg_.n_min);
+  const double rho = phi[w];
+  double value = 0.0;
+  for (std::size_t i = 0; i <= w; ++i) {
+    const double dx = phi[i] - anchor_[i];
+    value += grad_f_[i] * dx + dx * dx / (2.0 * cfg_.beta);
+  }
+  double gain = 0.0;  // Σ_k x̃_k Δ̂_k
+  for (std::size_t i = 0; i < w; ++i) gain += phi[i] * delta_[i];
+  double mu_h = 0.0;
+  mu_h += mu_local_[0] * (last_loss_ - (rho / n_d) * gain - cfg_.theta);
+  for (std::size_t i = 0; i < w; ++i)
+    mu_h += mu_local_[i + 1] * (eta_[i] * phi[i] * rho - rho + 1.0);
+  value += mu_h;
+
+  if (grad) {
+    grad->resize(w + 1);
+    double mu_h_rho = 0.0;  // ∂(μ·h)/∂ρ
+    for (std::size_t i = 0; i < w; ++i) {
+      const double mu_h_x = -mu_local_[0] * (rho / n_d) * delta_[i] +
+                            mu_local_[i + 1] * eta_[i] * rho;
+      mu_h_rho += mu_local_[i + 1] * (eta_[i] * phi[i] - 1.0);
+      (*grad)[i] = grad_f_[i] + (phi[i] - anchor_[i]) / cfg_.beta + mu_h_x;
+    }
+    mu_h_rho += -mu_local_[0] * gain / n_d;
+    (*grad)[w] = grad_f_[w] + (phi[w] - anchor_[w]) / cfg_.beta + mu_h_rho;
+  }
+  return value;
+}
+
 FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
                                          const BudgetLedger& budget) {
   FEDL_PROFILE_SCOPE("learner.decide");
@@ -275,45 +315,11 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
   for (std::size_t i = 0; i < w; ++i)
     mu_local_[i + 1] = pool_.get(dec.ids[i]).mu;
 
-  const double last_loss = last_loss_;
-  const double theta = cfg_.theta;
-  const std::vector<double>& eta = eta_;
-  const std::vector<double>& delta = delta_;
-
-  solver::LinearizedStep step;
-  step.grad_f = grad_f_;
-  step.anchor = anchor_;
-  step.beta = cfg_.beta;
-  step.mu = mu_local_;
-  step.h = [w, &eta, &delta, last_loss, theta, n_d](
-               const std::vector<double>& phi) {
-    std::vector<double> h(w + 1);
-    const double rho = phi[w];
-    double gain = 0.0;
-    for (std::size_t i = 0; i < w; ++i) gain += phi[i] * delta[i];
-    h[0] = last_loss - (rho / n_d) * gain - theta;          // h^0
-    for (std::size_t i = 0; i < w; ++i)
-      h[i + 1] = eta[i] * phi[i] * rho - rho + 1.0;          // h^k
-    return h;
-  };
-  step.h_grad_mu = [w, &eta, &delta, n_d](const std::vector<double>& phi,
-                                          const std::vector<double>& mu) {
-    std::vector<double> g(w + 1, 0.0);
-    const double rho = phi[w];
-    double gain = 0.0;
-    for (std::size_t i = 0; i < w; ++i) {
-      // ∂h^0/∂x_i and ∂h^{i}/∂x_i contributions.
-      g[i] = -mu[0] * (rho / n_d) * delta[i] + mu[i + 1] * eta[i] * rho;
-      gain += phi[i] * delta[i];
-      // ∂h^{i}/∂ρ contribution.
-      g[w] += mu[i + 1] * (eta[i] * phi[i] - 1.0);
-    }
-    g[w] += -mu[0] * gain / n_d;  // ∂h^0/∂ρ
-    return g;
-  };
-
-  const solver::ProxSolverResult res =
-      solver::minimize_projected(set, anchor_, step.make_objective());
+  const solver::ProxSolverResult res = solver::minimize_projected(
+      set, anchor_,
+      [this](const std::vector<double>& phi, std::vector<double>* grad) {
+        return step_objective(phi, grad);
+      });
 
   // Commit the fractional solution into persistent memory (candidates only;
   // pruned clients keep their fractional memory for future epochs).

@@ -138,6 +138,10 @@ class OnlineLearner {
   // Fills cand_ with the candidate indices into ctx.available (sorted
   // ascending) and returns the full-E_t mean posted cost.
   double select_candidates(const sim::EpochContext& ctx);
+  // Step (8)'s value at Φ = [x̃, ρ] (and its gradient when grad != nullptr)
+  // over the candidates decide() staged in the scratch below.
+  double step_objective(const std::vector<double>& phi,
+                        std::vector<double>* grad) const;
 
   LearnerConfig cfg_;
   std::size_t num_clients_;

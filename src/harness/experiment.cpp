@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/logging.h"
-#include "core/ucb_strategy.h"
 #include "data/partition.h"
 #include "nn/factory.h"
 #include "nn/serialize.h"
@@ -684,11 +683,6 @@ std::unique_ptr<core::SelectionStrategy> make_strategy(
     fc.seed = cfg.seed * 61 + 37;
     return std::make_unique<core::FedLStrategy>(cfg.num_clients, fc);
   }
-  if (name == "ucb") {
-    core::UcbConfig uc;
-    uc.base = base;
-    return std::make_unique<core::UcbStrategy>(cfg.num_clients, uc);
-  }
   if (name == "fedavg")
     return std::make_unique<core::FedAvgStrategy>(base);
   if (name == "fedcs") {
@@ -705,8 +699,6 @@ std::unique_ptr<core::SelectionStrategy> make_strategy(
                                  std::max<std::size_t>(2 * cfg.n_min, 8));
     return std::make_unique<core::PowDStrategy>(cfg.num_clients, pc);
   }
-  if (name == "oracle")
-    return std::make_unique<core::GreedyOracleStrategy>(base);
   throw ConfigError("unknown strategy: " + name);
 }
 

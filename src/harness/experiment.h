@@ -153,8 +153,9 @@ class Experiment {
 };
 
 // Strategy factory for the bench binaries. Names: "fedl", "fedavg",
-// "fedcs", "powd", "oracle", "ucb" (bandit baseline), "fedl-ind"
-// (independent-rounding ablation), "fedl-fair" (fairness extension).
+// "fedcs", "powd" (the paper's roster), "fedl-ind" (independent-rounding
+// ablation), "fedl-fair" (fairness extension); any other name throws
+// ConfigError.
 std::unique_ptr<core::SelectionStrategy> make_strategy(
     const std::string& name, const ScenarioConfig& cfg);
 

@@ -95,13 +95,15 @@ void print_metrics_summary(std::ostream& os,
   for (const auto& [name, v] : snapshot.gauges)
     t.add_row({name, "gauge", format_num(v), ""});
   for (const auto& [name, h] : snapshot.histograms) {
-    std::string detail = "mean=" + format_num(h.mean()) + " buckets[";
+    std::string detail = "mean=";
+    detail.append(format_num(h.mean())).append(" buckets[");
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       if (i) detail += ' ';
-      detail += i < h.bounds.size()
-                    ? "<=" + format_num(h.bounds[i])
-                    : std::string(">") + format_num(h.bounds.back());
-      detail += ':' + std::to_string(h.counts[i]);
+      if (i < h.bounds.size())
+        detail.append("<=").append(format_num(h.bounds[i]));
+      else
+        detail.append(">").append(format_num(h.bounds.back()));
+      detail.append(":").append(std::to_string(h.counts[i]));
     }
     detail += ']';
     t.add_row({name, "histogram", std::to_string(h.total), detail});

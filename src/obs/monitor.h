@@ -12,7 +12,7 @@
 //   estimator_drift  η̂_t must stay finite and in range, and its
 //                    epoch-to-epoch movement (EMA of |η̂_t − η̂_{t-1}|) must
 //                    decay below a threshold once warm — divergence here
-//                    means the UCB estimates never converge.
+//                    means the learner's η̂_k estimates never converge.
 //   dropout_rate     the windowed mean dropout fraction must stay under a
 //                    threshold; persistent mass dropout starves aggregation.
 //

@@ -23,14 +23,6 @@ namespace {
 constexpr std::size_t kMaxSweeps = 200;
 constexpr double kSweepTolerance = 1e-12;
 
-// In-place projection onto the box.
-void project_box(const std::vector<double>& lo, const std::vector<double>& hi,
-                 std::vector<double>& x) {
-  FEDL_CHECK_EQ(x.size(), lo.size());
-  FEDL_CHECK_EQ(x.size(), hi.size());
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = clamp(x[i], lo[i], hi[i]);
-}
-
 // Solves λ ≥ 0 with a·clamp(base − λa, lo, hi) = b when the constraint is
 // violated at λ = 0, by bracketing + bisection (g is non-increasing in λ).
 double solve_multiplier(const std::vector<double>& lo,
@@ -62,15 +54,6 @@ double solve_multiplier(const std::vector<double>& lo,
 
 }  // namespace
 
-void project_box_halfspace(const std::vector<double>& lo,
-                           const std::vector<double>& hi, const Halfspace& h,
-                           std::vector<double>& x) {
-  FEDL_CHECK_EQ(x.size(), h.a.size());
-  const double lambda = solve_multiplier(lo, hi, h, x);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = clamp(x[i] - lambda * h.a[i], lo[i], hi[i]);
-}
-
 std::vector<double> project_intersection(const FeasibleSet& set,
                                          std::vector<double> x,
                                          bool* converged) {
@@ -78,24 +61,11 @@ std::vector<double> project_intersection(const FeasibleSet& set,
   const std::size_t n = x.size();
   const std::size_t k = set.halfspaces.size();
 
-  if (k == 0) {
-    project_box(set.lo, set.hi, x);
-    if (converged) *converged = true;
-    return x;
-  }
-  if (k == 1) {
-    project_box_halfspace(set.lo, set.hi, set.halfspaces[0], x);
-    if (converged) *converged = true;
-    return x;
-  }
-
   // Dual coordinate ascent: x(λ) = clamp(y − Σ λ_s a_s); cyclically re-solve
   // each λ_s exactly given the others.
   const std::vector<double> y = x;
   std::vector<double> lambda(k, 0.0);
   std::vector<double> base(n);
-  bool ok = false;
-
   bool stationary = false;
   for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
     double max_change = 0.0;
@@ -126,9 +96,9 @@ std::vector<double> project_intersection(const FeasibleSet& set,
   // Dual coordinate ascent converges linearly but can be slow for nearly
   // parallel halfspaces; primal feasibility of the final iterate is the
   // practically meaningful convergence signal (dual stationarity only
-  // sharpens the last few digits of the projection).
-  ok = stationary || set.contains(x, 1e-7);
-  if (converged) *converged = ok && set.contains(x, 1e-6);
+  // sharpens the last few digits of the projection). A stationary sweep
+  // needs feasibility within 1e-6, an unfinished one within 1e-7.
+  if (converged) *converged = set.contains(x, stationary ? 1e-6 : 1e-7);
   return x;
 }
 

@@ -2,13 +2,13 @@
 // P_{3,t}: a box (relaxed selection fractions and ρ) intersected with the
 // budget halfspace (5a) and the minimum-participation halfspace (5b).
 //
-// Single-set projections are closed-form. The intersection is handled by
-// dual coordinate ascent on the projection QP's KKT system:
+// The intersection is handled by dual coordinate ascent on the projection
+// QP's KKT system:
 //   x(λ) = clamp(y − Σ_s λ_s a_s),  λ_s ≥ 0,  λ_s·(a_s·x − b_s) = 0,
 // cyclically re-solving each λ_s by monotone bisection. The dual is concave
 // and smooth, so cyclic ascent converges to the exact projection — unlike
 // plain Dykstra over box/halfspace pairs, which stalls on polyhedral
-// corners (observed experimentally; see tests/solver_test.cpp).
+// corners (observed experimentally). With no halfspace it is the box clamp.
 #pragma once
 
 #include <cstddef>
@@ -32,16 +32,11 @@ struct FeasibleSet {
   bool contains(const std::vector<double>& x, double tol = 1e-9) const;
 };
 
-// Exact Euclidean projection onto box ∩ {a·x <= b} via the KKT system:
-// P(y) = clamp(y − λa) with λ ≥ 0 found by monotone bisection.
-void project_box_halfspace(const std::vector<double>& lo,
-                           const std::vector<double>& hi, const Halfspace& h,
-                           std::vector<double>& x);
-
 // Euclidean projection of x onto the intersection. Returns the projected
-// point; sets *converged (if non-null) to whether the sweep tolerance was
-// met. An empty intersection shows up as non-convergence — callers must
-// validate with FeasibleSet::contains.
+// point; sets *converged (if non-null) to whether that point lies in the
+// set: within 1e-6 once a sweep moves no λ_s by 1e-12, within 1e-7 when
+// the 200 sweeps run out first. An empty intersection shows up as
+// non-convergence.
 std::vector<double> project_intersection(const FeasibleSet& set,
                                          std::vector<double> x,
                                          bool* converged = nullptr);

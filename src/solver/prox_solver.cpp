@@ -1,9 +1,8 @@
 #include "solver/prox_solver.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/error.h"
-#include "common/math_util.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 
@@ -124,43 +123,6 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
   }
   res.objective = value;
   return res;
-}
-
-Objective LinearizedStep::make_objective() const {
-  FEDL_CHECK_EQ(grad_f.size(), anchor.size());
-  FEDL_CHECK_GT(beta, 0.0);
-  FEDL_CHECK(h != nullptr);
-  FEDL_CHECK(h_grad_mu != nullptr);
-  // Copy members so the Objective outlives this builder.
-  auto grad_f_c = grad_f;
-  auto anchor_c = anchor;
-  auto h_c = h;
-  auto hg_c = h_grad_mu;
-  auto mu_c = mu;
-  const double beta_c = beta;
-
-  return [grad_f_c, anchor_c, h_c, hg_c, mu_c, beta_c](
-             const std::vector<double>& x, std::vector<double>* grad) {
-    FEDL_CHECK_EQ(x.size(), anchor_c.size());
-    double value = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double dx = x[i] - anchor_c[i];
-      value += grad_f_c[i] * dx + dx * dx / (2.0 * beta_c);
-    }
-    const std::vector<double> hx = h_c(x);
-    FEDL_CHECK_EQ(hx.size(), mu_c.size());
-    value += dot(mu_c, hx);
-
-    if (grad) {
-      grad->assign(x.size(), 0.0);
-      const std::vector<double> hg = hg_c(x, mu_c);
-      FEDL_CHECK_EQ(hg.size(), x.size());
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        (*grad)[i] = grad_f_c[i] + (x[i] - anchor_c[i]) / beta_c + hg[i];
-      }
-    }
-    return value;
-  };
 }
 
 }  // namespace fedl::solver

@@ -35,23 +35,4 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
                                     std::vector<double> x0,
                                     const Objective& objective);
 
-// Convenience builder for step (8)'s objective:
-//   value(Φ) = grad_f·(Φ − Φ_anchor) + μ·h(Φ) + ‖Φ − Φ_anchor‖²/(2β)
-// where h is supplied as a callback returning the vector h(Φ) and its
-// Jacobian-transpose product.
-struct LinearizedStep {
-  std::vector<double> grad_f;   // ∇f_t(Φ_t)
-  std::vector<double> anchor;   // Φ_t
-  double beta = 0.1;            // proximal step size β
-
-  // h(Φ) and ∇(μ·h)(Φ): callers encode the constraint structure.
-  std::function<std::vector<double>(const std::vector<double>&)> h;
-  std::function<std::vector<double>(const std::vector<double>&,
-                                    const std::vector<double>& mu)>
-      h_grad_mu;
-  std::vector<double> mu;       // Lagrange multipliers (size of h output)
-
-  Objective make_objective() const;
-};
-
 }  // namespace fedl::solver

@@ -128,8 +128,7 @@ TEST_P(BudgetInvariant, SpentNeverExceedsBudget) {
 INSTANTIATE_TEST_SUITE_P(
     StrategiesTimesSeeds, BudgetInvariant,
     ::testing::Combine(::testing::Values("fedl", "fedl-ind", "fedl-fair",
-                                         "ucb", "fedavg", "fedcs", "powd",
-                                         "oracle"),
+                                         "fedavg", "fedcs", "powd"),
                        ::testing::Range<std::uint64_t>(1, 21)));
 
 // --- RDCS marginal preservation under repair --------------------------------

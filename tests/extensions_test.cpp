@@ -1,5 +1,5 @@
-// Tests for the extension modules: the UCB bandit baseline, the fairness
-// tracker + FedL fairness mode, and the FedProx/SGD local-solver variants.
+// Tests for the extension modules: the fairness tracker + FedL fairness
+// mode, and the FedProx/SGD local-solver variants.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,108 +8,12 @@
 
 #include "core/fairness.h"
 #include "core/fedl_strategy.h"
-#include "core/ucb_strategy.h"
 #include "fl/dane.h"
 #include "harness/experiment.h"
 #include "nn/factory.h"
 
 namespace fedl {
 namespace {
-
-sim::EpochContext make_ctx(std::size_t k) {
-  sim::EpochContext ctx;
-  ctx.epoch = 1;
-  for (std::size_t i = 0; i < k; ++i) {
-    sim::ClientObservation o;
-    o.id = i;
-    o.cost = 1.0;
-    o.data_size = 10;
-    o.tau_loc = 0.2;
-    o.tau_cm_est = 0.1;
-    ctx.available.push_back(o);
-  }
-  return ctx;
-}
-
-// --- UCB ------------------------------------------------------------------------
-
-TEST(Ucb, ExploresEveryArmFirst) {
-  core::UcbConfig cfg;
-  cfg.base.n_select = 2;
-  core::UcbStrategy s(6, cfg);
-  core::BudgetLedger budget(1000.0);
-  const auto ctx = make_ctx(6);
-  std::set<std::size_t> tried;
-  for (int t = 0; t < 3; ++t) {
-    const auto d = s.decide(ctx, budget);
-    for (std::size_t id : d.selected) tried.insert(id);
-    fl::EpochOutcome out;
-    out.selected = d.selected;
-    out.client_loss_reduction.assign(d.selected.size(), 0.1);
-    out.client_latency_s.assign(d.selected.size(), 1.0);
-    s.observe(ctx, d, out);
-  }
-  EXPECT_EQ(tried.size(), 6u);  // every unpulled arm has infinite index
-}
-
-TEST(Ucb, ExploitsHighRewardArms) {
-  core::UcbConfig cfg;
-  cfg.base.n_select = 1;
-  cfg.exploration = 0.05;  // near-greedy so the reward signal dominates
-  core::UcbStrategy s(3, cfg);
-  core::BudgetLedger budget(1000.0);
-  const auto ctx = make_ctx(3);
-  // Feed rewards: client 1 reduces loss a lot, others not at all.
-  int picked_1 = 0;
-  for (int t = 0; t < 40; ++t) {
-    const auto d = s.decide(ctx, budget);
-    ASSERT_EQ(d.selected.size(), 1u);
-    const std::size_t id = d.selected[0];
-    if (t >= 10) picked_1 += (id == 1);
-    fl::EpochOutcome out;
-    out.selected = d.selected;
-    out.client_loss_reduction = {id == 1 ? 1.0 : 0.0};
-    out.client_latency_s = {1.0};
-    s.observe(ctx, d, out);
-  }
-  EXPECT_GT(picked_1, 20);  // mostly exploits the good arm
-  EXPECT_GT(s.mean_reward(1), s.mean_reward(0));
-}
-
-TEST(Ucb, TracksPullCounts) {
-  core::UcbConfig cfg;
-  cfg.base.n_select = 2;
-  core::UcbStrategy s(4, cfg);
-  core::BudgetLedger budget(100.0);
-  const auto ctx = make_ctx(4);
-  const auto d = s.decide(ctx, budget);
-  fl::EpochOutcome out;
-  out.selected = d.selected;
-  out.client_loss_reduction.assign(2, 0.1);
-  out.client_latency_s.assign(2, 1.0);
-  s.observe(ctx, d, out);
-  std::size_t total_pulls = 0;
-  for (std::size_t k = 0; k < 4; ++k) total_pulls += s.pulls(k);
-  EXPECT_EQ(total_pulls, 2u);
-}
-
-TEST(Ucb, RunsEndToEnd) {
-  harness::ScenarioConfig cfg;
-  cfg.num_clients = 8;
-  cfg.n_min = 3;
-  cfg.budget = 120.0;
-  cfg.max_epochs = 5;
-  cfg.train_samples = 200;
-  cfg.test_samples = 60;
-  cfg.width_scale = 0.05;
-  cfg.batch_cap = 12;
-  cfg.eval_cap = 48;
-  cfg.dane.sgd_steps = 2;
-  harness::Experiment exp(cfg);
-  auto strat = harness::make_strategy("ucb", cfg);
-  const auto res = exp.run(*strat);
-  EXPECT_GT(res.epochs_run, 0u);
-}
 
 // --- fairness ----------------------------------------------------------------------
 

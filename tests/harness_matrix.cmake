@@ -1,7 +1,7 @@
 # ctest driver for the harness_matrix_seed* checks (registered in
 # tests/CMakeLists.txt): dump one seed's half of the harness matrix
 # (tools/harness_dump) at thread budgets 1 and 4 and require the two dumps
-# to be byte-identical. Fails on a dumper error, a dump without its 60
+# to be byte-identical. Fails on a dumper error, a dump without its 48
 # cells, or any difference.
 file(MAKE_DIRECTORY ${WORKDIR})
 foreach(budget 1 4)
@@ -18,8 +18,8 @@ foreach(budget 1 4)
   endif()
   file(STRINGS ${dump} cells REGEX "^== ")
   list(LENGTH cells num_cells)
-  if(NOT num_cells EQUAL 60)
-    message(FATAL_ERROR "${dump} holds ${num_cells} cells, expected 60")
+  if(NOT num_cells EQUAL 48)
+    message(FATAL_ERROR "${dump} holds ${num_cells} cells, expected 48")
   endif()
 endforeach()
 

@@ -67,7 +67,7 @@ TEST_P(AllStrategies, RunsAndRespectsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Roster, AllStrategies,
                          ::testing::Values("fedl", "fedavg", "fedcs", "powd",
-                                           "oracle", "fedl-ind"));
+                                           "fedl-ind"));
 
 TEST(Integration, DeterministicTraces) {
   const ScenarioConfig cfg = tiny_scenario(7);

@@ -1,12 +1,15 @@
 // Edge-case tests for the online learner and FedL strategy: degenerate
-// availability, extreme duals, fraction stability, fairness warm-up, and
-// the ρ/η conversions at their boundaries.
+// availability, extreme duals, fraction stability, fairness warm-up, the
+// ρ/η conversions at their boundaries, and the optimality of decide()'s
+// step (8) solution.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/fedl_strategy.h"
 #include "core/online_learner.h"
+#include "solver/projection.h"
 
 namespace fedl::core {
 namespace {
@@ -384,6 +387,117 @@ TEST(LearnerEdge, WidthExploreBonusRevisitsStarvedClients) {
   for (std::size_t id = 0; id < 6; ++id)
     EXPECT_TRUE(seen[id]) << "client " << id
                           << " never entered the candidate set";
+}
+
+// decide() solves step (8) over the candidates:
+//   min ∇f_t·(Φ − Φ_t) + ‖Φ − Φ_t‖²/(2β) + μ^0·h^0(Φ) + Σ_k μ^k·h^k(Φ)
+// over x̃ ∈ [0,1]^w, ρ ∈ [1, ρ_max], Σ c_k x̃_k ≤ cap, Σ x̃_k ≥ n_eff, with
+// ∇f_t = [ρ_t·τ_k, Σ x̃_t,k τ_k], h^0 = L̂ − (ρ/n)·Σ x̃_k Δ̂_k − θ and
+// h^k = η̂_k·x̃_k·ρ − ρ + 1 (online_learner.h). The problem is rebuilt here
+// from the learner's public state before decide() and the decision's cap
+// and n_eff; the returned (x̃, ρ) must be feasible and no worse than any of
+// 600 feasible points (300 drawn over the box, 300 near the solution),
+// which checks the objective's gradient through the solver's result.
+TEST(LearnerEdge, DecisionSolvesStepEight) {
+  const std::size_t k = 8;
+  LearnerConfig cfg = cfg_n(3);
+  OnlineLearner learner(k, cfg);
+  BudgetLedger budget(1000.0);
+  std::vector<sim::ClientObservation> obs;
+  for (std::size_t id = 0; id < k; ++id)
+    obs.push_back(client(id, 0.5 + 0.75 * static_cast<double>(id),
+                         0.1 + 0.3 * static_cast<double>((id * 5) % k)));
+  const auto ctx = ctx_with(obs);
+
+  // Observe a few epochs with the global loss above θ and fast selected
+  // clients, so μ^0 and the μ^k of the clients decide() favoured grow.
+  double last_loss = 0.0;
+  for (int t = 0; t < 4; ++t) {
+    const auto dec = learner.decide(ctx, budget);
+    fl::EpochOutcome out;
+    for (std::size_t i = 0; i < dec.ids.size(); ++i) {
+      if (dec.x[i] < 0.5) continue;
+      out.selected.push_back(dec.ids[i]);
+      out.client_eta.push_back(0.9);
+      out.client_loss_reduction.push_back(0.2 + 0.05 * static_cast<double>(i));
+      out.client_completed_iters.push_back(2);
+    }
+    out.num_iterations = 2;
+    last_loss = 1.6 - 0.1 * t;
+    out.train_loss_all = last_loss;
+    learner.observe(dec, out);
+  }
+  ASSERT_GT(learner.mu0(), 0.0);
+  std::size_t positive_mu_k = 0;
+  for (std::size_t id = 0; id < k; ++id) positive_mu_k += learner.mu_k(id) > 0.0;
+  ASSERT_GT(positive_mu_k, 0u);
+
+  // The problem as the learner's public state states it before decide().
+  std::vector<double> anchor(k + 1), tau(k), mu(k), eta(k), delta(k);
+  for (std::size_t id = 0; id < k; ++id) {
+    anchor[id] = learner.x_fraction(id);
+    tau[id] = obs[id].tau_loc + obs[id].tau_cm_est;
+    mu[id] = learner.mu_k(id);
+    eta[id] = learner.eta_estimate(id);
+    delta[id] = learner.delta_estimate(id);
+  }
+  anchor[k] = learner.rho();
+  const double mu0 = learner.mu0();
+  std::vector<double> grad_f(k + 1, 0.0);
+  for (std::size_t id = 0; id < k; ++id) {
+    grad_f[id] = anchor[k] * tau[id];
+    grad_f[k] += anchor[id] * tau[id];
+  }
+  const double n = static_cast<double>(cfg.n_min);
+  auto objective = [&](const std::vector<double>& phi) {
+    const double rho = phi[k];
+    double value = 0.0;
+    double gain = 0.0;
+    for (std::size_t i = 0; i <= k; ++i) {
+      const double dx = phi[i] - anchor[i];
+      value += grad_f[i] * dx + dx * dx / (2.0 * cfg.beta);
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      gain += phi[i] * delta[i];
+      value += mu[i] * (eta[i] * phi[i] * rho - rho + 1.0);
+    }
+    return value + mu0 * (last_loss - (rho / n) * gain - cfg.theta);
+  };
+
+  const FractionalDecision dec = learner.decide(ctx, budget);
+  ASSERT_EQ(dec.ids.size(), k);
+  for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(dec.ids[i], i);
+  solver::FeasibleSet set;
+  set.lo.assign(k + 1, 0.0);
+  set.hi.assign(k + 1, 1.0);
+  set.lo[k] = 1.0;
+  set.hi[k] = cfg.rho_max;
+  solver::Halfspace spend{dec.cost, dec.cap};
+  spend.a.push_back(0.0);
+  solver::Halfspace floor;
+  floor.a.assign(k + 1, -1.0);
+  floor.a[k] = 0.0;
+  floor.b = -static_cast<double>(dec.n_eff);
+  set.halfspaces = {spend, floor};
+
+  std::vector<double> solution = dec.x;
+  solution.push_back(dec.rho);
+  ASSERT_TRUE(set.contains(solution, 1e-6));
+  const double best = objective(solution);
+
+  Rng rng(17);
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<double> cand(k + 1);
+    for (std::size_t i = 0; i <= k; ++i)
+      cand[i] = trial < 300 ? rng.uniform(set.lo[i], set.hi[i])
+                            : solution[i] + rng.uniform(-0.05, 0.05);
+    cand = solver::project_intersection(set, cand);
+    if (!set.contains(cand, 1e-9)) continue;
+    ++compared;
+    EXPECT_GE(objective(cand), best - 1e-6) << "trial " << trial;
+  }
+  EXPECT_GT(compared, 500u);
 }
 
 }  // namespace

@@ -341,7 +341,8 @@ TEST(Report, MetricsSummaryListsEveryKind) {
   EXPECT_NE(text.find("42"), std::string::npos);
   EXPECT_NE(text.find("g.one"), std::string::npos);
   EXPECT_NE(text.find("h.one"), std::string::npos);
-  EXPECT_NE(text.find("mean=1.5"), std::string::npos);
+  EXPECT_NE(text.find("mean=1.5 buckets[<=1:3 <=2:0 >2:1]"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST_P(DeterminismSweep, EveryStrategyIsSeedDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(Roster, DeterminismSweep,
                          ::testing::Values("fedl", "fedavg", "fedcs", "powd",
-                                           "ucb", "fedl-fair"));
+                                           "fedl-fair"));
 
 }  // namespace
 }  // namespace fedl

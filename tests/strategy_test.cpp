@@ -1,5 +1,5 @@
 // Tests for the selection strategies: the paper's baselines (FedAvg, FedCS,
-// Pow-d), the greedy oracle, and FedL's rounding + feasibility repair.
+// Pow-d) and FedL's rounding + feasibility repair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -181,17 +181,6 @@ TEST(PowD, RequiresDGreaterEqualN) {
   cfg.base.n_select = 5;
   cfg.d = 3;
   EXPECT_THROW(PowDStrategy(10, cfg), CheckError);
-}
-
-// --- oracle ------------------------------------------------------------------
-
-TEST(Oracle, PicksFastestAtRhoOne) {
-  GreedyOracleStrategy s(base_cfg());
-  BudgetLedger budget(1000.0);
-  const auto d = s.decide(make_ctx(10), budget);
-  EXPECT_EQ(d.num_iterations, 1u);
-  ASSERT_EQ(d.selected.size(), 3u);
-  EXPECT_EQ(d.selected, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 // --- FedL strategy ------------------------------------------------------------------

@@ -1,6 +1,6 @@
-// Harness-matrix oracle: dumps every RunResult field of 120 small runs,
+// Harness-matrix oracle: dumps every RunResult field of 96 small runs,
 // {lockstep, event} × {none, quant8, topk10} × dropout {0, 0.2} ×
-// seeds {1, 7} × {fedl, fedavg, fedcs, powd, ucb}, with the monitor,
+// seeds {1, 7} × {fedl, fedavg, fedcs, powd}, with the monitor,
 // determinism digests and the deferred JSONL trace on.
 //
 //   harness_dump BUDGET [SEED]
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
           cfg.trace_out = "unused.jsonl";
           cfg.defer_trace = true;
           harness::Experiment exp(cfg);
-          for (const char* name : {"fedl", "fedavg", "fedcs", "powd", "ucb"}) {
+          for (const char* name : {"fedl", "fedavg", "fedcs", "powd"}) {
             auto strat = harness::make_strategy(name, cfg);
             const harness::RunResult r = exp.run(*strat);
             std::printf("== %s %s drop=%g seed=%llu %s\n",
