@@ -2,6 +2,8 @@
 // convolution, the DANE local step, the intersection projection, and RDCS.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
 #include <thread>
 
 #include "common/rng.h"
@@ -170,30 +172,39 @@ void BM_DaneLocalStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DaneLocalStep);
 
-// decide()'s projection onto box ∩ budget ∩ floor; n = 1000 is the
-// perfbench select_1m workload's |E_t|.
+// decide()'s projection onto box ∩ budget ∩ floor; w = 1000 is the
+// perfbench select_1m workload's |E_t|. The budget alone binds at a cap of
+// w; a tight cap (second argument 1: 1.0005 times the cost of the floor's
+// 200 cheapest candidates) makes both bind.
 void BM_ProjectIntersection(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t w = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
-  solver::FeasibleSet set;
-  set.lo.assign(n, 0.0);
-  set.hi.assign(n, 1.0);
-  solver::Halfspace budget;
-  budget.a.resize(n);
-  for (auto& a : budget.a) a = rng.uniform(0.1, 12.0);
-  budget.b = static_cast<double>(n);
-  solver::Halfspace minsum;
-  minsum.a.assign(n, -1.0);
-  minsum.b = -4.0;
-  set.halfspaces = {budget, minsum};
-  std::vector<double> x(n);
-  for (auto& v : x) v = rng.uniform(-0.5, 1.5);
+  solver::DecisionSet set;
+  set.cost.resize(w);
+  for (auto& c : set.cost) c = rng.uniform(0.1, 12.0);
+  set.cap = static_cast<double>(w);
+  set.floor = 4.0;
+  set.rho_max = 8.0;
+  if (state.range(1) != 0) {
+    std::vector<double> sorted = set.cost;
+    std::sort(sorted.begin(), sorted.end());
+    set.floor = 200.0;
+    set.cap = 1.0005 * std::accumulate(sorted.begin(), sorted.begin() + 200, 0.0);
+  }
+  std::vector<double> y(w + 1);
+  for (auto& v : y) v = rng.uniform(-0.5, 1.5);
+  std::vector<double> x;
   for (auto _ : state) {
-    auto p = solver::project_intersection(set, x);
-    benchmark::DoNotOptimize(p.data());
+    x = y;
+    set.project(x);
+    benchmark::DoNotOptimize(x.data());
   }
 }
-BENCHMARK(BM_ProjectIntersection)->Arg(20)->Arg(100)->Arg(1000);
+BENCHMARK(BM_ProjectIntersection)
+    ->Args({20, 0})
+    ->Args({100, 0})
+    ->Args({1000, 0})
+    ->Args({1000, 1});
 
 void BM_RdcsRound(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -274,25 +274,9 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
   dec.cap = cap;
   dec.n_eff = n_eff;
 
-  solver::FeasibleSet set;
-  set.lo.assign(w + 1, 0.0);
-  set.hi.assign(w + 1, 1.0);
-  set.lo[w] = 1.0;
-  set.hi[w] = cfg_.rho_max;
-  {
-    // Σ c_k x_k ≤ cap  (ρ coefficient 0).
-    solver::Halfspace budget_hs;
-    budget_hs.a = dec.cost;
-    budget_hs.a.push_back(0.0);
-    budget_hs.b = cap;
-    set.halfspaces.push_back(std::move(budget_hs));
-    // Σ x_k ≥ n_eff  ⇔  Σ (−1)·x_k ≤ −n_eff.
-    solver::Halfspace part_hs;
-    part_hs.a.assign(w + 1, -1.0);
-    part_hs.a[w] = 0.0;
-    part_hs.b = -static_cast<double>(n_eff);
-    set.halfspaces.push_back(std::move(part_hs));
-  }
+  // Σ c·x̃ ≤ cap, Σ x̃ ≥ n_eff, x̃ ∈ [0,1]^w and ρ ∈ [1, ρ_max].
+  const solver::DecisionSet set{dec.cost, cap, static_cast<double>(n_eff),
+                                cfg_.rho_max};
 
   // --- descent step (8) -----------------------------------------------------
   anchor_.resize(w + 1);

@@ -1,44 +1,30 @@
-// Euclidean projections onto the feasible region of the one-shot problem
-// P_{3,t}: a box (relaxed selection fractions and ρ) intersected with the
-// budget halfspace (5a) and the minimum-participation halfspace (5b).
+// Euclidean projection onto the feasible set of step (8) in P_{3,t}: w
+// selection fractions x̃ ∈ [0,1]^w under the paced budget (5a) c·x̃ ≤ cap
+// and the participation floor (5b) Σx̃ ≥ n, and ρ ∈ [1, ρ_max].
 //
-// The intersection is handled by dual coordinate ascent on the projection
-// QP's KKT system:
-//   x(λ) = clamp(y − Σ_s λ_s a_s),  λ_s ≥ 0,  λ_s·(a_s·x − b_s) = 0,
-// cyclically re-solving each λ_s by monotone bisection. The dual is concave
-// and smooth, so cyclic ascent converges to the exact projection — unlike
-// plain Dykstra over box/halfspace pairs, which stalls on polyhedral
-// corners (observed experimentally). With no halfspace it is the box clamp.
+// The projection is exact. By its KKT conditions x̃ = clamp(y − λc + ν, 0, 1)
+// with multipliers λ, ν ≥ 0, each zero unless its constraint binds. One
+// binding constraint's multiplier comes from a breakpoint search: the
+// constraint's sum is monotone and affine between its ≤ 2w breakpoints
+// (the continuous quadratic knapsack; Kiwiel 2008). When both bind, ν is
+// the root of the non-decreasing, piecewise-linear Σx̃(λ(ν), ν) − n, found
+// by bracketed regula falsi (Illinois) with λ(ν) solved exactly per trial.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace fedl::solver {
 
-// A halfspace {x : a·x <= b}. Encode a >= constraint by negating a and b.
-struct Halfspace {
-  std::vector<double> a;
-  double b = 0.0;
+// The feasible set decide() builds. Points are [x̃, ρ].
+struct DecisionSet {
+  std::vector<double> cost;  // c_k > 0 of the w candidates
+  double cap = 0.0;          // Σ c·x̃ ≤ cap
+  double floor = 0.0;        // Σ x̃ ≥ floor
+  double rho_max = 1.0;      // 1 ≤ ρ ≤ rho_max
+
+  // Replaces x by its Euclidean projection onto the set. An empty set (the
+  // floor's cheapest candidates cost more than the cap) fails a FEDL_CHECK.
+  void project(std::vector<double>& x) const;
 };
-
-// Box + halfspace intersection description.
-struct FeasibleSet {
-  std::vector<double> lo;
-  std::vector<double> hi;
-  std::vector<Halfspace> halfspaces;
-
-  std::size_t dim() const { return lo.size(); }
-  bool contains(const std::vector<double>& x, double tol = 1e-9) const;
-};
-
-// Euclidean projection of x onto the intersection. Returns the projected
-// point; sets *converged (if non-null) to whether that point lies in the
-// set: within 1e-6 once a sweep moves no λ_s by 1e-12, within 1e-7 when
-// the 200 sweeps run out first. An empty intersection shows up as
-// non-convergence.
-std::vector<double> project_intersection(const FeasibleSet& set,
-                                         std::vector<double> x,
-                                         bool* converged = nullptr);
 
 }  // namespace fedl::solver

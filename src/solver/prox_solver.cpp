@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 
@@ -49,15 +48,15 @@ struct SolveRecord {
 
 }  // namespace
 
-ProxSolverResult minimize_projected(const FeasibleSet& set,
+ProxSolverResult minimize_projected(const DecisionSet& set,
                                     std::vector<double> x0,
                                     const Objective& objective) {
   FEDL_PROFILE_SCOPE("solver.minimize");
   solver_calls().add();
-  FEDL_CHECK_EQ(x0.size(), set.dim());
   ProxSolverResult res;
   SolveRecord record(res);  // flushes iteration telemetry on every exit path
-  res.x = project_intersection(set, std::move(x0));
+  set.project(x0);
+  res.x = std::move(x0);
 
   std::vector<double> grad(res.x.size());
   double value = objective(res.x, &grad);
@@ -76,7 +75,7 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
       candidate = res.x;
       for (std::size_t i = 0; i < candidate.size(); ++i)
         candidate[i] -= local_step * grad[i];
-      candidate = project_intersection(set, std::move(candidate));
+      set.project(candidate);
 
       // Projected direction d = candidate − x; Armijo on g(x)·d.
       double gd = 0.0;

@@ -31,7 +31,7 @@ struct ProxSolverResult {
 // Minimizes `objective` over `set` starting from x0 (projected first if
 // infeasible) in at most 120 projected-gradient steps. The objective should
 // already include the proximal term.
-ProxSolverResult minimize_projected(const FeasibleSet& set,
+ProxSolverResult minimize_projected(const DecisionSet& set,
                                     std::vector<double> x0,
                                     const Objective& objective);
 

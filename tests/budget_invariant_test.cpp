@@ -131,6 +131,70 @@ INSTANTIATE_TEST_SUITE_P(
                                          "fedavg", "fedcs", "powd"),
                        ::testing::Range<std::uint64_t>(1, 21)));
 
+// --- decide() commits a fractional x̃ inside its own feasible set -----------
+
+// FedL that checks every non-empty fractional decision it commits against
+// the set decide() projected onto: Σc·x̃ ≤ cap and Σx̃ ≥ n_eff.
+class FeasibleFractionFedL : public core::FedLStrategy {
+ public:
+  using core::FedLStrategy::FedLStrategy;
+
+  core::Decision decide(const sim::EpochContext& ctx,
+                        const core::BudgetLedger& budget) override {
+    core::Decision dec = core::FedLStrategy::decide(ctx, budget);
+    const core::FractionalDecision& f = last_fraction();
+    if (f.ids.empty()) return dec;
+    ++checked;
+    double spend = 0.0, count = 0.0;
+    for (std::size_t i = 0; i < f.x.size(); ++i) {
+      spend += f.cost[i] * f.x[i];
+      count += f.x[i];
+    }
+    EXPECT_LE(spend, f.cap + 1e-9 * (1.0 + f.cap)) << "epoch " << ctx.epoch;
+    EXPECT_GE(count, static_cast<double>(f.n_eff) - 1e-9)
+        << "epoch " << ctx.epoch;
+    return dec;
+  }
+
+  std::size_t checked = 0;
+};
+
+TEST(DecideFeasibility, HarnessCellCommitsFeasibleFractions) {
+  // tools/harness_dump's cell `lockstep none drop=0.2 seed=1`. Its cap
+  // binds tightly at epoch 8, where an inexact projection once committed an
+  // x̃ 0.0198 over the cap.
+  harness::ScenarioConfig cfg;
+  cfg.num_clients = 8;
+  cfg.n_min = 2;
+  cfg.budget = 110.0;
+  cfg.max_epochs = 12;
+  cfg.availability = 0.6;
+  cfg.empty_decision_streak = 3;
+  cfg.train_samples = 200;
+  cfg.test_samples = 60;
+  cfg.width_scale = 0.05;
+  cfg.batch_cap = 8;
+  cfg.eval_cap = 48;
+  cfg.dane.sgd_steps = 2;
+  cfg.seed = 1;
+  cfg.faults.dropout_prob = 0.2;
+  harness::Experiment exp(cfg);
+
+  // The configuration make_strategy("fedl", cfg) builds.
+  core::FedLConfig fc;
+  fc.learner.n_min = cfg.n_min;
+  fc.learner.theta = cfg.theta;
+  fc.learner.selection_width = cfg.selection_width;
+  fc.learner.width_explore = cfg.width_explore;
+  fc.l_max = std::max<std::size_t>(cfg.fixed_iterations * 2, 4);
+  fc.learner.rho_max = static_cast<double>(fc.l_max);
+  fc.seed = cfg.seed * 61 + 37;
+  FeasibleFractionFedL fedl(cfg.num_clients, fc);
+  const harness::RunResult r = exp.run(fedl);
+  EXPECT_GE(r.epochs_run, 8u);
+  EXPECT_GE(fedl.checked, 8u);
+}
+
 // --- RDCS marginal preservation under repair --------------------------------
 
 TEST(RdcsRepair, MarginalsSurviveWhenCapIsSlack) {

@@ -467,22 +467,23 @@ TEST(LearnerEdge, DecisionSolvesStepEight) {
   const FractionalDecision dec = learner.decide(ctx, budget);
   ASSERT_EQ(dec.ids.size(), k);
   for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(dec.ids[i], i);
-  solver::FeasibleSet set;
-  set.lo.assign(k + 1, 0.0);
-  set.hi.assign(k + 1, 1.0);
-  set.lo[k] = 1.0;
-  set.hi[k] = cfg.rho_max;
-  solver::Halfspace spend{dec.cost, dec.cap};
-  spend.a.push_back(0.0);
-  solver::Halfspace floor;
-  floor.a.assign(k + 1, -1.0);
-  floor.a[k] = 0.0;
-  floor.b = -static_cast<double>(dec.n_eff);
-  set.halfspaces = {spend, floor};
+  const solver::DecisionSet set{dec.cost, dec.cap,
+                                static_cast<double>(dec.n_eff), cfg.rho_max};
+  // Whether φ = [x̃, ρ] lies in the set, within tol on every constraint.
+  auto feasible = [&](const std::vector<double>& phi, double tol) {
+    double spend = 0.0, count = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (phi[i] < -tol || phi[i] > 1.0 + tol) return false;
+      spend += set.cost[i] * phi[i];
+      count += phi[i];
+    }
+    return phi[k] >= 1.0 - tol && phi[k] <= set.rho_max + tol &&
+           spend <= set.cap + tol && count >= set.floor - tol;
+  };
 
   std::vector<double> solution = dec.x;
   solution.push_back(dec.rho);
-  ASSERT_TRUE(set.contains(solution, 1e-6));
+  ASSERT_TRUE(feasible(solution, 1e-9));
   const double best = objective(solution);
 
   Rng rng(17);
@@ -490,10 +491,11 @@ TEST(LearnerEdge, DecisionSolvesStepEight) {
   for (int trial = 0; trial < 600; ++trial) {
     std::vector<double> cand(k + 1);
     for (std::size_t i = 0; i <= k; ++i)
-      cand[i] = trial < 300 ? rng.uniform(set.lo[i], set.hi[i])
+      cand[i] = trial < 300 ? rng.uniform(i < k ? 0.0 : 1.0,
+                                          i < k ? 1.0 : cfg.rho_max)
                             : solution[i] + rng.uniform(-0.05, 0.05);
-    cand = solver::project_intersection(set, cand);
-    if (!set.contains(cand, 1e-9)) continue;
+    set.project(cand);
+    if (!feasible(cand, 1e-9)) continue;
     ++compared;
     EXPECT_GE(objective(cand), best - 1e-6) << "trial " << trial;
   }

@@ -1,13 +1,15 @@
-// Tests for the convex solver substrate: the box ∩ halfspaces projection
-// (dual coordinate ascent) against brute-force projection and against its
-// KKT conditions, and the projected proximal solver against closed forms
-// and random feasible points — validating the IPOPT substitution
-// (DESIGN.md §5.3).
+// Tests for the convex solver substrate: decide()'s exact projection onto
+// box ∩ budget ∩ floor (breakpoint search, and regula falsi when both
+// constraints bind) against brute-force projection and against its KKT
+// conditions, and the projected proximal solver against closed forms and
+// random feasible points — validating the IPOPT substitution (DESIGN.md
+// §5.3).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "solver/projection.h"
 #include "solver/prox_solver.h"
@@ -15,80 +17,47 @@
 namespace fedl::solver {
 namespace {
 
-TEST(ProjectBox, ClampsCoordinates) {
-  // With no halfspaces the intersection is the box: a coordinate clamp.
-  FeasibleSet set;
-  set.lo = {0, 0, 0};
-  set.hi = {1, 1, 1};
-  bool converged = false;
-  const auto p = project_intersection(set, {-1.0, 0.5, 3.0}, &converged);
-  EXPECT_TRUE(converged);
-  EXPECT_EQ(p, (std::vector<double>{0.0, 0.5, 1.0}));
-}
-
-// Projection onto one halfspace inside a box too wide to bind: the
-// orthogonal projection onto the halfspace alone.
-std::vector<double> project_slack_box(const Halfspace& h,
-                                      const std::vector<double>& x) {
-  FeasibleSet set;
-  set.lo.assign(x.size(), -1e3);
-  set.hi.assign(x.size(), 1e3);
-  set.halfspaces = {h};
-  return project_intersection(set, x);
-}
-
-TEST(ProjectHalfspace, NoopInside) {
-  Halfspace h{{1.0, 1.0}, 5.0};
-  EXPECT_EQ(project_slack_box(h, {1.0, 2.0}), (std::vector<double>{1.0, 2.0}));
-}
-
-TEST(ProjectHalfspace, OrthogonalProjectionOutside) {
-  // {x + y <= 0}; projecting (1,1) gives (0,0).
-  Halfspace h{{1.0, 1.0}, 0.0};
-  const auto x = project_slack_box(h, {1.0, 1.0});
-  EXPECT_NEAR(x[0], 0.0, 1e-12);
-  EXPECT_NEAR(x[1], 0.0, 1e-12);
-}
-
-bool l2_norm_zero(const Halfspace& h) {
-  double s = 0;
-  for (double a : h.a) s += a * a;
-  return s < 1e-12;
-}
-
-TEST(ProjectHalfspace, ResultSatisfiesConstraintAndIsClosest) {
-  Rng rng(3);
-  for (int trial = 0; trial < 50; ++trial) {
-    Halfspace h{{rng.normal(), rng.normal(), rng.normal()}, rng.normal()};
-    if (l2_norm_zero(h)) continue;
-    std::vector<double> x = {rng.normal() * 3, rng.normal() * 3,
-                             rng.normal() * 3};
-    const std::vector<double> p = project_slack_box(h, x);
-    double ax = 0, ap = 0;
-    for (int i = 0; i < 3; ++i) {
-      ax += h.a[i] * x[i];
-      ap += h.a[i] * p[i];
-    }
-    EXPECT_LE(ap, h.b + 1e-9);
-    if (ax <= h.b) {
-      EXPECT_EQ(p, x);  // inside: untouched
-    }
+// Whether x = [x̃, ρ] lies in the set, within tol on every constraint.
+bool contains(const DecisionSet& set, const std::vector<double>& x,
+              double tol) {
+  const std::size_t w = set.cost.size();
+  double spend = 0.0, count = 0.0;
+  for (std::size_t i = 0; i < w; ++i) {
+    if (x[i] < -tol || x[i] > 1.0 + tol) return false;
+    spend += set.cost[i] * x[i];
+    count += x[i];
   }
+  return x[w] >= 1.0 - tol && x[w] <= set.rho_max + tol &&
+         spend <= set.cap + tol && count >= set.floor - tol;
 }
 
-// Brute-force projection onto the feasible set by dense sampling + local
-// refinement (2-D only; used as oracle).
-std::vector<double> brute_force_project(const FeasibleSet& set,
+std::vector<double> projected(const DecisionSet& set, std::vector<double> x) {
+  set.project(x);
+  return x;
+}
+
+TEST(ProjectBox, ClampsCoordinates) {
+  // With a slack cap and no floor the set is the box: a coordinate clamp,
+  // ρ included.
+  const DecisionSet set{{1.0, 1.0, 1.0}, 1e6, 0.0, 4.0};
+  EXPECT_EQ(projected(set, {-1.0, 0.5, 3.0, 9.0}),
+            (std::vector<double>{0.0, 0.5, 1.0, 4.0}));
+  EXPECT_EQ(projected(set, {0.25, 2.0, -3.0, 0.5}),
+            (std::vector<double>{0.25, 1.0, 0.0, 1.0}));
+}
+
+// Brute-force projection of the two selection coordinates by dense
+// sampling (used as oracle); ρ is a clamp.
+std::vector<double> brute_force_project(const DecisionSet& set,
                                         const std::vector<double>& x) {
   double best_d = 1e100;
-  std::vector<double> best = {0, 0};
+  std::vector<double> best = {0, 0, std::clamp(x[2], 1.0, set.rho_max)};
   const int grid = 400;
   for (int i = 0; i <= grid; ++i) {
     for (int j = 0; j <= grid; ++j) {
-      std::vector<double> cand = {
-          set.lo[0] + (set.hi[0] - set.lo[0]) * i / grid,
-          set.lo[1] + (set.hi[1] - set.lo[1]) * j / grid};
-      if (!set.contains(cand, 1e-9)) continue;
+      std::vector<double> cand = {static_cast<double>(i) / grid,
+                                  static_cast<double>(j) / grid, best[2]};
+      if (!contains(set, cand, 1e-9)) continue;
       const double d = (cand[0] - x[0]) * (cand[0] - x[0]) +
                        (cand[1] - x[1]) * (cand[1] - x[1]);
       if (d < best_d) {
@@ -104,25 +73,23 @@ class IntersectionVsBruteForce : public ::testing::TestWithParam<std::uint64_t> 
 
 TEST_P(IntersectionVsBruteForce, MatchesOracleIn2D) {
   Rng rng(GetParam());
-  FeasibleSet set;
-  set.lo = {0.0, 0.0};
-  set.hi = {1.0, 1.0};
-  // Random budget-like halfspace a·x <= b through the box.
-  Halfspace h1{{rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)},
-               rng.uniform(0.5, 2.0)};
-  // Random minimum-sum halfspace: x0 + x1 >= m  (encoded negated).
-  const double m = rng.uniform(0.1, 0.8);
-  Halfspace h2{{-1.0, -1.0}, -m};
-  set.halfspaces = {h1, h2};
+  // A random budget c·x ≤ cap through the box, and a floor x0 + x1 ≥ m.
+  DecisionSet set;
+  set.cost = {rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)};
+  set.cap = rng.uniform(0.5, 2.0);
+  set.floor = rng.uniform(0.1, 0.8);
+  set.rho_max = 3.0;
 
-  std::vector<double> x = {rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5)};
+  std::vector<double> x = {rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5),
+                           rng.uniform(0.0, 4.0)};
+  if (std::min(set.cost[0], set.cost[1]) * set.floor > set.cap) {
+    EXPECT_THROW(set.project(x), CheckError);  // the floor is unaffordable
+    return;
+  }
   const auto oracle = brute_force_project(set, x);
-  if (!set.contains(oracle, 1e-6)) return;  // empty-ish intersection: skip
-
-  bool converged = false;
-  const auto proj = project_intersection(set, x, &converged);
-  EXPECT_TRUE(converged);
-  EXPECT_TRUE(set.contains(proj, 1e-5));
+  const auto proj = projected(set, x);
+  EXPECT_TRUE(contains(set, proj, 1e-12));
+  EXPECT_EQ(proj[2], oracle[2]);
   // The projection must be at least as close to x as the best grid point
   // (grid resolution bounds how much closer the oracle can be).
   auto dist = [&](const std::vector<double>& p) {
@@ -135,165 +102,113 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IntersectionVsBruteForce,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 TEST(ProjectIntersection, AlreadyFeasibleIsFixedPoint) {
-  FeasibleSet set;
-  set.lo = {0, 0, 0};
-  set.hi = {1, 1, 1};
-  set.halfspaces = {Halfspace{{1, 1, 1}, 2.5}};
-  std::vector<double> x = {0.2, 0.3, 0.4};
-  const auto p = project_intersection(set, x);
-  for (int i = 0; i < 3; ++i) EXPECT_NEAR(p[i], x[i], 1e-9);
+  const DecisionSet set{{1.0, 1.0, 1.0}, 2.5, 0.5, 4.0};
+  const std::vector<double> x = {0.2, 0.3, 0.4, 2.0};
+  EXPECT_EQ(projected(set, x), x);
 }
 
 TEST(ProjectIntersection, HighDimensionalFeasibility) {
   Rng rng(99);
-  const std::size_t n = 40;
-  FeasibleSet set;
-  set.lo.assign(n, 0.0);
-  set.hi.assign(n, 1.0);
-  Halfspace budget;
-  budget.a.resize(n);
-  for (auto& a : budget.a) a = rng.uniform(0.1, 12.0);
-  budget.b = 30.0;
-  Halfspace minsum;
-  minsum.a.assign(n, -1.0);
-  minsum.b = -5.0;
-  set.halfspaces = {budget, minsum};
-
-  std::vector<double> x(n);
+  const std::size_t w = 40;
+  DecisionSet set;
+  set.cost.resize(w);
+  for (auto& c : set.cost) c = rng.uniform(0.1, 12.0);
+  set.cap = 30.0;
+  set.floor = 5.0;
+  set.rho_max = 8.0;
+  std::vector<double> x(w + 1);
   for (auto& v : x) v = rng.uniform(-1.0, 2.0);
-  bool converged = false;
-  const auto p = project_intersection(set, x, &converged);
-  EXPECT_TRUE(converged);
-  EXPECT_TRUE(set.contains(p, 1e-6));
+  EXPECT_TRUE(contains(set, projected(set, x), 1e-9));
 }
 
 // --- KKT conditions of the projection ---------------------------------------
 //
-// decide() projects onto {lo ≤ x ≤ hi, c·x ≤ cap, Σ_{k<w} x_k ≥ n}: w
-// selection coordinates plus ρ, which neither halfspace touches. x is the
-// projection of y exactly when multipliers λ (budget) and ν (floor) exist
-// with
-//   x = clamp(y − λc + ν·1_{k<w}, lo, hi),  λ, ν ≥ 0,
-//   λ·(c·x − cap) = 0,  ν·(n − Σx) = 0,
-// and x feasible. On a free coordinate (lo < x_k < hi) the first line reads
+// x is the projection of y exactly when multipliers λ (budget) and ν
+// (floor) exist with
+//   x̃ = clamp(ỹ − λc + ν, 0, 1),  ρ = clamp(y_ρ, 1, ρ_max),  λ, ν ≥ 0,
+//   λ·(c·x̃ − cap) = 0,  ν·(n − Σx̃) = 0,
+// and x feasible. On a free coordinate (0 < x_k < 1) the first line reads
 // y_k − x_k = λc_k − ν, so the multipliers are recovered there by least
-// squares; a halfspace more than kSlack from binding gets multiplier 0.
-
-// The target is every KKT condition within kKktTarget. The dual
-// coordinate ascent reaches it on the degenerate instances below and on
-// every converged random instance at w = 50 (worst 1.7e-10), but not at
-// w = 1000: the sweeps stop once no multiplier moves by 1e-12, and a last
-// move of ν that small shifts c·x by up to Σ_free c_k·1e-12, so 6 of the
-// 39 converged instances there end between 1.0e-9 and 2.3e-9.
+// squares; a constraint more than kSlack from binding gets multiplier 0.
+// Every condition must hold within kKktTarget.
 constexpr double kKktTarget = 1e-9;
-constexpr double kKktReachedAt1000 = 2.5e-9;
-// A halfspace this far from binding must have multiplier 0.
+// A constraint this far from binding must have multiplier 0.
 constexpr double kSlack = 1e-7;
 
-FeasibleSet decide_shaped_set(const std::vector<double>& cost, double cap,
+DecisionSet decide_shaped_set(const std::vector<double>& cost, double cap,
                               double n) {
-  const std::size_t w = cost.size();
-  FeasibleSet set;
-  set.lo.assign(w + 1, 0.0);
-  set.hi.assign(w + 1, 1.0);
-  set.lo[w] = 1.0;
-  set.hi[w] = 8.0;
-  Halfspace budget{cost, cap};
-  budget.a.push_back(0.0);
-  Halfspace floor;
-  floor.a.assign(w + 1, -1.0);
-  floor.a[w] = 0.0;
-  floor.b = -n;
-  set.halfspaces = {budget, floor};
-  return set;
+  return DecisionSet{cost, cap, n, 8.0};
 }
 
 struct Kkt {
   double residual = 0.0;  // max violation over every condition above
   double lambda = 0.0;    // budget multiplier
   double nu = 0.0;        // floor multiplier
-  std::size_t free = 0;   // coordinates strictly inside their bounds
+  std::size_t free = 0;   // selection coordinates strictly inside [0, 1]
 };
 
-Kkt check_kkt(const FeasibleSet& set, const std::vector<double>& y,
+Kkt check_kkt(const DecisionSet& set, const std::vector<double>& y,
               const std::vector<double>& x) {
-  const std::vector<double>& a0 = set.halfspaces[0].a;
-  const std::vector<double>& a1 = set.halfspaces[1].a;
-  const double b0 = set.halfspaces[0].b;
-  const double b1 = set.halfspaces[1].b;
-  double ax0 = 0.0, ax1 = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    ax0 += a0[i] * x[i];
-    ax1 += a1[i] * x[i];
+  const std::size_t w = set.cost.size();
+  const std::vector<double>& c = set.cost;
+  double spend = 0.0, count = 0.0;
+  for (std::size_t i = 0; i < w; ++i) {
+    spend += c[i] * x[i];
+    count += x[i];
   }
-  const bool active0 = ax0 >= b0 - kSlack;
-  const bool active1 = ax1 >= b1 - kSlack;
+  const bool budget_active = spend >= set.cap - kSlack;
+  const bool floor_active = count <= set.floor + kSlack;
 
-  // Normal equations of min Σ_free (r_i − λ a0_i − ν a1_i)², r = y − x.
+  // Normal equations of min Σ_free (r_i − λc_i + ν)², r = y − x.
   Kkt k;
   double s00 = 0.0, s01 = 0.0, s11 = 0.0, r0 = 0.0, r1 = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] <= set.lo[i] || x[i] >= set.hi[i]) continue;
-    if (a0[i] == 0.0 && a1[i] == 0.0) continue;  // ρ: no multiplier acts
+  for (std::size_t i = 0; i < w; ++i) {
+    if (x[i] <= 0.0 || x[i] >= 1.0) continue;
     ++k.free;
     const double r = y[i] - x[i];
-    s00 += a0[i] * a0[i];
-    s01 += a0[i] * a1[i];
-    s11 += a1[i] * a1[i];
-    r0 += r * a0[i];
-    r1 += r * a1[i];
+    s00 += c[i] * c[i];
+    s01 -= c[i];
+    s11 += 1.0;
+    r0 += r * c[i];
+    r1 -= r;
   }
   const double det = s00 * s11 - s01 * s01;
-  if (active0 && active1 && det > 1e-12 * s00 * s11) {
+  if (budget_active && floor_active && det > 1e-12 * s00 * s11) {
     k.lambda = (r0 * s11 - r1 * s01) / det;
     k.nu = (r1 * s00 - r0 * s01) / det;
-  } else if (active0 && active1) {
-    // Equal costs on the free coordinates: a1 = κ·a0 there (κ < 0), so
-    // only λ + κν is determined; split it into its non-negative part.
+  } else if (budget_active && floor_active) {
+    // Equal costs c̄ on the free coordinates: only λ + κν (κ = −1/c̄) is
+    // determined there; split it into its non-negative part.
     const double combined = r0 / s00;
     const double kappa = s01 / s00;
     if (combined >= 0.0) k.lambda = combined;
     else k.nu = combined / kappa;
-  } else if (active0 && s00 > 0.0) {
+  } else if (budget_active && s00 > 0.0) {
     k.lambda = r0 / s00;
-  } else if (active1 && s11 > 0.0) {
+  } else if (floor_active && s11 > 0.0) {
     k.nu = r1 / s11;
   }
 
   auto worse = [&](double v) { k.residual = std::max(k.residual, v); };
-  worse(ax0 - b0);  // primal feasibility
-  worse(ax1 - b1);
+  worse(spend - set.cap);  // primal feasibility
+  worse(set.floor - count);
   worse(-k.lambda);  // dual feasibility
   worse(-k.nu);
-  worse(std::abs(k.lambda * (ax0 - b0)));  // complementary slackness
-  worse(std::abs(k.nu * (ax1 - b1)));
-  for (std::size_t i = 0; i < x.size(); ++i) {  // stationarity and the box
-    const double v = y[i] - k.lambda * a0[i] - k.nu * a1[i];
-    worse(std::abs(x[i] - std::clamp(v, set.lo[i], set.hi[i])));
-  }
+  worse(std::abs(k.lambda * (spend - set.cap)));  // complementary slackness
+  worse(std::abs(k.nu * (set.floor - count)));
+  for (std::size_t i = 0; i < w; ++i)  // stationarity and the box
+    worse(std::abs(x[i] - std::clamp(y[i] - k.lambda * c[i] + k.nu, 0.0, 1.0)));
+  worse(std::abs(x[w] - std::clamp(y[w], 1.0, set.rho_max)));
   return k;
 }
 
-// Random decide()-shaped instances at w = 50 and w = 1000: each seed draws
-// the costs, the point (shifted by up to ±1) and the floor n ≤ 0.4·w, and a
-// cap between 1 and 4 times the cost of the n cheapest clients. The budget
-// binds in all 80 instances and the floor too in 47 of them. Three of them
-// run out of the 200 sweeps and report non-convergence although they are
-// feasible: at w = 50 seed 8 (KKT residual 4.2e-5) and seed 12 (0.22: the
-// cap is 1.06 times the n cheapest costs and c·x ends 0.13 over it), and at
-// w = 1000 seed 28 (1.3e-5). An exact projection (breakpoint search on
-// the multipliers) is to bring both counts to 0 and every residual to
+// Random decide()-shaped instances: each seed draws the costs, the point
+// (shifted by up to ±1) and the floor n ≤ 0.4·w, and a cap between lo and hi
+// times the cost of the n cheapest clients. Every instance must meet
 // kKktTarget.
-class ProjectionKkt : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ProjectionKkt, RandomInstancesMeetKkt) {
-  const std::size_t w = GetParam();
-  // What every converged instance must reach, and how many feasible
-  // instances may report non-convergence, at this width.
-  const double tolerance = w == 50 ? kKktTarget : kKktReachedAt1000;
-  const std::size_t max_unconverged = w == 50 ? 2 : 1;
-  std::size_t unconverged = 0;
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+void expect_random_instances_meet_kkt(std::size_t w, std::uint64_t instances,
+                                      double lo, double hi) {
+  for (std::uint64_t seed = 1; seed <= instances; ++seed) {
     Rng rng(seed * 977 + w);
     std::vector<double> cost(w);
     for (auto& c : cost) c = rng.uniform(0.1, 12.0);
@@ -303,32 +218,39 @@ TEST_P(ProjectionKkt, RandomInstancesMeetKkt) {
     double cheapest_n = 0.0;
     for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i)
       cheapest_n += sorted[i];
-    const double cap = cheapest_n * rng.uniform(1.0, 4.0);
-    const FeasibleSet set = decide_shaped_set(cost, cap, n);
+    const double cap = cheapest_n * rng.uniform(lo, hi);
+    const DecisionSet set = decide_shaped_set(cost, cap, n);
     std::vector<double> y(w + 1);
     const double shift = rng.uniform(-1.0, 1.0);
     for (std::size_t i = 0; i < w; ++i) y[i] = shift + rng.uniform(-0.5, 1.5);
     y[w] = rng.uniform(0.0, 10.0);
 
-    bool converged = false;
-    const auto x = project_intersection(set, y, &converged);
-    const Kkt k = check_kkt(set, y, x);
+    const Kkt k = check_kkt(set, y, projected(set, y));
     ASSERT_GT(k.free, 0u) << "seed " << seed;
-    if (!converged) {
-      // The flag must not hide a point that is in fact feasible.
-      EXPECT_FALSE(set.contains(x, 1e-7)) << "seed " << seed;
-      ++unconverged;
-      continue;
-    }
-    EXPECT_LE(k.residual, tolerance) << "seed " << seed;
+    EXPECT_LE(k.residual, kKktTarget) << "seed " << seed;
   }
-  EXPECT_LE(unconverged, max_unconverged);
+}
+
+// 2,000 instances at w = 50 and 200 at w = 1000, with a cap 1–4 times the
+// floor's cheapest cost: the budget binds in nearly all of them, and the
+// floor too in about half.
+class ProjectionKkt : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ProjectionKkt, RandomInstancesMeetKkt) {
+  const std::size_t w = GetParam();
+  expect_random_instances_meet_kkt(w, w == 50 ? 2000 : 200, 1.0, 4.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ProjectionKkt,
                          ::testing::Values(std::size_t{50}, std::size_t{1000}));
 
-// Dyadic instance data: every sum below is exact in double, so a halfspace
+// A cap 1–1.001 times the floor's cheapest cost leaves a thin set: both
+// constraints bind, with large multipliers.
+TEST(ProjectionKktTightCap, RandomInstancesMeetKkt) {
+  expect_random_instances_meet_kkt(50, 500, 1.0, 1.001);
+}
+
+// Dyadic instance data: every sum below is exact in double, so a constraint
 // can bind exactly at the box projection.
 std::vector<double> dyadic(Rng& rng, std::size_t w, double lo, double hi) {
   std::vector<double> v(w);
@@ -337,17 +259,14 @@ std::vector<double> dyadic(Rng& rng, std::size_t w, double lo, double hi) {
 }
 
 TEST(ProjectionKktDegenerate, EqualCosts) {
-  // Both halfspaces are multiples of Σx on the selection coordinates.
+  // The budget is a multiple of Σx̃.
   Rng rng(11);
   const std::size_t w = 60;
   const std::vector<double> cost(w, 1.5);
-  for (const double cap : {30.0, 45.0}) {  // Σx ≤ 20 (= the floor), 30
-    const FeasibleSet set = decide_shaped_set(cost, cap, 20.0);
+  for (const double cap : {30.0, 45.0}) {  // Σx̃ ≤ 20 (= the floor), 30
+    const DecisionSet set = decide_shaped_set(cost, cap, 20.0);
     const std::vector<double> y = dyadic(rng, w + 1, -0.5, 1.5);
-    bool converged = false;
-    const auto x = project_intersection(set, y, &converged);
-    const Kkt k = check_kkt(set, y, x);
-    EXPECT_TRUE(converged) << "cap " << cap;
+    const Kkt k = check_kkt(set, y, projected(set, y));
     ASSERT_GT(k.free, 0u);
     EXPECT_LE(k.residual, kKktTarget) << "cap " << cap;
   }
@@ -362,10 +281,8 @@ TEST(ProjectionKktDegenerate, CapBindsExactlyAtTheBoxProjection) {
   const std::vector<double> y = dyadic(rng, w + 1, -0.5, 1.5);
   double cap = 0.0;
   for (std::size_t i = 0; i < w; ++i) cap += cost[i] * std::clamp(y[i], 0.0, 1.0);
-  const FeasibleSet set = decide_shaped_set(cost, cap, 3.0);
-  bool converged = false;
-  const auto x = project_intersection(set, y, &converged);
-  EXPECT_TRUE(converged);
+  const DecisionSet set = decide_shaped_set(cost, cap, 3.0);
+  const auto x = projected(set, y);
   const Kkt k = check_kkt(set, y, x);
   ASSERT_GT(k.free, 0u);
   EXPECT_LE(k.residual, kKktTarget);
@@ -382,10 +299,8 @@ TEST(ProjectionKktDegenerate, FloorBindsExactlyAtTheBoxProjection) {
   const std::vector<double> y = dyadic(rng, w + 1, -0.5, 1.5);
   double n = 0.0;
   for (std::size_t i = 0; i < w; ++i) n += std::clamp(y[i], 0.0, 1.0);
-  const FeasibleSet set = decide_shaped_set(cost, 1e6, n);
-  bool converged = false;
-  const auto x = project_intersection(set, y, &converged);
-  EXPECT_TRUE(converged);
+  const DecisionSet set = decide_shaped_set(cost, 1e6, n);
+  const auto x = projected(set, y);
   const Kkt k = check_kkt(set, y, x);
   ASSERT_GT(k.free, 0u);
   EXPECT_LE(k.residual, kKktTarget);
@@ -394,70 +309,60 @@ TEST(ProjectionKktDegenerate, FloorBindsExactlyAtTheBoxProjection) {
     EXPECT_EQ(x[i], std::clamp(y[i], 0.0, 1.0)) << i;
 }
 
-TEST(ProjectionKktDegenerate, EmptyIntersectionDoesNotConverge) {
+TEST(ProjectionKktDegenerate, EmptyIntersectionThrows) {
   // The n cheapest clients already cost more than the cap.
   Rng rng(14);
   const std::size_t w = 50;
   std::vector<double> cost(w);
   for (auto& c : cost) c = rng.uniform(1.0, 12.0);
-  const FeasibleSet set = decide_shaped_set(cost, 4.0, 5.0);
   std::vector<double> y(w + 1);
   for (auto& v : y) v = rng.uniform(-0.5, 1.5);
-  bool converged = true;
-  const auto x = project_intersection(set, y, &converged);
-  EXPECT_FALSE(converged);
-  EXPECT_FALSE(set.contains(x, 1e-6));
+  std::vector<double> x = y;
+  EXPECT_THROW(decide_shaped_set(cost, 4.0, 5.0).project(x), CheckError);
+  // A floor above the width cannot be met at any cap.
+  x = y;
+  EXPECT_THROW(decide_shaped_set(cost, 1e6, 51.0).project(x), CheckError);
 }
 
 // --- prox solver ------------------------------------------------------------------
 
 TEST(ProxSolver, QuadraticOverBoxHasClosedForm) {
-  // min (x-2)^2 + (y+1)^2 over [0,1]^2 -> (1, 0).
-  FeasibleSet set;
-  set.lo = {0, 0};
-  set.hi = {1, 1};
+  // min (x−2)² + (ρ−5)² over x ∈ [0,1], ρ ∈ [1,3] -> (1, 3).
+  const DecisionSet set{{1.0}, 10.0, 0.0, 3.0};
   auto obj = [](const std::vector<double>& x, std::vector<double>* g) {
-    if (g) {
-      (*g) = {2 * (x[0] - 2), 2 * (x[1] + 1)};
-    }
-    return (x[0] - 2) * (x[0] - 2) + (x[1] + 1) * (x[1] + 1);
+    if (g) (*g) = {2 * (x[0] - 2), 2 * (x[1] - 5)};
+    return (x[0] - 2) * (x[0] - 2) + (x[1] - 5) * (x[1] - 5);
   };
-  const auto res = minimize_projected(set, {0.5, 0.5}, obj);
+  const auto res = minimize_projected(set, {0.5, 2.0}, obj);
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(res.x[0], 1.0, 1e-5);
-  EXPECT_NEAR(res.x[1], 0.0, 1e-5);
+  EXPECT_NEAR(res.x[1], 3.0, 1e-5);
 }
 
 TEST(ProxSolver, LinearObjectiveHitsVertexUnderBudget) {
-  // min -3x - y  s.t. x,y in [0,1], 2x + y <= 2  -> x=1, y=0... check:
-  // at x=1: y <= 0 -> (1, 0) value -3; at (0.5,1): -2.5. So (1,0).
-  FeasibleSet set;
-  set.lo = {0, 0};
-  set.hi = {1, 1};
-  set.halfspaces = {Halfspace{{2, 1}, 2.0}};
+  // min −3x − y + ρ  s.t. x, y ∈ [0,1], 2x + y ≤ 2, ρ ∈ [1,4]: at x = 1,
+  // y ≤ 0 gives −3 + ρ; at (0.5, 1), −2.5 + ρ. So (1, 0, 1).
+  const DecisionSet set{{2.0, 1.0}, 2.0, 0.0, 4.0};
   auto obj = [](const std::vector<double>& x, std::vector<double>* g) {
-    if (g) (*g) = {-3.0, -1.0};
-    return -3 * x[0] - x[1];
+    if (g) (*g) = {-3.0, -1.0, 1.0};
+    return -3 * x[0] - x[1] + x[2];
   };
-  const auto res = minimize_projected(set, {0.0, 0.0}, obj);
+  const auto res = minimize_projected(set, {0.0, 0.0, 2.0}, obj);
   EXPECT_NEAR(res.x[0], 1.0, 1e-4);
   EXPECT_NEAR(res.x[1], 0.0, 1e-4);
+  EXPECT_NEAR(res.x[2], 1.0, 1e-4);
 }
 
 TEST(ProxSolver, ResultBeatsRandomFeasiblePoints) {
   // Strongly convex objective with bilinear term (the structure of step (8)).
   Rng rng(7);
-  const std::size_t n = 6;
-  FeasibleSet set;
-  set.lo.assign(n, 0.0);
-  set.hi.assign(n, 1.0);
-  set.lo[n - 1] = 1.0;
-  set.hi[n - 1] = 5.0;
-  Halfspace minsum;
-  minsum.a.assign(n, -1.0);
-  minsum.a[n - 1] = 0.0;
-  minsum.b = -2.0;
-  set.halfspaces = {minsum};
+  const std::size_t n = 6;  // five selection coordinates and ρ ∈ [1, 5]
+  DecisionSet set;
+  set.cost.resize(n - 1);
+  for (auto& c : set.cost) c = rng.uniform(0.5, 1.5);
+  set.cap = 3.0;
+  set.floor = 2.0;
+  set.rho_max = 5.0;
 
   std::vector<double> c(n);
   for (auto& v : c) v = rng.uniform(-1.0, 1.0);
@@ -480,28 +385,26 @@ TEST(ProxSolver, ResultBeatsRandomFeasiblePoints) {
     return val;
   };
   const auto res = minimize_projected(set, anchor, obj);
-  ASSERT_TRUE(set.contains(res.x, 1e-6));
+  ASSERT_TRUE(contains(set, res.x, 1e-9));
 
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<double> cand(n);
-    for (std::size_t i = 0; i < n; ++i)
-      cand[i] = rng.uniform(set.lo[i], set.hi[i]);
-    cand = project_intersection(set, cand);
-    if (!set.contains(cand, 1e-6)) continue;
+    for (std::size_t i = 0; i + 1 < n; ++i) cand[i] = rng.uniform(0.0, 1.0);
+    cand[n - 1] = rng.uniform(1.0, set.rho_max);
+    set.project(cand);
+    ASSERT_TRUE(contains(set, cand, 1e-9));
     EXPECT_GE(obj(cand, nullptr), res.objective - 1e-6);
   }
 }
 
 TEST(ProxSolver, InfeasibleStartIsProjectedFirst) {
-  FeasibleSet set;
-  set.lo = {0, 0};
-  set.hi = {1, 1};
+  const DecisionSet set{{1.0, 1.0}, 1.5, 0.5, 2.0};
   auto obj = [](const std::vector<double>& /*x*/, std::vector<double>* g) {
-    if (g) (*g) = {0.0, 0.0};
+    if (g) (*g) = {0.0, 0.0, 0.0};
     return 0.0;
   };
-  const auto res = minimize_projected(set, {5.0, -3.0}, obj);
-  EXPECT_TRUE(set.contains(res.x, 1e-9));
+  const auto res = minimize_projected(set, {5.0, -3.0, 9.0}, obj);
+  EXPECT_TRUE(contains(set, res.x, 1e-9));
 }
 
 }  // namespace
