@@ -12,7 +12,6 @@
 //             --json-out=BENCH_async.json
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <vector>
@@ -92,6 +91,7 @@ int async_main(int argc, char** argv) {
   const double target_flag = flags.get_double(
       "target-acc", std::numeric_limits<double>::quiet_NaN());
   flags.require_all_read();
+  JsonReport report(json_out);
 
   // Cell 0 is the lockstep baseline the sweep is normalized against.
   struct Spec {
@@ -169,12 +169,8 @@ int async_main(int argc, char** argv) {
               << " a=" << best->staleness_exp << " speedup=" << best->speedup
               << "x (simulated wall-clock to lockstep's final accuracy)\n";
 
-  if (!json_out.empty()) {
-    std::ofstream f(json_out);
-    write_json(f, cells, target, base.budget);
-  } else {
-    write_json(std::cout, cells, target, base.budget);
-  }
+  write_json(report.stream(), cells, target, base.budget);
+  report.finish();
   return 0;
 }
 

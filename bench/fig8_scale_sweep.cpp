@@ -15,14 +15,14 @@
 //                    --epochs=6 --json-out=BENCH_scale.json
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "common/config.h"
 #include "core/fedl_strategy.h"
+#include "fig_common.h"
 #include "obs/json_writer.h"
+#include "obs/manifest.h"
 #include "obs/session.h"
 #include "sim/environment.h"
 
@@ -37,7 +37,7 @@ struct Cell {
   double decide_ms_min = 0.0;
   double advance_ms_mean = 0.0;  // lazy env epoch advance
   std::size_t resident_bytes = 0;  // learner pooled-state footprint
-  std::size_t active_clients = 0;  // clients holding a pool slot
+  std::size_t active_clients = 0;  // clients holding a candidate record
   std::size_t epochs = 0;
   double selected_mean = 0.0;
 };
@@ -157,6 +157,15 @@ int scale_main(int argc, char** argv) {
       static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string json_out = flags.get_string("json-out", "");
   flags.require_all_read();
+  JsonReport report(json_out);
+  // The sweep runs no harness, so its manifest (--manifest-out) records
+  // the sweep's own parameters.
+  obs::set_manifest_field("bench", "fig8_scale_sweep");
+  obs::set_manifest_field("seed", seed);
+  obs::set_manifest_field("et_target", static_cast<std::uint64_t>(et_target));
+  obs::set_manifest_field("pruning_width", static_cast<std::uint64_t>(width));
+  obs::set_manifest_field("epochs", static_cast<std::uint64_t>(epochs));
+  obs::set_manifest_field("n_min", static_cast<std::uint64_t>(n_min));
 
   std::vector<Cell> cells;
   for (double md : ms_d) {
@@ -191,12 +200,8 @@ int scale_main(int argc, char** argv) {
     break;
   }
 
-  if (!json_out.empty()) {
-    std::ofstream f(json_out);
-    write_json(f, cells, et_target, width);
-  } else {
-    write_json(std::cout, cells, et_target, width);
-  }
+  write_json(report.stream(), cells, et_target, width);
+  report.finish();
   return 0;
 }
 

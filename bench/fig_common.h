@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -27,6 +28,7 @@
 
 #include "common/config.h"
 #include "common/csv.h"
+#include "common/error.h"
 #include "common/logging.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
@@ -99,6 +101,32 @@ inline void configure_scheduler_from_flags(const Flags& flags) {
       static_cast<std::size_t>(flags.get_int("thread-budget", 0)),
       static_cast<std::size_t>(flags.get_int("jobs", 1)));
 }
+
+// Destination of a bench's --json-out report: the named file, or stdout
+// when the path is empty. The file is opened here, before the bench runs,
+// so an unwritable path fails at once; finish() throws when the report did
+// not reach the file. Either way the bench exits 1 naming the path instead
+// of leaving run_benches.sh a stale BENCH_*.json.
+class JsonReport {
+ public:
+  explicit JsonReport(std::string path) : path_(std::move(path)) {
+    if (path_.empty()) return;
+    file_.open(path_, std::ios::trunc);
+    if (!file_) throw ConfigError("cannot open --json-out file " + path_);
+  }
+
+  std::ostream& stream() { return path_.empty() ? std::cout : file_; }
+
+  void finish() {
+    if (path_.empty()) return;
+    file_.close();
+    if (!file_) throw ConfigError("cannot write --json-out file " + path_);
+  }
+
+ private:
+  std::string path_;
+  std::ofstream file_;
+};
 
 struct FigureRun {
   std::string setting;  // "IID" or "Non-IID"

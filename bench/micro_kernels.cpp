@@ -255,6 +255,77 @@ void BM_FedLDecide(benchmark::State& state) {
 }
 BENCHMARK(BM_FedLDecide)->Arg(10)->Arg(50)->Arg(100)->Arg(1000);
 
+// BM_FedLDecide decides over the same k clients on every iteration, so its
+// pool lookups never leave the cache. This case times one decide()+observe()
+// cycle at |E_t| = 1000 against a pool at select_1m's end state: before
+// timing, 800 epochs offer 8·10⁵ distinct clients of an M = 10⁶ roster (in
+// disjoint groups of 1000), and each timed epoch then offers a window of
+// 1000 clients at a random place in the same shuffled roster, about 80% of
+// them already holding records. Set-up takes a few seconds, so the
+// iteration count is fixed.
+void BM_FedLDecideFullPool(benchmark::State& state) {
+  constexpr std::size_t kClients = 1000000;
+  constexpr std::size_t kAvailable = 1000;
+  constexpr std::size_t kWarmEpochs = 800;
+  Rng rng(11);
+  std::vector<std::size_t> roster(kClients);
+  std::iota(roster.begin(), roster.end(), std::size_t{0});
+  rng.shuffle(roster);
+  core::FedLConfig fc;
+  fc.learner.n_min = 8;
+  core::FedLStrategy strat(kClients, fc);
+  core::BudgetLedger budget(1e15);
+  sim::EpochContext ctx;
+  // Epoch ctx.epoch + 1 offers roster[first, first + kAvailable).
+  auto next_epoch = [&](std::size_t first) {
+    ++ctx.epoch;
+    ctx.available.clear();
+    for (std::size_t i = first; i < first + kAvailable; ++i) {
+      sim::ClientObservation o;
+      o.id = roster[i];
+      o.cost = rng.uniform(0.1, 12.0);
+      o.data_size = 20;
+      o.tau_loc = rng.uniform(0.1, 3.0);
+      o.tau_cm_est = rng.uniform(0.05, 1.0);
+      ctx.available.push_back(o);
+    }
+    std::sort(ctx.available.begin(), ctx.available.end(),
+              [](const sim::ClientObservation& a,
+                 const sim::ClientObservation& b) { return a.id < b.id; });
+  };
+  auto decide_observe = [&] {
+    core::Decision dec = strat.decide(ctx, budget);
+    fl::EpochOutcome out;
+    out.epoch = ctx.epoch;
+    out.selected = dec.selected;
+    out.num_iterations = dec.num_iterations;
+    out.client_eta.assign(dec.selected.size(), 0.5);
+    out.client_loss_reduction.assign(dec.selected.size(), 0.1);
+    out.client_completed_iters.assign(dec.selected.size(), dec.num_iterations);
+    out.train_loss_all = 1.0;
+    strat.observe(ctx, dec, out);
+    return dec.selected.size();
+  };
+  for (std::size_t e = 0; e < kWarmEpochs; ++e) {
+    next_epoch(e * kAvailable);
+    decide_observe();
+  }
+  const std::size_t warm = strat.learner().active_clients();
+  for (auto _ : state) {
+    state.PauseTiming();
+    next_epoch(static_cast<std::size_t>(
+        rng.uniform(0.0, static_cast<double>(kClients - kAvailable))));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(decide_observe());
+  }
+  state.counters["active_at_start"] = static_cast<double>(warm);
+  state.counters["resident_mb"] =
+      static_cast<double>(strat.learner().resident_bytes()) / (1 << 20);
+}
+BENCHMARK(BM_FedLDecideFullPool)
+    ->Iterations(200)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SyntheticGeneration(benchmark::State& state) {
   for (auto _ : state) {
     auto ds = data::make_synthetic(data::fmnist_like_spec(200, 1));

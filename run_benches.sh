@@ -13,7 +13,9 @@
 # Committed BENCH_*.json files are only comparable when built the same way:
 # non-Release builds run the benches for smoke value but are REFUSED as JSON
 # emitters. Every emitted JSON is stamped with hardware_threads and the
-# build type so numbers are never compared across machines blindly.
+# build type so numbers are never compared across machines blindly. A bench
+# that fails is reported and its JSON is not stamped; the script then exits
+# 1.
 cd "$(dirname "$0")"
 
 ONLY=("$@")
@@ -50,29 +52,17 @@ if [ -x build/bench/gemm_kernel_probe ]; then
   GEMM_KERNEL=$(build/bench/gemm_kernel_probe 2>/dev/null || echo unknown)
 fi
 
-# Run manifest (obs/manifest.h): one tiny seeded quickstart run emits
-# manifest.json — build type, resolved GEMM kernel tier, thread budget,
-# seed, config hash and the run's final determinism digest. stamp_json
-# embeds it into every emitted BENCH_*.json so committed numbers carry
-# their full provenance, not just the three scalar stamps.
-MANIFEST_FILE=""
-if [ "$EMIT_JSON" = "1" ] && [ -x build/examples/quickstart ]; then
-  MANIFEST_FILE=$(mktemp)
-  if ! build/examples/quickstart --clients 6 --epochs 3 --samples 200 \
-       --seed 1 --digest --manifest-out="$MANIFEST_FILE" > /dev/null 2>&1; then
-    rm -f "$MANIFEST_FILE"
-    MANIFEST_FILE=""
-    echo "manifest embedding skipped: quickstart manifest run failed" >&2
-  fi
-fi
-
 # Adds {"hardware_threads": N, "build_type": "...", "gemm_kernel": "..."}
-# plus the run manifest (when available) to an emitted JSON file (object or
-# google-benchmark report alike) in place.
+# to an emitted JSON file (object or google-benchmark report alike) in
+# place, plus the run manifest (obs/manifest.h) in $2 when given: the
+# manifest the emitting bench itself wrote through --manifest-out (build
+# type, thread budget, seeds, config hash, final determinism digest, clean
+# exit), so committed numbers carry the provenance of the run that made
+# them.
 stamp_json() {
-  local f="$1"
+  local f="$1" mf="${2:-}"
   [ -f "$f" ] || return
-  python3 - "$f" "$(nproc)" "$BUILD_TYPE" "$GEMM_KERNEL" "$MANIFEST_FILE" <<'PY'
+  python3 - "$f" "$(nproc)" "$BUILD_TYPE" "$GEMM_KERNEL" "$mf" <<'PY'
 import json, sys
 path, hw, bt, gk, mf = (sys.argv[1], int(sys.argv[2]), sys.argv[3],
                         sys.argv[4], sys.argv[5])
@@ -95,44 +85,68 @@ with open(path, "w") as fh:
 PY
 }
 
+STATUS=0
+# Runs bench $1 with the remaining arguments, appending its output to
+# bench_output.txt; a failure is reported and recorded in STATUS.
+run_bench() {
+  local b="$1"
+  shift
+  if ! "$b" "$@" >> bench_output.txt 2>&1; then
+    echo "$(basename "$b") failed; see bench_output.txt" >&2
+    STATUS=1
+    return 1
+  fi
+}
+
+# Runs an ObsSession bench ($1) that writes the JSON report $2 through
+# --json-out, with its own manifest, and stamps the report.
+emit_json() {
+  local b="$1" out="$2" mf
+  mf=$(mktemp)
+  run_bench "$b" --json-out="$out" --manifest-out="$mf" &&
+    stamp_json "$out" "$mf"
+  rm -f "$mf"
+}
+
 : > bench_output.txt
 for b in build/bench/*; do
   if [ -f "$b" ] && [ -x "$b" ] && selected "$(basename "$b")"; then
     echo "===== $(basename "$b") =====" >> bench_output.txt
     case "$(basename "$b")" in
       micro_kernels)
+        # google-benchmark parses this binary's flags and it runs no
+        # ObsSession, so it writes no manifest: its JSON keeps the scalar
+        # stamps and google-benchmark's own "context" block.
         if [ "$EMIT_JSON" = "1" ]; then
-          "$b" --benchmark_out=BENCH_micro_kernels.json \
-               --benchmark_out_format=json >> bench_output.txt 2>&1
-          stamp_json BENCH_micro_kernels.json
+          run_bench "$b" --benchmark_out=BENCH_micro_kernels.json \
+               --benchmark_out_format=json &&
+            stamp_json BENCH_micro_kernels.json
         else
-          "$b" >> bench_output.txt 2>&1
+          run_bench "$b"
         fi
         ;;
       fig8_scale_sweep)
         if [ "$EMIT_JSON" = "1" ]; then
-          "$b" --json-out=BENCH_scale.json >> bench_output.txt 2>&1
-          stamp_json BENCH_scale.json
+          emit_json "$b" BENCH_scale.json
         else
-          "$b" >> bench_output.txt 2>&1
+          run_bench "$b"
         fi
         ;;
       abl_async)
         # Event-driven vs lockstep at equal budget (DESIGN.md §12); the
         # speedup cells are the PR's headline number, so keep them stamped.
         if [ "$EMIT_JSON" = "1" ]; then
-          "$b" --json-out=BENCH_async.json >> bench_output.txt 2>&1
-          stamp_json BENCH_async.json
+          emit_json "$b" BENCH_async.json
         else
-          "$b" >> bench_output.txt 2>&1
+          run_bench "$b"
         fi
         ;;
       *)
-        "$b" >> bench_output.txt 2>&1
+        run_bench "$b"
         ;;
     esac
     echo "" >> bench_output.txt
   fi
 done
 echo "ALL_BENCHES_DONE" >> bench_output.txt
-[ -n "$MANIFEST_FILE" ] && rm -f "$MANIFEST_FILE"
+exit "$STATUS"

@@ -4,16 +4,18 @@
 
 namespace fedl::core {
 
-double participation_rate(const ClientLearnerState& s) {
-  if (s.offered == 0) return 0.0;
-  return static_cast<double>(s.selected) / static_cast<double>(s.offered);
+double participation_rate(const ClientStatePool& pool, std::uint32_t slot) {
+  const std::uint32_t offered = pool.offered(slot);
+  if (offered == 0) return 0.0;
+  return static_cast<double>(pool.estimates(slot).selected) /
+         static_cast<double>(offered);
 }
 
 std::vector<std::size_t> selection_counts(const ClientStatePool& pool,
                                           std::size_t num_clients) {
   std::vector<std::size_t> counts(num_clients);
   for (std::size_t id = 0; id < num_clients; ++id)
-    counts[id] = pool.get(id).selected;
+    counts[id] = pool.estimates(pool.find(id)).selected;
   return counts;
 }
 

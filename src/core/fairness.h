@@ -4,8 +4,11 @@
 // quota on client participation rates.
 //
 // Each client's long-term participation rate (selections / epochs offered
-// as a candidate) is kept in its ClientStatePool slot (sparse_state.h), so
-// tracking it costs nothing per never-offered client. FedLStrategy can
+// as a candidate) is kept in its ClientStatePool records (sparse_state.h):
+// the offer count in the candidate record every offered client owns, both
+// counts in the selected record from its first selection on. So tracking
+// it costs nothing per never-offered client, and a never-selected client's
+// rate reads 0 without a selected record. FedLStrategy can
 // enforce a minimum rate by boosting the fractional selection of
 // under-served clients before rounding — the quota enters as a pre-rounding
 // adjustment, so Theorem 3's marginal preservation still applies to the
@@ -14,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/sparse_state.h"
@@ -27,9 +31,10 @@ struct FairnessConfig {
   std::size_t warmup_epochs = 5;
 };
 
-// Long-term participation rate: selected / offered (0 when the client has
-// never been offered).
-double participation_rate(const ClientLearnerState& s);
+// Long-term participation rate of the client at pool slot `slot`:
+// selected / offered (0 when the client has never been offered, or when
+// slot is ClientStatePool::npos).
+double participation_rate(const ClientStatePool& pool, std::uint32_t slot);
 
 // Dense per-client selection counts for ids [0, num_clients). O(M): for
 // reporting at small M (jains_index), never on the decide path.

@@ -44,10 +44,9 @@ Decision FedLStrategy::decide(const sim::EpochContext& ctx,
       participation().participation_epochs() >=
           cfg_.fairness.warmup_epochs) {
     for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t id = last_frac_.ids[i];
       const double shortfall =
           cfg_.fairness.min_rate -
-          participation_rate(participation().get(id));
+          participation_rate(participation(), last_frac_.slots[i]);
       if (shortfall > 0.0) {
         last_frac_.x[i] = std::min(
             1.0, last_frac_.x[i] + kFairnessBoost * shortfall /
@@ -146,10 +145,14 @@ Decision FedLStrategy::decide(const sim::EpochContext& ctx,
   FEDL_CHECK_LE(cost, limit + 1e-9 * (1.0 + limit))
       << "post-repair selection exceeds the budget cap";
 
-  for (std::size_t i = 0; i < k; ++i)
-    if (rounded_x_[i] > 0.5) dec.selected.push_back(last_frac_.ids[i]);
+  picked_.clear();
+  for (std::size_t i = 0; i < k; ++i) {
+    if (rounded_x_[i] <= 0.5) continue;
+    picked_.push_back(i);
+    dec.selected.push_back(last_frac_.ids[i]);
+  }
   dec.num_iterations = rho_to_iters(last_frac_.rho, cfg_.l_max);
-  learner_.record_participation(last_frac_.ids, dec.selected);
+  learner_.record_participation(last_frac_, picked_);
 
   FEDL_DEBUG << "FedL: |S|=" << dec.selected.size()
              << " l=" << dec.num_iterations << " rho=" << last_frac_.rho;

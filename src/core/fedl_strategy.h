@@ -47,8 +47,8 @@ class FedLStrategy : public SelectionStrategy {
   const OnlineLearner& learner() const { return learner_; }
   // Fractional decision of the last decide() call (for regret analysis).
   const FractionalDecision& last_fraction() const { return last_frac_; }
-  // Participation counts per client (ClientLearnerState::offered/selected)
-  // and the number of epochs recorded, read from the learner's pool.
+  // Participation counts per client (offered / selected, fairness.h) and
+  // the number of epochs recorded, read from the learner's pool.
   const ClientStatePool& participation() const { return learner_.pool(); }
 
  private:
@@ -68,6 +68,7 @@ class FedLStrategy : public SelectionStrategy {
   std::vector<std::size_t> order_;         // fraction-descending ranking
   std::vector<std::size_t> cost_order_;    // cost ranking for repair
   std::vector<unsigned char> target_;      // fallback selection flags
+  std::vector<std::size_t> picked_;        // selected candidate positions
   RdcsScratch rdcs_scratch_;
 };
 

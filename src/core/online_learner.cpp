@@ -39,15 +39,14 @@ const obs::Counter& pruned_clients() {
 OnlineLearner::OnlineLearner(std::size_t num_clients, LearnerConfig cfg)
     : cfg_(cfg),
       num_clients_(num_clients),
-      // Pool defaults are the priors dense vectors used to be filled with;
+      // Pool priors are the values dense vectors used to be filled with;
       // a client that was never observed reads exactly as before.
-      pool_(ClientLearnerState{/*xfrac=*/0.5, /*eta=*/kInitEta,
-                               /*delta=*/kInitDeltaEst, /*mu=*/0.0}),
+      pool_(/*xfrac=*/0.5, /*eta=*/kInitEta, /*delta=*/kInitDeltaEst),
       rho_(2.0),
       mu0_(0.0),  // μ_1 = 0 (Lemma 2's initialization)
       last_loss_(kInitLoss) {
   FEDL_CHECK_GT(num_clients, 0u);
-  FEDL_CHECK_LE(num_clients, IdSlotMap::kMaxId + 1)
+  FEDL_CHECK_LE(num_clients, SlotIndex::kMaxId + 1)
       << "client ids must fit the pool's 32-bit index";
   FEDL_CHECK_GT(cfg_.beta, 0.0);
   FEDL_CHECK_GT(cfg_.delta, 0.0);
@@ -61,22 +60,22 @@ OnlineLearner::OnlineLearner(std::size_t num_clients, LearnerConfig cfg)
 
 double OnlineLearner::mu_k(std::size_t client) const {
   FEDL_CHECK_LT(client, num_clients_);
-  return pool_.get(client).mu;
+  return pool_.candidate(pool_.find(client)).mu;
 }
 
 double OnlineLearner::x_fraction(std::size_t client) const {
   FEDL_CHECK_LT(client, num_clients_);
-  return pool_.get(client).xfrac;
+  return pool_.candidate(pool_.find(client)).xfrac;
 }
 
 double OnlineLearner::eta_estimate(std::size_t client) const {
   FEDL_CHECK_LT(client, num_clients_);
-  return pool_.get(client).eta;
+  return pool_.estimates(pool_.find(client)).eta;
 }
 
 double OnlineLearner::delta_estimate(std::size_t client) const {
   FEDL_CHECK_LT(client, num_clients_);
-  return pool_.get(client).delta;
+  return pool_.estimates(pool_.find(client)).delta;
 }
 
 std::size_t OnlineLearner::resident_bytes() const {
@@ -140,7 +139,7 @@ double OnlineLearner::select_candidates(const sim::EpochContext& ctx) {
   for (std::size_t i = 0; i < k && extra > 0; ++i) {
     if (in_cand_[i]) continue;
     const auto& obs = ctx.available[i];
-    const ClientLearnerState& st = pool_.get(obs.id);
+    const SelectedRecord& st = pool_.estimates(pool_.find(obs.id));
     double score = st.delta * rho_ / std::max(obs.cost, 1e-12);
     if (cfg_.width_explore > 0.0)
       score += cfg_.width_explore *
@@ -217,17 +216,12 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
 
   dec.ids.reserve(w);
   dec.cost.reserve(w);
-  tau_.resize(w);    // τ^loc + τ^cm per candidate
-  eta_.resize(w);    // η̂ per candidate
-  delta_.resize(w);  // Δ̂ per candidate
+  tau_.resize(w);  // τ^loc + τ^cm per candidate
   for (std::size_t i = 0; i < w; ++i) {
     const auto& obs = ctx.available[cand_[i]];
     dec.ids.push_back(obs.id);
     dec.cost.push_back(obs.cost);
     tau_[i] = obs.tau_loc + obs.tau_cm_est;
-    const ClientLearnerState& st = pool_.get(obs.id);
-    eta_[i] = st.eta;
-    delta_[i] = st.delta;
   }
 
   // --- feasible set -------------------------------------------------------
@@ -239,9 +233,9 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
   // participation floor to the largest affordable prefix of the cost-sorted
   // clients; when not even the single cheapest client is affordable, the
   // epoch is infeasible and the decision is empty (select nobody, spend
-  // nothing) — the ledger must never overdraw. The pruning floor keeps the
-  // n_min cheapest of E_t in the candidate set, so this prefix is the same
-  // whether or not pruning ran.
+  // nothing, allocate no record) — the ledger must never overdraw. The
+  // pruning floor keeps the n_min cheapest of E_t in the candidate set, so
+  // this prefix is the same whether or not pruning ran.
   sorted_cost_ = dec.cost;
   std::sort(sorted_cost_.begin(), sorted_cost_.end());
   std::size_t n_eff = std::min<std::size_t>(cfg_.n_min, k);
@@ -279,9 +273,26 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
                                 cfg_.rho_max};
 
   // --- descent step (8) -----------------------------------------------------
+  // One index probe per candidate: its record slot (allocated on first
+  // offer) is the handle every later access of this decision uses. The
+  // anchor Φ̃_t, the multipliers present this epoch (μ^0 plus the
+  // candidates' μ^k) and the estimates η̂, Δ̂ are read through it.
+  dec.slots.resize(w);
   anchor_.resize(w + 1);
-  for (std::size_t i = 0; i < w; ++i)
-    anchor_[i] = pool_.get(dec.ids[i]).xfrac;
+  mu_local_.resize(w + 1);
+  eta_.resize(w);
+  delta_.resize(w);
+  mu_local_[0] = mu0_;
+  for (std::size_t i = 0; i < w; ++i) {
+    const std::uint32_t slot = pool_.resolve(dec.ids[i]);
+    dec.slots[i] = slot;
+    const CandidateRecord& c = pool_.candidate(slot);
+    anchor_[i] = c.xfrac;
+    mu_local_[i + 1] = c.mu;
+    const SelectedRecord& st = pool_.estimates(slot);
+    eta_[i] = st.eta;
+    delta_[i] = st.delta;
+  }
   anchor_[w] = rho_;
 
   grad_f_.assign(w + 1, 0.0);
@@ -291,13 +302,6 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
     sum_xtau += anchor_[i] * tau_[i];
   }
   grad_f_[w] = sum_xtau;
-
-  // Multipliers for the constraints present this epoch: μ^0 plus the μ^k of
-  // the candidates.
-  mu_local_.resize(w + 1);
-  mu_local_[0] = mu0_;
-  for (std::size_t i = 0; i < w; ++i)
-    mu_local_[i + 1] = pool_.get(dec.ids[i]).mu;
 
   const solver::ProxSolverResult res = solver::minimize_projected(
       set, anchor_,
@@ -310,7 +314,7 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
   dec.x.resize(w);
   for (std::size_t i = 0; i < w; ++i) {
     dec.x[i] = clamp(res.x[i], 0.0, 1.0);
-    pool_.touch(dec.ids[i]).xfrac = dec.x[i];
+    pool_.candidate_at(dec.slots[i]).xfrac = dec.x[i];
   }
   rho_ = clamp(res.x[w], 1.0, cfg_.rho_max);
   dec.rho = rho_;
@@ -321,32 +325,25 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
 void OnlineLearner::observe(const FractionalDecision& frac,
                             const fl::EpochOutcome& outcome) {
   FEDL_PROFILE_SCOPE("learner.observe");
-  // --- estimate updates -----------------------------------------------------
   last_loss_ = outcome.train_loss_all;
   const std::size_t n = outcome.selected.size();
   FEDL_CHECK_EQ(outcome.client_completed_iters.size(), n);
   FEDL_CHECK_EQ(outcome.client_eta.size(), n);
   FEDL_CHECK_EQ(outcome.client_loss_reduction.size(), n);
-  // A client that dropped before finishing a single DANE iteration produced
-  // no η/Δ observation, so its estimates must not be updated (EMAing η̂
-  // toward the placeholder 0 would make the learner treat flaky clients as
-  // fast convergers).
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t id = outcome.selected[i];
+  FEDL_CHECK_EQ(frac.slots.size(), frac.ids.size());
+
+  // Selected id → outcome index scratch (grow-only, cleared per epoch),
+  // keyed through outcome.selected itself: selected[j] inserts at slot j.
+  const auto selected_id = [&outcome](std::uint32_t j) {
+    return outcome.selected[j];
+  };
+  sel_index_.clear();
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t id = outcome.selected[j];
     FEDL_CHECK_LT(id, num_clients_);
-    const double iters =
-        static_cast<double>(outcome.client_completed_iters[i]);
-    if (iters <= 0.0) continue;  // dropped at iteration 0: nothing observed
-    ClientLearnerState& st = pool_.touch(id);
-    ++st.seen;  // n_k for the width-explore bonus
-    st.eta = (1.0 - cfg_.ema) * st.eta + cfg_.ema * outcome.client_eta[i];
-    // The engine accumulates the reduction over the iterations the client
-    // actually completed; dividing by that count gives the per-iteration
-    // marginal Δ̂. Floor at zero so one noisy epoch can't turn a client's
-    // estimate negative forever.
-    const double per_iter =
-        positive_part(outcome.client_loss_reduction[i]) / iters;
-    st.delta = (1.0 - cfg_.ema) * st.delta + cfg_.ema * per_iter;
+    bool inserted = false;
+    sel_index_.find_or_insert(id, selected_id, &inserted);
+    FEDL_CHECK(inserted) << "outcome selects client " << id << " twice";
   }
 
   // --- dual ascent (9): μ ← [μ + δ h_t(Φ̃_t)]+ -------------------------------
@@ -354,31 +351,52 @@ void OnlineLearner::observe(const FractionalDecision& frac,
   // the current estimate for unselected ones. Only the decision's candidates
   // have h^k ≠ 0 this epoch, so only their μ^k move: every other client's
   // update would be the no-op [μ + δ·0]+ = μ, and is skipped outright —
-  // unavailable clients' duals are bit-identical before and after.
+  // unavailable clients' duals are bit-identical before and after. Every
+  // candidate holds a record since decide(), reached through its slot.
+  // The duals run before the estimate updates below, which change no value
+  // they read: a selected client's h^k uses its realized η, and the
+  // estimates of every other client stay as they are.
   const double rho = frac.rho;
   const double h0 = outcome.train_loss_all - cfg_.theta;
   mu0_ = clamp(positive_part(mu0_ + cfg_.delta * h0), 0.0, cfg_.mu_max);
 
-  // Selected-id → outcome-index scratch (grow-only, cleared per epoch):
-  // selected[i] inserts in order, so the assigned slot equals the outcome
-  // index i.
-  sel_index_.clear();
-  for (std::size_t i = 0; i < outcome.selected.size(); ++i)
-    sel_index_.insert(outcome.selected[i]);
-
+  sel_slot_.assign(n, ClientStatePool::npos);
   for (std::size_t i = 0; i < frac.ids.size(); ++i) {
-    const std::size_t id = frac.ids[i];
-    const std::size_t sel = sel_index_.find(id);
-    const bool has_obs = sel != IdSlotMap::npos &&
+    const std::uint32_t slot = frac.slots[i];
+    const std::uint32_t sel = sel_index_.find(frac.ids[i], selected_id);
+    if (sel != SlotIndex::npos) sel_slot_[sel] = slot;
+    const bool has_obs = sel != SlotIndex::npos &&
                          outcome.client_completed_iters[sel] > 0;
-    const double eta = has_obs ? outcome.client_eta[sel] : pool_.get(id).eta;
+    const double eta =
+        has_obs ? outcome.client_eta[sel] : pool_.estimates(slot).eta;
     const double h = eta * frac.x[i] * rho - rho + 1.0;
-    const double mu_next =
-        clamp(positive_part(pool_.get(id).mu + cfg_.delta * h), 0.0,
-              cfg_.mu_max);
-    // Don't allocate a slot just to store the default: a candidate whose
-    // dual stays at 0 leaves no footprint.
-    if (mu_next != 0.0 || pool_.contains(id)) pool_.touch(id).mu = mu_next;
+    CandidateRecord& c = pool_.candidate_at(slot);
+    c.mu = clamp(positive_part(c.mu + cfg_.delta * h), 0.0, cfg_.mu_max);
+  }
+
+  // --- estimate updates -----------------------------------------------------
+  // A client that dropped before finishing a single DANE iteration produced
+  // no η/Δ observation, so its estimates must not be updated (EMAing η̂
+  // toward the placeholder 0 would make the learner treat flaky clients as
+  // fast convergers). A selected client outside the candidates (possible
+  // only when the outcome is not the decision's) gets its record here.
+  for (std::size_t j = 0; j < n; ++j) {
+    const double iters =
+        static_cast<double>(outcome.client_completed_iters[j]);
+    if (iters <= 0.0) continue;  // dropped at iteration 0: nothing observed
+    const std::uint32_t slot = sel_slot_[j] != ClientStatePool::npos
+                                   ? sel_slot_[j]
+                                   : pool_.resolve(outcome.selected[j]);
+    SelectedRecord& st = pool_.selected_at(slot);
+    ++st.seen;  // n_k for the width-explore bonus
+    st.eta = (1.0 - cfg_.ema) * st.eta + cfg_.ema * outcome.client_eta[j];
+    // The engine accumulates the reduction over the iterations the client
+    // actually completed; dividing by that count gives the per-iteration
+    // marginal Δ̂. Floor at zero so one noisy epoch can't turn a client's
+    // estimate negative forever.
+    const double per_iter =
+        positive_part(outcome.client_loss_reduction[j]) / iters;
+    st.delta = (1.0 - cfg_.ema) * st.delta + cfg_.ema * per_iter;
   }
   mu0_gauge().set(mu0_);
   FEDL_DEBUG << "learner: mu0=" << mu0_ << " rho=" << rho_

@@ -7,11 +7,15 @@
 // memory x̃_k, estimated local convergence accuracy η̂_k, and estimated
 // per-iteration loss reduction Δ̂_k — which is exactly the "historic learning
 // results" FedL learns from. That state lives in a pooled sparse store
-// (sparse_state.h): never-seen clients read as the priors and cost nothing,
-// so the learner's footprint is O(clients ever in E_t), not O(M). The same
-// slots carry the fairness quota's participation counts, so the whole
-// strategy holds nothing sized by the roster; client ids must fit the
-// pool's 32-bit index (num_clients ≤ 2³² − 1).
+// (sparse_state.h): every candidate of a decision owns a 24 B record (x̃_k,
+// μ^k), only clients that were ever selected also own one for η̂_k and Δ̂_k,
+// and never-seen clients read as the priors and cost nothing, so the
+// learner's footprint is O(clients ever in E_t), not O(M). decide() resolves
+// each candidate's record slot once; the decision carries the slots to
+// observe() and record_participation(). The records carry the fairness
+// quota's participation counts, so the whole strategy holds nothing sized
+// by the roster; client ids must fit the pool's 32-bit index
+// (num_clients ≤ 2³² − 1).
 //
 // Constraint encoding for the descent step:
 //  * objective gradient ∇f_t: ∂/∂x̃_k = ρ·(τ^loc_k + τ^cm_k),
@@ -86,6 +90,9 @@ struct LearnerConfig {
 // implicitly have x̃ = 0 this epoch.
 struct FractionalDecision {
   std::vector<std::size_t> ids;  // candidate client ids
+  // The learner's record slot per candidate, parallel to ids: handles that
+  // stay valid however the pool grows until the epoch is observed.
+  std::vector<std::uint32_t> slots;
   std::vector<double> x;         // x̃_{t,k} ∈ [0,1], parallel to ids
   std::vector<double> cost;      // posted rent c_{t,k}, parallel to ids
   double rho = 1.0;              // ρ_t ≥ 1
@@ -109,7 +116,8 @@ class OnlineLearner {
   // Dual ascent (9) plus estimate updates from the realized epoch. Only
   // clients with a nonzero h^k this epoch (the decision's candidates) and
   // the selected clients' estimates are touched — unavailable clients'
-  // state is bit-identical before and after.
+  // state is bit-identical before and after. `frac` must come from this
+  // learner's decide(); outcome.selected must not repeat an id.
   void observe(const FractionalDecision& frac,
                const fl::EpochOutcome& outcome);
 
@@ -121,17 +129,20 @@ class OnlineLearner {
   double eta_estimate(std::size_t client) const;
   double delta_estimate(std::size_t client) const;
   const LearnerConfig& config() const { return cfg_; }
-  // Pooled-state footprint: clients holding a slot / bytes resident.
+  // Pooled-state footprint: clients holding a candidate record, and the
+  // allocated capacity of the pool and the observe() scratch index (an
+  // upper bound on their resident pages).
   std::size_t active_clients() const { return pool_.active(); }
   std::size_t resident_bytes() const;
   // Per-client state, including the participation counts (fairness.h).
   const ClientStatePool& pool() const { return pool_; }
 
-  // Counts one non-empty decision's participation into the candidates'
-  // slots (which decide() already allocated for their x̃).
-  void record_participation(const std::vector<std::size_t>& offered,
-                            const std::vector<std::size_t>& selected) {
-    pool_.record_participation(offered, selected);
+  // Counts one non-empty decision's participation into its candidates'
+  // records (decide() already allocated them): `picked` are the positions
+  // in frac.ids of the selected clients.
+  void record_participation(const FractionalDecision& frac,
+                            const std::vector<std::size_t>& picked) {
+    pool_.record_participation(frac.slots, picked);
   }
 
  private:
@@ -145,7 +156,7 @@ class OnlineLearner {
 
   LearnerConfig cfg_;
   std::size_t num_clients_;
-  ClientStatePool pool_;  // x̃_k, η̂_k, Δ̂_k, μ^k, counts per touched client
+  ClientStatePool pool_;  // x̃_k, μ^k per candidate; η̂_k, Δ̂_k per selected
   double rho_;
   double mu0_;            // μ^0: dual of the global-loss constraint h^0
   double last_loss_;      // L̂ = F_t(w^{l_t}) of the last epoch
@@ -161,7 +172,8 @@ class OnlineLearner {
   std::vector<double> mu_local_;       // [μ^0, μ^k of candidates]
   std::vector<std::pair<double, std::size_t>> heap_;  // pruning heaps
   std::vector<unsigned char> in_cand_; // candidate membership by E_t index
-  IdSlotMap sel_index_;                // selected id → outcome index scratch
+  SlotIndex sel_index_;                // selected id → outcome index scratch
+  std::vector<std::uint32_t> sel_slot_;  // record slot per outcome index
 };
 
 }  // namespace fedl::core

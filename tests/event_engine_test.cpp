@@ -439,6 +439,26 @@ EpochOutcome feedback_outcome(const core::Decision& dec, double eta) {
   return out;
 }
 
+// Expects step (9) from μ = 0 for each candidate of the observed decision
+// f1: μ^k = min([δ·h^k]+, μ_max) with h^k = η x̃_k ρ − ρ + 1, η realized
+// (`eta`) for a selected client, else the prior.
+void expect_step_nine(const core::FedLStrategy& s,
+                      const core::FractionalDecision& f1,
+                      const core::Decision& d1, double eta_selected,
+                      const core::LearnerConfig& cfg) {
+  bool moved = false;
+  for (std::size_t i = 0; i < f1.ids.size(); ++i) {
+    const bool selected = std::count(d1.selected.begin(), d1.selected.end(),
+                                     f1.ids[i]) > 0;
+    const double eta = selected ? eta_selected : core::kInitEta;
+    const double h = eta * f1.x[i] * f1.rho - f1.rho + 1.0;
+    const double mu = std::min(std::max(0.0, cfg.delta * h), cfg.mu_max);
+    EXPECT_DOUBLE_EQ(s.learner().mu_k(f1.ids[i]), mu) << "client " << f1.ids[i];
+    moved = moved || mu > 0.0;
+  }
+  EXPECT_TRUE(moved) << "no first-epoch dual moved; the check is vacuous";
+}
+
 // Event mode resolves a cohort after newer epochs were decided (DESIGN.md
 // §12.3): its outcome must meet its own epoch's fractional decision. Two
 // epochs with disjoint candidates are decided, then the first is observed.
@@ -454,23 +474,37 @@ TEST(FedLFeedback, DelayedOutcomeMeetsItsOwnEpochsDecision) {
 
   constexpr double kEta = 0.9;
   s.observe(ctx1, d1, feedback_outcome(d1, kEta));
-
-  // Step (9) from μ = 0: μ^k = min([δ·h^k]+, μ_max) with
-  // h^k = η x̃_k ρ − ρ + 1, η realized for a selected client, else the prior.
-  bool moved = false;
-  for (std::size_t i = 0; i < f1.ids.size(); ++i) {
-    const bool selected = std::count(d1.selected.begin(), d1.selected.end(),
-                                     f1.ids[i]) > 0;
-    const double eta = selected ? kEta : core::kInitEta;
-    const double h = eta * f1.x[i] * f1.rho - f1.rho + 1.0;
-    const double mu =
-        std::min(std::max(0.0, cfg.learner.delta * h), cfg.learner.mu_max);
-    EXPECT_DOUBLE_EQ(s.learner().mu_k(f1.ids[i]), mu) << "client " << f1.ids[i];
-    moved = moved || mu > 0.0;
-  }
-  EXPECT_TRUE(moved) << "no first-epoch dual moved; the check is vacuous";
+  expect_step_nine(s, f1, d1, kEta, cfg.learner);
   for (std::size_t id = 3; id < 6; ++id)
     EXPECT_EQ(s.learner().mu_k(id), 0.0) << "second-epoch client " << id;
+}
+
+// The decision carries its candidates' record slots to observe(). Between
+// decide(1) and observe(1), 300 fresh candidates grow the pool from 3 to
+// 303 records: the index rehashes from 64 to 512 cells (three times at
+// load 0.7) and the record arena reallocates. The slots must still reach
+// epoch 1's records, so a pointer or reference held across that growth
+// fails here.
+TEST(FedLFeedback, DelayedOutcomeSurvivesPoolGrowth) {
+  core::FedLConfig cfg;
+  cfg.learner.n_min = 2;
+  constexpr std::size_t kFresh = 300;
+  core::FedLStrategy s(3 + kFresh, cfg);
+  core::BudgetLedger budget(1e6);
+  const sim::EpochContext ctx1 = feedback_ctx(1, 0, 3);
+  const core::Decision d1 = s.decide(ctx1, budget);
+  const core::FractionalDecision f1 = s.last_fraction();
+  ASSERT_EQ(s.learner().active_clients(), 3u);
+  const std::size_t bytes1 = s.learner().resident_bytes();
+  s.decide(feedback_ctx(2, 3, kFresh), budget);
+  ASSERT_EQ(s.learner().active_clients(), 3 + kFresh);
+  ASSERT_GT(s.learner().resident_bytes(), 4 * bytes1);
+
+  constexpr double kEta = 0.9;
+  s.observe(ctx1, d1, feedback_outcome(d1, kEta));
+  expect_step_nine(s, f1, d1, kEta, cfg.learner);
+  for (std::size_t id = 3; id < 3 + kFresh; ++id)
+    ASSERT_EQ(s.learner().mu_k(id), 0.0) << "second-epoch client " << id;
 }
 
 TEST(FedLFeedback, ObserveOfAnUndecidedEpochThrows) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <ostream>
+#include <vector>
 
 #include "core/fairness.h"
 #include "core/fedl_strategy.h"
@@ -18,15 +20,23 @@ namespace {
 // --- fairness ----------------------------------------------------------------------
 
 TEST(ParticipationTracker, RatesAreSelectionsOverAvailabilities) {
-  core::ClientStatePool pool(core::ClientLearnerState{});
-  pool.record_participation({0, 1, 2}, {0});
-  pool.record_participation({0, 1}, {0, 1});
+  core::ClientStatePool pool(0.5, 0.5, 0.1);
+  // Clients 0, 1, 2 offered with 0 selected, then 0 and 1 with both
+  // selected (`picked` holds positions among the offered slots).
+  const std::vector<std::uint32_t> slots{pool.resolve(0), pool.resolve(1),
+                                         pool.resolve(2)};
+  pool.record_participation(slots, {0});
+  pool.record_participation({slots[0], slots[1]}, {0, 1});
   EXPECT_EQ(pool.participation_epochs(), 2u);
-  EXPECT_DOUBLE_EQ(core::participation_rate(pool.get(0)), 1.0);
-  EXPECT_DOUBLE_EQ(core::participation_rate(pool.get(1)), 0.5);
-  EXPECT_DOUBLE_EQ(core::participation_rate(pool.get(2)), 0.0);
-  EXPECT_EQ(pool.get(0).selected, 2u);
-  EXPECT_EQ(pool.get(2).offered, 1u);
+  EXPECT_DOUBLE_EQ(core::participation_rate(pool, slots[0]), 1.0);
+  EXPECT_DOUBLE_EQ(core::participation_rate(pool, slots[1]), 0.5);
+  EXPECT_DOUBLE_EQ(core::participation_rate(pool, slots[2]), 0.0);
+  EXPECT_DOUBLE_EQ(
+      core::participation_rate(pool, core::ClientStatePool::npos), 0.0);
+  EXPECT_EQ(pool.estimates(slots[0]).selected, 2u);
+  EXPECT_EQ(pool.offered(slots[2]), 1u);
+  // Only the two selected clients hold a selected record.
+  EXPECT_EQ(pool.selected_records(), 2u);
 }
 
 TEST(JainsIndex, KnownValues) {

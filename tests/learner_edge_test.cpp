@@ -305,9 +305,10 @@ TEST(FedLEdge, ParticipationTrackerCountsEveryEpoch) {
     out.train_loss_all = 0.5;
     s.observe(ctx, d, out);
   }
-  EXPECT_EQ(s.participation().participation_epochs(), 5u);
+  const ClientStatePool& pool = s.participation();
+  EXPECT_EQ(pool.participation_epochs(), 5u);
   for (std::size_t k = 0; k < 3; ++k)
-    EXPECT_EQ(s.participation().get(k).offered, 5u);
+    EXPECT_EQ(pool.offered(pool.find(k)), 5u);
 }
 
 TEST(FedLEdge, IterationCountRespectsLMax) {
