@@ -6,57 +6,26 @@
 namespace fedl::core {
 namespace {
 
-// Drop selections (cheapest kept) until the total cost fits `cap`.
-// `order_hint` lists candidate indices in drop-priority order (first dropped
-// first); falls back to most-expensive-first when empty.
-void enforce_cap(const sim::EpochContext& ctx, std::vector<std::size_t>& picks,
-                 double cap) {
-  auto cost_of = [&](std::size_t i) { return ctx.available[i].cost; };
-  double total = 0.0;
-  for (std::size_t i : picks) total += cost_of(i);
-  if (total <= cap) return;
-  // Drop the most expensive picks first.
-  std::vector<std::size_t> order = picks;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return cost_of(a) > cost_of(b); });
-  for (std::size_t victim : order) {
-    if (total <= cap || picks.size() <= 1) break;
-    auto it = std::find(picks.begin(), picks.end(), victim);
-    if (it == picks.end()) continue;
-    total -= cost_of(victim);
-    picks.erase(it);
-  }
-  // If even one pick is unaffordable, keep only the cheapest affordable one.
-  if (total > cap && picks.size() == 1) {
-    std::size_t cheapest = picks[0];
-    for (std::size_t i = 0; i < ctx.available.size(); ++i)
-      if (cost_of(i) < cost_of(cheapest)) cheapest = i;
-    picks.clear();
-    if (cost_of(cheapest) <= cap) picks.push_back(cheapest);
-  }
-}
-
-Decision to_decision(const sim::EpochContext& ctx,
-                     const std::vector<std::size_t>& picks,
-                     std::size_t iterations) {
-  Decision d;
-  for (std::size_t i : picks) d.selected.push_back(ctx.available[i].id);
-  std::sort(d.selected.begin(), d.selected.end());
+// The decision for `chosen` (0/1 over E_t) after fitting it under the paced
+// cap with a floor of one client, the fit FedL's repair makes with its own
+// floor (budget.h).
+Decision fit_decision(const sim::EpochContext& ctx, const BudgetLedger& budget,
+                      std::size_t n_select, std::vector<double>& chosen,
+                      std::size_t iterations) {
+  std::vector<double> cost;
+  cost.reserve(ctx.available.size());
+  for (const auto& o : ctx.available) cost.push_back(o.cost);
+  std::vector<std::size_t> order;
+  fit_under_cap(chosen, cost, paced_cap(ctx, n_select, budget.remaining()),
+                /*floor=*/1, order);
+  Decision d;  // E_t is ordered by id, so the selection comes out sorted
+  for (std::size_t i = 0; i < chosen.size(); ++i)
+    if (chosen[i] > 0.5) d.selected.push_back(ctx.available[i].id);
   d.num_iterations = iterations;
   return d;
 }
 
 }  // namespace
-
-double per_epoch_cap(const sim::EpochContext& ctx, const BudgetLedger& budget,
-                     std::size_t n, double pacing) {
-  if (ctx.available.empty()) return 0.0;
-  double mean_cost = 0.0;
-  for (const auto& o : ctx.available) mean_cost += o.cost;
-  mean_cost /= static_cast<double>(ctx.available.size());
-  const double cap = pacing * static_cast<double>(n) * mean_cost;
-  return std::min(cap, budget.remaining());
-}
 
 // --- FedAvg ------------------------------------------------------------------
 
@@ -71,9 +40,10 @@ Decision FedAvgStrategy::decide(const sim::EpochContext& ctx,
   const std::size_t k = ctx.available.size();
   if (k == 0) return {};
   const std::size_t want = std::min<std::size_t>(cfg_.n_select, k);
-  auto picks = rng_.sample_without_replacement(k, want);
-  enforce_cap(ctx, picks, per_epoch_cap(ctx, budget, cfg_.n_select, cfg_.pacing));
-  return to_decision(ctx, picks, cfg_.iterations);
+  std::vector<double> chosen(k, 0.0);
+  for (std::size_t i : rng_.sample_without_replacement(k, want))
+    chosen[i] = 1.0;
+  return fit_decision(ctx, budget, cfg_.n_select, chosen, cfg_.iterations);
 }
 
 // --- FedCS ---------------------------------------------------------------------
@@ -98,9 +68,8 @@ Decision FedCsStrategy::decide(const sim::EpochContext& ctx,
     return oa.tau_loc + oa.tau_cm_est < ob.tau_loc + ob.tau_cm_est;
   });
 
-  const double cap =
-      per_epoch_cap(ctx, budget, cfg_.base.n_select, cfg_.base.pacing);
-  std::vector<std::size_t> picks;
+  const double cap = paced_cap(ctx, cfg_.base.n_select, budget.remaining());
+  Decision d;
   double cost = 0.0;
   for (std::size_t i : order) {
     const auto& o = ctx.available[i];
@@ -108,20 +77,22 @@ Decision FedCsStrategy::decide(const sim::EpochContext& ctx,
                                  (o.tau_loc + o.tau_cm_est);
     if (round_latency > cfg_.deadline_s) break;  // sorted: all later are slower
     if (cost + o.cost > cap) continue;
-    picks.push_back(i);
+    d.selected.push_back(o.id);
     cost += o.cost;
   }
   // FedCS still needs someone; admit the fastest affordable client if the
   // deadline excluded everyone.
-  if (picks.empty()) {
+  if (d.selected.empty()) {
     for (std::size_t i : order) {
       if (ctx.available[i].cost <= cap) {
-        picks.push_back(i);
+        d.selected.push_back(ctx.available[i].id);
         break;
       }
     }
   }
-  return to_decision(ctx, picks, cfg_.base.iterations);
+  std::sort(d.selected.begin(), d.selected.end());
+  d.num_iterations = cfg_.base.iterations;
+  return d;
 }
 
 // --- Pow-d -------------------------------------------------------------------
@@ -144,12 +115,10 @@ Decision PowDStrategy::decide(const sim::EpochContext& ctx,
                      loss_est_[ctx.available[b].id];
             });
   const std::size_t want = std::min<std::size_t>(cfg_.base.n_select, d);
-  std::vector<std::size_t> picks(
-      candidates.begin(),
-      candidates.begin() + static_cast<std::ptrdiff_t>(want));
-  enforce_cap(ctx, picks,
-              per_epoch_cap(ctx, budget, cfg_.base.n_select, cfg_.base.pacing));
-  return to_decision(ctx, picks, cfg_.base.iterations);
+  std::vector<double> chosen(k, 0.0);
+  for (std::size_t c = 0; c < want; ++c) chosen[candidates[c]] = 1.0;
+  return fit_decision(ctx, budget, cfg_.base.n_select, chosen,
+                      cfg_.base.iterations);
 }
 
 void PowDStrategy::observe(const sim::EpochContext& ctx,

@@ -6,9 +6,11 @@
 //  * Pow-d [5]: power-of-choice — samples d candidates, keeps the n with the
 //    largest (estimated) local loss.
 //
-// All baselines are budget-aware in the same way FedL is (they stop renting
-// when the ledger runs dry) but none adapts the iteration count: they use a
-// fixed l per epoch, as in their original papers.
+// All baselines are budget-aware in the same way FedL is: they spend under
+// the same paced cap (budget.h), FedAvg and Pow-d fit their picks under it
+// with FedL's repair at a floor of one client, and FedCS admits clients
+// while they fit it. None adapts the iteration count: they use a fixed l
+// per epoch, as in their original papers.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +23,8 @@ namespace fedl::core {
 struct BaselineConfig {
   std::size_t n_select = 5;      // participants per epoch
   std::size_t iterations = 3;    // fixed l_t
-  double pacing = 1.5;           // per-epoch spend cap multiplier (c̄·n)
   std::uint64_t seed = 29;
 };
-
-// Shared budget pacing: largest affordable per-epoch spend for this scheme.
-double per_epoch_cap(const sim::EpochContext& ctx, const BudgetLedger& budget,
-                     std::size_t n, double pacing);
 
 class FedAvgStrategy : public SelectionStrategy {
  public:

@@ -10,7 +10,7 @@ namespace fedl::core {
 namespace {
 
 // Clients whose post-rounding selection bit had to be flipped to bring the
-// integral selection back under min(cap, remaining budget).
+// integral selection back under the learner's cap.
 const obs::Counter& repaired_clients() {
   static const obs::Counter c("budget.repaired_clients");
   return c;
@@ -60,90 +60,45 @@ Decision FedLStrategy::decide(const sim::EpochContext& ctx,
   // Round the fractional selections (Algorithm 2) on a copy: observe()
   // consumes the fractional x̃, so last_frac_.x must stay fractional.
   rounded_x_ = last_frac_.x;
-  identity_idx_.resize(k);
-  std::iota(identity_idx_.begin(), identity_idx_.end(), std::size_t{0});
   if (cfg_.independent_rounding) {
-    independent_round_subset(rounded_x_, identity_idx_, rng_);
+    independent_round_in_place(rounded_x_, rng_);
   } else {
-    rdcs_round_subset(rounded_x_, identity_idx_, rng_, rdcs_scratch_);
+    rdcs_round_in_place(rounded_x_, rng_, rdcs_scratch_);
   }
 
   // --- feasibility repair ---------------------------------------------------
   // RDCS preserves Σx̃ in expectation but a realization can land below the
   // participation floor or above the budget cap (Algorithm 2 preserves Σx,
   // not Σc·x). Repair deterministically against the learner's own feasible
-  // region: floor = n_eff (n_min shrunk to what the remaining budget can
-  // rent — NOT the raw n_min, which may be unaffordable), ceiling =
-  // min(cap, remaining).
-  order_.resize(k);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
-  std::stable_sort(order_.begin(), order_.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return last_frac_.x[a] > last_frac_.x[b];
-                   });
-
-  const std::size_t n_eff = std::min<std::size_t>(
-      std::max<std::size_t>(last_frac_.n_eff, 1), k);
+  // region: top up to the floor n_eff (n_min shrunk to what the remaining
+  // budget can rent — NOT the raw n_min, which may be unaffordable) by
+  // fraction, then fit under the learner's cap, which is at most the
+  // remaining budget (budget.h). The fit never drops below n_eff, and its
+  // fallback, the n_eff cheapest, fits the cap by the learner's
+  // construction, so the committed selection can never overdraw the ledger.
+  const std::size_t n_eff = last_frac_.n_eff;
   std::size_t count = 0;
   for (std::size_t i = 0; i < k; ++i)
     count += rounded_x_[i] > 0.5 ? 1u : 0u;
-  for (std::size_t oi = 0; oi < k && count < n_eff; ++oi) {
-    const std::size_t i = order_[oi];
-    if (rounded_x_[i] < 0.5) {
-      rounded_x_[i] = 1.0;
-      ++count;
-    }
-  }
-
-  // Budget repair: drop rounded-up clients most-expensive-first, never below
-  // the n_eff floor, until Σc ≤ min(cap, remaining). If the floor is reached
-  // and the selection is still over, fall back to the n_eff cheapest
-  // candidates — affordable by the learner's construction of n_eff, so the
-  // committed selection can never overdraw the ledger.
-  const double limit = std::min(last_frac_.cap, budget.remaining());
-  double cost = 0.0;
-  for (std::size_t i = 0; i < k; ++i)
-    if (rounded_x_[i] > 0.5) cost += last_frac_.cost[i];
-  std::size_t repaired = 0;
-  if (cost > limit) {
-    cost_order_.resize(k);
-    std::iota(cost_order_.begin(), cost_order_.end(), std::size_t{0});
-    std::stable_sort(cost_order_.begin(), cost_order_.end(),
+  if (count < n_eff) {
+    order_.resize(k);
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::stable_sort(order_.begin(), order_.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return last_frac_.cost[a] > last_frac_.cost[b];
+                       return last_frac_.x[a] > last_frac_.x[b];
                      });
-    for (std::size_t oi = 0; oi < k; ++oi) {
-      if (cost <= limit || count <= n_eff) break;
-      const std::size_t i = cost_order_[oi];
-      if (rounded_x_[i] < 0.5) continue;
-      rounded_x_[i] = 0.0;
-      --count;
-      cost -= last_frac_.cost[i];
-      ++repaired;
-    }
-    if (cost > limit) {
-      // At the floor and still over the cap: swap to the cheapest n_eff.
-      std::stable_sort(cost_order_.begin(), cost_order_.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return last_frac_.cost[a] < last_frac_.cost[b];
-                       });
-      target_.assign(k, 0);
-      for (std::size_t oi = 0; oi < n_eff; ++oi)
-        target_[cost_order_[oi]] = 1;
-      cost = 0.0;
-      count = n_eff;
-      for (std::size_t i = 0; i < k; ++i) {
-        const bool was = rounded_x_[i] > 0.5;
-        const bool now = target_[i] != 0;
-        if (was != now) ++repaired;
-        rounded_x_[i] = now ? 1.0 : 0.0;
-        if (now) cost += last_frac_.cost[i];
+    for (std::size_t oi = 0; oi < k && count < n_eff; ++oi) {
+      const std::size_t i = order_[oi];
+      if (rounded_x_[i] < 0.5) {
+        rounded_x_[i] = 1.0;
+        ++count;
       }
     }
-    repaired_clients().add(static_cast<std::uint64_t>(repaired));
   }
-  FEDL_CHECK_LE(cost, limit + 1e-9 * (1.0 + limit))
-      << "post-repair selection exceeds the budget cap";
+  const std::size_t repaired = fit_under_cap(rounded_x_, last_frac_.cost,
+                                             last_frac_.cap, n_eff, order_);
+  if (repaired > 0)
+    repaired_clients().add(static_cast<std::uint64_t>(repaired));
 
   picked_.clear();
   for (std::size_t i = 0; i < k; ++i) {

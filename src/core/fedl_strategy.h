@@ -62,13 +62,10 @@ class FedLStrategy : public SelectionStrategy {
   std::map<std::size_t, FractionalDecision> unobserved_;
 
   // Grow-only per-epoch scratch. Rounding works on a copy of the fractions
-  // (observe() consumes the fractional x̃) via the in-place subset API.
-  std::vector<double> rounded_x_;          // 0/1 after rounding + repair
-  std::vector<std::size_t> identity_idx_;  // 0..k-1 index list for rounding
-  std::vector<std::size_t> order_;         // fraction-descending ranking
-  std::vector<std::size_t> cost_order_;    // cost ranking for repair
-  std::vector<unsigned char> target_;      // fallback selection flags
-  std::vector<std::size_t> picked_;        // selected candidate positions
+  // (observe() consumes the fractional x̃) via the in-place API.
+  std::vector<double> rounded_x_;    // 0/1 after rounding + repair
+  std::vector<std::size_t> order_;   // top-up, then fit_under_cap's ranking
+  std::vector<std::size_t> picked_;  // selected candidate positions
   RdcsScratch rdcs_scratch_;
 };
 

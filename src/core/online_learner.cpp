@@ -82,18 +82,14 @@ std::size_t OnlineLearner::resident_bytes() const {
   return pool_.resident_bytes() + sel_index_.capacity_bytes();
 }
 
-double OnlineLearner::select_candidates(const sim::EpochContext& ctx) {
+void OnlineLearner::select_candidates(const sim::EpochContext& ctx) {
   const std::size_t k = ctx.available.size();
-  double cost_sum = 0.0;
-  for (const auto& obs : ctx.available) cost_sum += obs.cost;
-  const double mean_cost = cost_sum / static_cast<double>(k);
-
   const std::size_t width = cfg_.selection_width;
   cand_.clear();
   if (width == 0 || k <= width) {
     cand_.resize(k);
     std::iota(cand_.begin(), cand_.end(), std::size_t{0});
-    return mean_cost;
+    return;
   }
 
   // Bounded-heap top-k selection, O(|E_t| log width), no roster-sized state.
@@ -160,7 +156,6 @@ double OnlineLearner::select_candidates(const sim::EpochContext& ctx) {
   for (std::size_t i = 0; i < k; ++i)
     if (in_cand_[i]) cand_.push_back(i);
   pruned_clients().add(static_cast<std::uint64_t>(k - cand_.size()));
-  return mean_cost;
 }
 
 // Step (8)'s objective at Φ = [x̃, ρ] over the candidates decide() staged in
@@ -211,7 +206,7 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
   dec.rho = rho_;
   if (k == 0) return dec;  // nothing available this epoch
 
-  const double mean_cost = select_candidates(ctx);
+  select_candidates(ctx);
   const std::size_t w = cand_.size();
 
   dec.ids.reserve(w);
@@ -225,52 +220,34 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
   }
 
   // --- feasible set -------------------------------------------------------
-  const double n_d = static_cast<double>(cfg_.n_min);
-
   // When the remaining budget cannot rent the n_min cheapest clients, the
   // constraints Σx ≥ n_eff and Σc·x ≤ cap would contradict each other (the
   // n_eff cheapest unit selections already overshoot the cap). Shrink the
-  // participation floor to the largest affordable prefix of the cost-sorted
-  // clients; when not even the single cheapest client is affordable, the
-  // epoch is infeasible and the decision is empty (select nobody, spend
-  // nothing, allocate no record) — the ledger must never overdraw. The
-  // pruning floor keeps the n_min cheapest of E_t in the candidate set, so
-  // this prefix is the same whether or not pruning ran.
+  // participation floor to the affordable floor (budget.h); when not even
+  // the single cheapest client is affordable, the epoch is infeasible and
+  // the decision is empty (select nobody, spend nothing, allocate no
+  // record) — the ledger must never overdraw. The pruning floor keeps the
+  // n_min cheapest of E_t in the candidate set, so this floor is the same
+  // whether or not pruning ran.
   sorted_cost_ = dec.cost;
-  std::sort(sorted_cost_.begin(), sorted_cost_.end());
-  std::size_t n_eff = std::min<std::size_t>(cfg_.n_min, k);
-  double cheapest_n = 0.0;
-  {
-    double prefix = 0.0;
-    std::size_t affordable = 0;
-    for (std::size_t i = 0; i < n_eff; ++i) {
-      prefix += sorted_cost_[i];
-      if (prefix > budget.remaining()) break;
-      cheapest_n = prefix;
-      ++affordable;
-    }
-    if (affordable == 0) {
-      infeasible_epochs().add();
-      dec.ids.clear();
-      dec.cost.clear();
-      return dec;
-    }
-    n_eff = affordable;
+  const AffordableFloor floor =
+      affordable_floor(sorted_cost_, cfg_.n_min, budget.remaining());
+  if (floor.count == 0) {
+    infeasible_epochs().add();
+    dec.ids.clear();
+    dec.cost.clear();
+    return dec;
   }
 
-  // Budget pacing: spend roughly pacing·n·c̄ per epoch so the horizon lands
-  // inside the paper's T_C range, but never plan beyond what remains, and
-  // always leave enough room for the n_eff cheapest clients (affordable by
-  // construction above).
-  double cap = cfg_.pacing * n_d * mean_cost;
-  cap = std::max(cap, cheapest_n);
-  cap = std::min(cap, budget.remaining());
-  dec.cap = cap;
-  dec.n_eff = n_eff;
+  // The paced cap, raised to leave room for the floor's clients (whose
+  // cost fits the remainder, so the cap still does).
+  dec.cap = std::max(paced_cap(ctx, cfg_.n_min, budget.remaining()),
+                     floor.cost);
+  dec.n_eff = floor.count;
 
   // Σ c·x̃ ≤ cap, Σ x̃ ≥ n_eff, x̃ ∈ [0,1]^w and ρ ∈ [1, ρ_max].
-  const solver::DecisionSet set{dec.cost, cap, static_cast<double>(n_eff),
-                                cfg_.rho_max};
+  const solver::DecisionSet set{dec.cost, dec.cap,
+                                static_cast<double>(dec.n_eff), cfg_.rho_max};
 
   // --- descent step (8) -----------------------------------------------------
   // One index probe per candidate: its record slot (allocated on first

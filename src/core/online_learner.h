@@ -28,7 +28,7 @@
 //  * h^k (local convergence, (3c)) uses the paper's bilinear form with the
 //    learned per-client accuracy: h^k(Φ) = η̂_k·x̃_k·ρ − ρ + 1;
 //  * feasible set: x̃ ∈ [0,1]^{E_t}, ρ ∈ [1, ρ_max], Σ c_k x̃_k ≤ cap_t
-//    (budget pacing within (5a)), Σ x̃_k ≥ n (5b).
+//    (the paced cap of (5a), budget.h), Σ x̃_k ≥ n (5b).
 //
 // Candidate pruning (selection_width > 0): before the prox solve the
 // availability set is cut to at most `selection_width` coordinates — the
@@ -70,7 +70,6 @@ struct LearnerConfig {
   double theta = 0.5;    // desired upper bound θ of the global loss (3d)
   std::size_t n_min = 5;  // minimum participants per epoch (3b)
   double rho_max = 8.0;   // cap on ρ (bounds l_t; Assumption 1's radius R)
-  double pacing = 1.5;    // per-epoch spend cap = pacing · n · mean cost
   double mu_max = 100.0;  // dual clip, numerical guard for ‖μ̂‖ of Lemma 2
   double ema = 0.3;       // smoothing for η̂ and Δ̂ estimates
   // Max coordinates the prox solve sees per epoch (0 = all of E_t).
@@ -147,8 +146,8 @@ class OnlineLearner {
 
  private:
   // Fills cand_ with the candidate indices into ctx.available (sorted
-  // ascending) and returns the full-E_t mean posted cost.
-  double select_candidates(const sim::EpochContext& ctx);
+  // ascending).
+  void select_candidates(const sim::EpochContext& ctx);
   // Step (8)'s value at Φ = [x̃, ρ] (and its gradient when grad != nullptr)
   // over the candidates decide() staged in the scratch below.
   double step_objective(const std::vector<double>& phi,

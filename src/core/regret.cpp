@@ -107,14 +107,10 @@ void RegretTracker::record(const sim::EpochContext& ctx,
   }
   online_obj_ += f_online;
 
-  // Offline per-epoch optimum under the same cap.
-  double mean_cost = 0.0;
-  for (const auto& o : ctx.available) mean_cost += o.cost;
-  if (!ctx.available.empty())
-    mean_cost /= static_cast<double>(ctx.available.size());
-  const double cap =
-      std::min(budget.remaining() + outcome.cost,  // cap as seen pre-charge
-               cfg_.pacing * static_cast<double>(cfg_.n_min) * mean_cost);
+  // Offline per-epoch optimum under the same paced cap.
+  const double cap = paced_cap(
+      ctx, cfg_.n_min,
+      budget.remaining() + outcome.cost);  // cap as seen pre-charge
   std::vector<std::size_t> opt_ids;
   offline_obj_ +=
       per_epoch_optimum(ctx, std::max(cap, 0.0), cfg_.n_min, &opt_ids);

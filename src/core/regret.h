@@ -23,7 +23,6 @@ namespace fedl::core {
 struct RegretConfig {
   double theta = 0.5;     // θ in h^0
   std::size_t n_min = 5;  // minimum participation (for Φ*_t)
-  double pacing = 1.5;    // same per-epoch cap the strategies use
 };
 
 // Per-epoch optimum value f_t(Φ*_t): the n fastest clients under the cost

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 
@@ -15,23 +14,27 @@ bool is_fractional(double v) {
   return v > kIntegralTol && v < 1.0 - kIntegralTol;
 }
 
+std::vector<int> to_bits(const std::vector<double>& x) {
+  std::vector<int> out(x.size());
+  for (std::size_t k = 0; k < x.size(); ++k) out[k] = x[k] > 0.5 ? 1 : 0;
+  return out;
+}
+
 }  // namespace
 
-void rdcs_round_subset(std::vector<double>& x,
-                       const std::vector<std::size_t>& indices, Rng& rng,
-                       RdcsScratch& scratch) {
-  for (std::size_t k : indices) {
-    FEDL_CHECK_LT(k, x.size());
-    FEDL_CHECK(x[k] >= -kIntegralTol && x[k] <= 1.0 + kIntegralTol)
-        << "fraction out of [0,1]: " << x[k];
-    x[k] = std::clamp(x[k], 0.0, 1.0);
+void rdcs_round_in_place(std::vector<double>& x, Rng& rng,
+                         RdcsScratch& scratch) {
+  for (double& v : x) {
+    FEDL_CHECK(v >= -kIntegralTol && v <= 1.0 + kIntegralTol)
+        << "fraction out of [0,1]: " << v;
+    v = std::clamp(v, 0.0, 1.0);
   }
 
   // Active list of fractional coordinates.
   std::vector<std::size_t>& frac = scratch.frac;
   std::vector<std::size_t>& next = scratch.next;
   frac.clear();
-  for (std::size_t k : indices)
+  for (std::size_t k = 0; k < x.size(); ++k)
     if (is_fractional(x[k])) frac.push_back(k);
 
   // Algorithm 2's pairing step, iterated until ≤ 1 fractional coordinate
@@ -78,39 +81,25 @@ void rdcs_round_subset(std::vector<double>& x,
     x[k] = rng.uniform() < x[k] ? 1.0 : 0.0;
   }
 
-  for (std::size_t k : indices) x[k] = x[k] > 0.5 ? 1.0 : 0.0;
+  for (double& v : x) v = v > 0.5 ? 1.0 : 0.0;
 }
 
-void independent_round_subset(std::vector<double>& x,
-                              const std::vector<std::size_t>& indices,
-                              Rng& rng) {
-  for (std::size_t k : indices) {
-    FEDL_CHECK_LT(k, x.size());
-    const double v = std::clamp(x[k], 0.0, 1.0);
-    x[k] = rng.uniform() < v ? 1.0 : 0.0;
-  }
+void independent_round_in_place(std::vector<double>& x, Rng& rng) {
+  for (double& v : x) v = rng.uniform() < std::clamp(v, 0.0, 1.0) ? 1.0 : 0.0;
 }
 
 std::vector<int> rdcs_round(const std::vector<double>& fractions, Rng& rng) {
   std::vector<double> x = fractions;
-  std::vector<std::size_t> indices(x.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
   RdcsScratch scratch;
-  rdcs_round_subset(x, indices, rng, scratch);
-  std::vector<int> out(x.size());
-  for (std::size_t k = 0; k < x.size(); ++k) out[k] = x[k] > 0.5 ? 1 : 0;
-  return out;
+  rdcs_round_in_place(x, rng, scratch);
+  return to_bits(x);
 }
 
 std::vector<int> independent_round(const std::vector<double>& fractions,
                                    Rng& rng) {
   std::vector<double> x = fractions;
-  std::vector<std::size_t> indices(x.size());
-  std::iota(indices.begin(), indices.end(), std::size_t{0});
-  independent_round_subset(x, indices, rng);
-  std::vector<int> out(x.size());
-  for (std::size_t k = 0; k < x.size(); ++k) out[k] = x[k] > 0.5 ? 1 : 0;
-  return out;
+  independent_round_in_place(x, rng);
+  return to_bits(x);
 }
 
 }  // namespace fedl::core

@@ -6,10 +6,9 @@
 // (iii) E[x_k] = x̃_k exactly (Theorem 3). Independent rounding — each
 // coordinate rounded on its own — is provided for the A1 ablation bench.
 //
-// The in-place subset entry points round only the listed coordinates of a
-// caller-owned vector using caller-owned scratch, so the hot path never
-// materializes roster-sized temporaries; the allocating overloads are thin
-// wrappers that draw the exact same RNG sequence.
+// The in-place forms round a caller-owned vector using caller-owned scratch,
+// so the hot path never materializes temporaries; the allocating forms are
+// thin wrappers that draw the exact same RNG sequence.
 #pragma once
 
 #include <cstdint>
@@ -19,31 +18,26 @@
 
 namespace fedl::core {
 
-// Reusable working set for rdcs_round_subset: the active fractional index
+// Reusable working set for rdcs_round_in_place: the active fractional index
 // lists of the pairing loop. Grow-only; safe to share across epochs.
 struct RdcsScratch {
   std::vector<std::size_t> frac;
   std::vector<std::size_t> next;
 };
 
-// Dependent rounding (RDCS) over x[indices] in place. Listed entries must
-// lie in [0, 1] (±1e-12) and become exactly 0.0 or 1.0; unlisted entries are
-// untouched. The pairing loop runs until at most one listed coordinate
-// remains fractional; the residual (if any) is rounded up with probability
-// equal to its value, preserving marginals.
-void rdcs_round_subset(std::vector<double>& x,
-                       const std::vector<std::size_t>& indices, Rng& rng,
-                       RdcsScratch& scratch);
+// Dependent rounding (RDCS) of x in place. Entries must lie in [0, 1]
+// (±1e-12) and become exactly 0.0 or 1.0. The pairing loop runs until at
+// most one coordinate remains fractional; the residual (if any) is rounded
+// up with probability equal to its value, preserving marginals.
+void rdcs_round_in_place(std::vector<double>& x, Rng& rng,
+                         RdcsScratch& scratch);
 
-// Independent rounding over x[indices] in place: x[k] ← 1 w.p. x̃_k.
-// Draws one uniform per listed coordinate.
-void independent_round_subset(std::vector<double>& x,
-                              const std::vector<std::size_t>& indices,
-                              Rng& rng);
+// Independent rounding of x in place: x[k] ← 1 w.p. x̃_k. Draws one uniform
+// per coordinate.
+void independent_round_in_place(std::vector<double>& x, Rng& rng);
 
-// Allocating wrappers over the subset API (identity index list). Kept for
-// tests and callers that want a fresh 0/1 vector; RNG-sequence-identical to
-// the in-place forms.
+// Allocating wrappers over the in-place forms, for tests and benches that
+// want a fresh 0/1 vector; RNG-sequence-identical to the in-place forms.
 std::vector<int> rdcs_round(const std::vector<double>& fractions, Rng& rng);
 std::vector<int> independent_round(const std::vector<double>& fractions,
                                    Rng& rng);

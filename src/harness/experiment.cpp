@@ -424,6 +424,7 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
   // availability draws) the run would otherwise spin to max_epochs paying
   // evaluation cost for empty rounds.
   std::size_t empty_streak = 0;
+  std::vector<double> floor_costs;  // affordable_floor's per-epoch scratch
 
   // Advances the virtual clock to the next flush boundary, streams that
   // turn's events into the trace, and files resolved cohorts.
@@ -546,21 +547,16 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
       if (!evt || !evt->client_inflight(o.id)) ctx.available.push_back(o);
 
     // Constraint (3b) requires at least n participants per epoch; when the
-    // remaining budget cannot rent even the n cheapest available clients,
-    // the FL procedure is infeasible and terminates.
-    if (!ctx.available.empty()) {
-      std::vector<double> costs;
-      costs.reserve(ctx.available.size());
-      for (const auto& o : ctx.available) costs.push_back(o.cost);
-      std::sort(costs.begin(), costs.end());
-      const std::size_t need = std::min<std::size_t>(cfg_.n_min, costs.size());
-      double cheapest_n = 0.0;
-      for (std::size_t i = 0; i < need; ++i) cheapest_n += costs[i];
-      if (cheapest_n > ledger.remaining()) {
-        result.budget_exhausted = true;
-        result.termination_reason = "infeasible_floor";
-        break;
-      }
+    // remaining budget cannot rent even the n cheapest available clients
+    // (the affordable floor falls short of them), the FL procedure is
+    // infeasible and terminates.
+    floor_costs.clear();
+    for (const auto& o : ctx.available) floor_costs.push_back(o.cost);
+    if (core::affordable_floor(floor_costs, cfg_.n_min, ledger.remaining())
+            .count < std::min(cfg_.n_min, floor_costs.size())) {
+      result.budget_exhausted = true;
+      result.termination_reason = "infeasible_floor";
+      break;
     }
 
     {

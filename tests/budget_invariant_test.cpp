@@ -247,28 +247,14 @@ TEST(RdcsSubset, MatchesLegacyRngSequence) {
   const std::vector<int> legacy = core::rdcs_round(x, rng_a);
 
   std::vector<double> inplace = x;
-  std::vector<std::size_t> idx(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) idx[i] = i;
   core::RdcsScratch scratch;
-  core::rdcs_round_subset(inplace, idx, rng_b, scratch);
+  core::rdcs_round_in_place(inplace, rng_b, scratch);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(legacy[i], inplace[i] > 0.5 ? 1 : 0) << "coordinate " << i;
     EXPECT_TRUE(inplace[i] == 0.0 || inplace[i] == 1.0);
   }
   // Both consumed the same number of draws: next uniforms agree.
   EXPECT_EQ(rng_a(), rng_b());
-}
-
-TEST(RdcsSubset, OnlyListedCoordinatesChange) {
-  Rng rng(7);
-  std::vector<double> x = {0.5, 0.25, 0.75, 0.4};
-  const std::vector<std::size_t> idx = {1, 3};
-  core::RdcsScratch scratch;
-  core::rdcs_round_subset(x, idx, rng, scratch);
-  EXPECT_DOUBLE_EQ(x[0], 0.5);
-  EXPECT_DOUBLE_EQ(x[2], 0.75);
-  EXPECT_TRUE(x[1] == 0.0 || x[1] == 1.0);
-  EXPECT_TRUE(x[3] == 0.0 || x[3] == 1.0);
 }
 
 // --- pruning golden gate: width ≥ |E_t| is byte-identical -------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/budget.h"
 #include "core/online_learner.h"
@@ -59,6 +60,102 @@ TEST(HorizonBounds, DegenerateInputsThrow) {
   EXPECT_THROW(BudgetLedger::horizon_bounds(10.0, 5, 2.0, 1.0), ConfigError);
 }
 
+// --- the per-epoch budget rule ---------------------------------------------
+
+sim::EpochContext costs_ctx(const std::vector<double>& costs) {
+  sim::EpochContext ctx;
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    sim::ClientObservation o;
+    o.id = i;
+    o.cost = costs[i];
+    ctx.available.push_back(o);
+  }
+  return ctx;
+}
+
+TEST(PacedCap, ScalesWithMeanCostAndBudget) {
+  const auto ctx = costs_ctx({0.5, 1.5, 2.5, 3.5});  // mean 2
+  EXPECT_NEAR(paced_cap(ctx, 3, 1000.0), kPacing * 3 * 2.0, 1e-9);
+  EXPECT_NEAR(paced_cap(ctx, 3, 4.0), 4.0, 1e-9);  // the remainder binds
+  EXPECT_EQ(paced_cap(sim::EpochContext{}, 3, 1000.0), 0.0);
+}
+
+TEST(AffordableFloor, LongestAffordablePrefixOfTheCheapest) {
+  std::vector<double> costs = {4.0, 1.0, 3.0, 2.0, 0.5};
+  // Cheapest three: 0.5, 1.0, 2.0; prefixes 0.5, 1.5, 3.5.
+  AffordableFloor f = affordable_floor(costs, 3, 10.0);
+  EXPECT_EQ(f.count, 3u);
+  EXPECT_EQ(f.cost, 3.5);
+  costs = {4.0, 1.0, 3.0, 2.0, 0.5};
+  f = affordable_floor(costs, 3, 2.0);  // 3.5 > 2: two fit
+  EXPECT_EQ(f.count, 2u);
+  EXPECT_EQ(f.cost, 1.5);
+}
+
+TEST(AffordableFloor, NAboveTheSizeTakesEveryCost) {
+  std::vector<double> costs = {2.0, 1.0};
+  const AffordableFloor f = affordable_floor(costs, 5, 100.0);
+  EXPECT_EQ(f.count, 2u);
+  EXPECT_EQ(f.cost, 3.0);
+}
+
+TEST(AffordableFloor, RemainderBelowTheCheapestIsEmpty) {
+  std::vector<double> costs = {2.0, 1.0, 3.0};
+  const AffordableFloor f = affordable_floor(costs, 2, 0.9);
+  EXPECT_EQ(f.count, 0u);
+  EXPECT_EQ(f.cost, 0.0);
+}
+
+TEST(FitUnderCap, AlreadyUnderTheCapFlipsNothing) {
+  std::vector<double> chosen = {1, 0, 1};
+  std::vector<std::size_t> order;
+  EXPECT_EQ(fit_under_cap(chosen, {1.0, 9.0, 2.0}, 3.0, 1, order), 0u);
+  EXPECT_EQ(chosen, (std::vector<double>{1, 0, 1}));
+  EXPECT_TRUE(order.empty());  // scratch untouched
+}
+
+TEST(FitUnderCap, DropsMostExpensiveFirst) {
+  // Σ = 10 over a cap of 5: drop 4.0, then 3.0; 1.0 + 2.0 fits.
+  std::vector<double> chosen = {1, 1, 1, 1, 0};
+  std::vector<std::size_t> order;
+  EXPECT_EQ(fit_under_cap(chosen, {1.0, 4.0, 2.0, 3.0, 0.1}, 5.0, 1, order),
+            2u);
+  EXPECT_EQ(chosen, (std::vector<double>{1, 0, 1, 0, 0}));
+}
+
+TEST(FitUnderCap, TiedCostsDropTheLowerIndexFirst) {
+  std::vector<double> chosen = {1, 1, 1};
+  std::vector<std::size_t> order;
+  EXPECT_EQ(fit_under_cap(chosen, {2.0, 2.0, 2.0}, 4.0, 1, order), 1u);
+  EXPECT_EQ(chosen, (std::vector<double>{0, 1, 1}));
+}
+
+TEST(FitUnderCap, NeverDropsBelowTheFloor) {
+  // Dropping 5.0 leaves {3.0, 1.0} = 4 > 3.5, but the floor is two: the
+  // fallback takes the two cheapest of all candidates, 0.5 and 1.0.
+  std::vector<double> chosen = {1, 1, 1, 0};
+  std::vector<std::size_t> order;
+  const std::size_t flips =
+      fit_under_cap(chosen, {5.0, 3.0, 1.0, 0.5}, 3.5, 2, order);
+  EXPECT_EQ(chosen, (std::vector<double>{0, 0, 1, 1}));
+  // 5.0 dropped, then 3.0 off and 0.5 on in the fallback.
+  EXPECT_EQ(flips, 3u);
+}
+
+TEST(FitUnderCap, FallbackBreaksCostTiesByIndex) {
+  std::vector<double> chosen = {1, 0, 0, 0};
+  std::vector<std::size_t> order;
+  EXPECT_EQ(fit_under_cap(chosen, {9.0, 1.0, 1.0, 1.0}, 2.0, 2, order), 3u);
+  EXPECT_EQ(chosen, (std::vector<double>{0, 1, 1, 0}));
+}
+
+TEST(FitUnderCap, FloorCheapestOverTheCapSelectsNobody) {
+  std::vector<double> chosen = {1, 1, 0};
+  std::vector<std::size_t> order;
+  EXPECT_EQ(fit_under_cap(chosen, {3.0, 2.0, 1.5}, 1.0, 1, order), 2u);
+  EXPECT_EQ(chosen, (std::vector<double>{0, 0, 0}));
+}
+
 // --- ρ / η / l conversions -------------------------------------------------------
 
 TEST(Types, RhoToItersCeil) {
@@ -112,10 +209,8 @@ TEST(OnlineLearner, DecideProducesFeasibleFractions) {
 }
 
 TEST(OnlineLearner, BudgetCapLimitsFractionalSpend) {
-  LearnerConfig cfg = small_cfg();
-  cfg.pacing = 1.0;
-  OnlineLearner learner(6, cfg);
-  BudgetLedger tight(3.0);  // costs are 1..6 -> cap is tiny
+  OnlineLearner learner(6, small_cfg());
+  BudgetLedger tight(3.0);  // costs are 1..6 -> the remainder caps
   const auto ctx = make_ctx(6);
   const auto dec = learner.decide(ctx, tight);
   double spend = 0.0;

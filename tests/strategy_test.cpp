@@ -93,6 +93,33 @@ TEST(FedAvg, EmptyContext) {
   EXPECT_TRUE(s.decide(ctx, budget).selected.empty());
 }
 
+// E_t whose cheapest client (0.3) is not the first: only the fit's fallback
+// can select it when a random pick lands on anyone else.
+sim::EpochContext cheapest_in_middle_ctx() {
+  sim::EpochContext ctx = make_ctx(5);
+  const double costs[] = {5.0, 4.0, 0.3, 6.0, 7.0};
+  for (std::size_t i = 0; i < 5; ++i) ctx.available[i].cost = costs[i];
+  return ctx;
+}
+
+TEST(FedAvg, OverCapFallsBackToCheapestClientOfEt) {
+  BaselineConfig cfg = base_cfg();
+  cfg.n_select = 1;
+  FedAvgStrategy s(cfg);
+  BudgetLedger budget(0.4);  // cap 0.4: only client 2 fits
+  const auto ctx = cheapest_in_middle_ctx();
+  for (int t = 0; t < 20; ++t)
+    EXPECT_EQ(s.decide(ctx, budget).selected, std::vector<std::size_t>{2});
+}
+
+TEST(FedAvg, OverCapWithNobodyAffordableSelectsNobody) {
+  FedAvgStrategy s(base_cfg());
+  BudgetLedger budget(0.2);  // below the cheapest cost
+  const auto ctx = cheapest_in_middle_ctx();
+  for (int t = 0; t < 20; ++t)
+    EXPECT_TRUE(s.decide(ctx, budget).selected.empty());
+}
+
 // --- FedCS -------------------------------------------------------------------
 
 TEST(FedCs, AdmitsOnlyClientsWithinDeadline) {
@@ -114,7 +141,7 @@ TEST(FedCs, AdmitsOnlyClientsWithinDeadline) {
 TEST(FedCs, GenerousDeadlineAdmitsManyUnderCap) {
   FedCsConfig cfg;
   cfg.base = base_cfg();
-  cfg.base.pacing = 100.0;  // effectively uncapped
+  cfg.base.n_select = 8;  // cap 1.5·8·4 = 48 over a cost sum of 32
   cfg.deadline_s = 1e6;
   FedCsStrategy s(cfg);
   BudgetLedger budget(1e6);
@@ -181,6 +208,29 @@ TEST(PowD, RequiresDGreaterEqualN) {
   cfg.base.n_select = 5;
   cfg.d = 3;
   EXPECT_THROW(PowDStrategy(10, cfg), CheckError);
+}
+
+TEST(PowD, OverCapFallsBackToCheapestClientOfEt) {
+  PowDConfig cfg;
+  cfg.base = base_cfg();
+  cfg.base.n_select = 1;
+  cfg.d = 2;
+  PowDStrategy s(5, cfg);
+  BudgetLedger budget(0.4);  // cap 0.4: only client 2 fits
+  const auto ctx = cheapest_in_middle_ctx();
+  for (int t = 0; t < 20; ++t)
+    EXPECT_EQ(s.decide(ctx, budget).selected, std::vector<std::size_t>{2});
+}
+
+TEST(PowD, OverCapWithNobodyAffordableSelectsNobody) {
+  PowDConfig cfg;
+  cfg.base = base_cfg();
+  cfg.d = 4;
+  PowDStrategy s(5, cfg);
+  BudgetLedger budget(0.2);  // below the cheapest cost
+  const auto ctx = cheapest_in_middle_ctx();
+  for (int t = 0; t < 20; ++t)
+    EXPECT_TRUE(s.decide(ctx, budget).selected.empty());
 }
 
 // --- FedL strategy ------------------------------------------------------------------
@@ -265,13 +315,6 @@ TEST(FedL, IndependentRoundingVariantRuns) {
   EXPECT_GE(d.selected.size(), 3u);
 }
 
-TEST(PerEpochCap, ScalesWithMeanCostAndBudget) {
-  const auto ctx = make_ctx(4);  // costs 0.5, 1.5, 2.5, 3.5; mean 2
-  BudgetLedger big(1000.0);
-  EXPECT_NEAR(per_epoch_cap(ctx, big, 3, 1.5), 1.5 * 3 * 2.0, 1e-9);
-  BudgetLedger small(4.0);
-  EXPECT_NEAR(per_epoch_cap(ctx, small, 3, 1.5), 4.0, 1e-9);
-}
 
 }  // namespace
 }  // namespace fedl::core
