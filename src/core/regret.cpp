@@ -88,8 +88,7 @@ RegretTracker::RegretTracker(std::size_t num_clients, RegretConfig cfg)
       num_clients_(num_clients),
       fit_acc_(num_clients + 1, 0.0) {}
 
-void RegretTracker::record(const sim::EpochContext& ctx,
-                           const BudgetLedger& budget,
+void RegretTracker::record(const sim::EpochContext& ctx, double remaining,
                            const Decision& decision, double rho,
                            const fl::EpochOutcome& outcome) {
   ++epochs_;
@@ -107,10 +106,8 @@ void RegretTracker::record(const sim::EpochContext& ctx,
   }
   online_obj_ += f_online;
 
-  // Offline per-epoch optimum under the same paced cap.
-  const double cap = paced_cap(
-      ctx, cfg_.n_min,
-      budget.remaining() + outcome.cost);  // cap as seen pre-charge
+  // Offline per-epoch optimum under the paced cap the strategy saw.
+  const double cap = paced_cap(ctx, cfg_.n_min, remaining);
   std::vector<std::size_t> opt_ids;
   offline_obj_ +=
       per_epoch_optimum(ctx, std::max(cap, 0.0), cfg_.n_min, &opt_ids);

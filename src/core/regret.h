@@ -61,8 +61,11 @@ class RegretTracker {
  public:
   RegretTracker(std::size_t num_clients, RegretConfig cfg);
 
-  // Record one realized epoch of an online strategy.
-  void record(const sim::EpochContext& ctx, const BudgetLedger& budget,
+  // Record one realized epoch of an online strategy. `remaining` is the
+  // budget left when the strategy decided the epoch: Φ*_t competes under
+  // the same paced cap, however many later epochs were charged before this
+  // one resolved.
+  void record(const sim::EpochContext& ctx, double remaining,
               const Decision& decision, double rho,
               const fl::EpochOutcome& outcome);
 

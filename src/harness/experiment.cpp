@@ -407,6 +407,7 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
     LearnerSnapshot snap;
     double rho = 0.0;
     double cap = 0.0;
+    double remaining = 0.0;  // the ledger's remainder at decide
     std::optional<fl::CohortOutcome> outcome;  // set once resolved
   };
   std::map<std::size_t, PendingEpoch> pending;
@@ -463,7 +464,7 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
         if (tracing) trace_buffer += epoch_line;
       }
       strategy.observe(pe.ctx, pe.decision, out);
-      result.regret.record(pe.ctx, ledger, pe.decision, pe.rho, out);
+      result.regret.record(pe.ctx, pe.remaining, pe.decision, pe.rho, out);
 
       if (monitor) {
         obs::EpochSample sample;
@@ -559,6 +560,7 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
       break;
     }
 
+    pe.remaining = ledger.remaining();
     {
       FEDL_PROFILE_SCOPE("strategy.decide");
       pe.decision = strategy.decide(ctx, ledger);

@@ -354,7 +354,6 @@ TEST(RegretTracker, AccumulatesOnlineMinusOffline) {
   rc.theta = 0.5;
   rc.n_min = 2;
   RegretTracker tracker(4, rc);
-  BudgetLedger budget(1000.0);
   const auto ctx = make_ctx(4);
 
   Decision dec;
@@ -367,7 +366,7 @@ TEST(RegretTracker, AccumulatesOnlineMinusOffline) {
   out.client_latency_s = {2 * 1.3, 2 * 1.6};
   out.client_eta = {0.5, 0.5};
   out.train_loss_all = 1.5;
-  tracker.record(ctx, budget, dec, 2.0, out);
+  tracker.record(ctx, /*remaining=*/1000.0, dec, 2.0, out);
 
   EXPECT_EQ(tracker.epochs(), 1u);
   EXPECT_NEAR(tracker.online_objective(), 2 * 1.3 + 2 * 1.6, 1e-9);
@@ -381,7 +380,6 @@ TEST(RegretTracker, FitIgnoresSatisfiedConstraints) {
   rc.theta = 2.0;  // loss below θ -> no violation
   rc.n_min = 1;
   RegretTracker tracker(2, rc);
-  BudgetLedger budget(100.0);
   const auto ctx = make_ctx(2);
   Decision dec;
   dec.selected = {0};
@@ -392,8 +390,39 @@ TEST(RegretTracker, FitIgnoresSatisfiedConstraints) {
   out.client_latency_s = {0.7};
   out.client_eta = {0.0};  // perfectly solved local problem
   out.train_loss_all = 1.0;
-  tracker.record(ctx, budget, dec, 1.0, out);
+  tracker.record(ctx, /*remaining=*/100.0, dec, 1.0, out);
   EXPECT_NEAR(tracker.fit(), 0.0, 1e-9);
+}
+
+TEST(RegretTracker, ComparatorCapIsTheGivenRemainder) {
+  // Costs 1..4 (mean 2.5) and n = 2: the paced cap is 7.5, under which the
+  // two fastest (costs 1 + 2) fit. A remainder of 2.5 caps Φ*_t instead,
+  // so it takes the fastest client, then the cheapest one that still fits
+  // (none): only client 0. The outcome's own cost does not enter the cap.
+  RegretConfig rc;
+  rc.n_min = 2;
+  const auto ctx = make_ctx(4);  // taus 0.7, 1.0, 1.3, 1.6
+  Decision dec;
+  dec.selected = {0};
+  dec.num_iterations = 1;
+  fl::EpochOutcome out;
+  out.selected = {0};
+  out.num_iterations = 1;
+  out.cost = 100.0;
+  out.client_latency_s = {0.7};
+  out.client_eta = {0.5};
+  out.train_loss_all = 1.0;
+
+  RegretTracker loose(4, rc);
+  loose.record(ctx, /*remaining=*/1000.0, dec, 1.0, out);
+  EXPECT_NEAR(loose.offline_objective(), 0.7 + 1.0, 1e-12);
+  EXPECT_EQ(loose.offline_objective(),
+            per_epoch_optimum(ctx, paced_cap(ctx, 2, 1000.0), 2));
+
+  RegretTracker tight(4, rc);
+  tight.record(ctx, /*remaining=*/2.5, dec, 1.0, out);
+  EXPECT_NEAR(tight.offline_objective(), 0.7, 1e-12);
+  EXPECT_EQ(tight.offline_objective(), per_epoch_optimum(ctx, 2.5, 2));
 }
 
 }  // namespace

@@ -64,7 +64,6 @@ TEST(Theorem2, TrackerAccumulatesPathLengths) {
   rc.theta = 0.5;
   rc.n_min = 1;
   core::RegretTracker tracker(3, rc);
-  core::BudgetLedger budget(100.0);
 
   auto make_ctx = [](double tau0) {
     sim::EpochContext ctx;
@@ -93,16 +92,16 @@ TEST(Theorem2, TrackerAccumulatesPathLengths) {
   // Epoch 1: client 0 fastest -> Φ* = {0}. Epoch 2: client 0 slowed down ->
   // Φ* = {1 or 2}; the optimum moved, so V_phi grows by √2 (one coordinate
   // off, one on).
-  tracker.record(make_ctx(0.1), budget, dec, 1.0, out);
+  tracker.record(make_ctx(0.1), /*remaining=*/100.0, dec, 1.0, out);
   EXPECT_EQ(tracker.v_phi(), 0.0);  // first epoch: no predecessor
-  tracker.record(make_ctx(10.0), budget, dec, 1.0, out);
+  tracker.record(make_ctx(10.0), /*remaining=*/100.0, dec, 1.0, out);
   EXPECT_NEAR(tracker.v_phi(), std::sqrt(2.0), 1e-9);
   // h identical across both epochs -> no drift.
   EXPECT_NEAR(tracker.v_h(), 0.0, 1e-12);
 
   // Epoch 3 with a different loss: h^0 rose by 0.5.
   out.train_loss_all = 1.5;
-  tracker.record(make_ctx(10.0), budget, dec, 1.0, out);
+  tracker.record(make_ctx(10.0), /*remaining=*/100.0, dec, 1.0, out);
   EXPECT_NEAR(tracker.v_h(), 0.5, 1e-9);
   EXPECT_NEAR(tracker.v_h_step_max(), 0.5, 1e-9);
 }
