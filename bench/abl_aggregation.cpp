@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
     base.eval_cap = 96;
     base.dane.sgd_steps = 2;
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    base.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "== Table: aggregation rule x strategy\n";

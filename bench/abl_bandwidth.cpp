@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
     base.eval_cap = 96;
     base.dane.sgd_steps = 2;
     base.seed = seed;
+    base.trace_out = session.trace_out();
     flags.require_all_read();
 
     const net::BandwidthPolicy policies[] = {

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
     base.iid = false;  // heterogeneity is where the rules differ
     base.dane.sgd_steps = 3;
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    base.trace_out = session.trace_out();
     flags.require_all_read();
 
     struct Variant {

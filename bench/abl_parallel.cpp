@@ -10,6 +10,7 @@
 
 #include "common/config.h"
 #include "common/csv.h"
+#include "common/error.h"
 #include "common/logging.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
@@ -78,6 +79,9 @@ int main(int argc, char** argv) {
   try {
     Flags flags(argc, argv);
     obs::ObsSession session(flags, "warn");
+    // The sweep drives the engine directly: no harness epoch, no trace.
+    if (!session.trace_out().empty())
+      throw ConfigError("--trace-out: abl_parallel runs no harness epochs");
 
     const std::size_t clients =
         static_cast<std::size_t>(flags.get_int("clients", 20));

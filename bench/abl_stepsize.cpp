@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
     cfg.dane.sgd_steps = 2;
     cfg.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 25));
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    cfg.trace_out = session.trace_out();
     flags.require_all_read();
 
     harness::Experiment exp(cfg);

@@ -144,6 +144,9 @@ void write_json(std::ostream& os, const std::vector<Cell>& cells,
 int scale_main(int argc, char** argv) {
   Flags flags(argc, argv);
   obs::ObsSession session(flags, "warn");
+  // The sweep runs no harness epochs, so it has no decision trace to write.
+  if (!session.trace_out().empty())
+    throw ConfigError("--trace-out: fig8_scale_sweep runs no harness epochs");
   const std::vector<double> ms_d =
       flags.get_double_list("ms", {1e3, 1e4, 1e5, 1e6});
   const std::size_t et_target =

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
     cfg.train_samples = static_cast<std::size_t>(flags.get_int("samples", 500));
     cfg.width_scale = flags.get_double("scale", 0.08);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
+    cfg.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "Budget planning for target accuracy " << target << "\n\n";

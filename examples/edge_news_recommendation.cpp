@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
     cfg.width_scale = flags.get_double("scale", 0.08);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
     const double target_acc = flags.get_double("target-acc", 0.4);
+    cfg.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "Edge news recommendation: " << cfg.num_clients

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
     cfg.width_scale = flags.get_double("scale", 0.06);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 4));
     cfg.warm_start_path = ckpt;
+    cfg.trace_out = session.trace_out();
     flags.require_all_read();
     std::remove(ckpt.c_str());
 

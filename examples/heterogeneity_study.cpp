@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
     cfg.availability = 1.0;  // isolate the compute-heterogeneity effect
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
     const double target_acc = flags.get_double("target-acc", 0.5);
+    cfg.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "Heterogeneity study: " << cfg.num_clients
