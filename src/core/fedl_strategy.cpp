@@ -106,6 +106,8 @@ Decision FedLStrategy::decide(const sim::EpochContext& ctx,
     picked_.push_back(i);
     dec.selected.push_back(last_frac_.ids[i]);
   }
+  FEDL_CHECK_GE(picked_.size(), n_eff)
+      << "the fit fell back to nobody: the learner's floor exceeds its cap";
   dec.num_iterations = rho_to_iters(last_frac_.rho, cfg_.l_max);
   learner_.record_participation(last_frac_, picked_);
 
