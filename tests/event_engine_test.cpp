@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "common/error.h"
@@ -19,6 +21,7 @@
 #include "fl/event_engine.h"
 #include "harness/experiment.h"
 #include "nn/factory.h"
+#include "obs/metrics.h"
 #include "parallel/scheduler.h"
 
 namespace fedl::fl {
@@ -405,6 +408,75 @@ TEST(AsyncHarness, SurvivesMidFlightDropouts) {
   const auto res = exp.run(*strat);
   EXPECT_GT(res.epochs_run, 0u);
   EXPECT_LE(res.trace.total_cost(), cfg.budget + 1e-9);
+}
+
+// The number after "key": in one JSONL record.
+double json_number(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  EXPECT_NE(at, std::string::npos) << key << " missing from " << line;
+  if (at == std::string::npos) return 0.0;
+  return std::strtod(line.c_str() + at + tag.size(), nullptr);
+}
+
+std::uint64_t timeout_flushes() {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+  const auto it = snap.counters.find("fl.async.timeout_flushes");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// The deadline flush (flush_timeout_s). K is above any cohort's size, so
+// the buffer never fills and every flush is a deadline flush: it fires the
+// timeout after the update that opened its buffer (to the trace's ten
+// printed digits). The budget holds and the digests do not depend on the
+// thread budget.
+TEST(AsyncHarness, DeadlineFlushesFireTheTimeoutAfterTheBufferOpens) {
+  harness::ScenarioConfig cfg = small_async_scenario(27);
+  cfg.async.buffer_k = 64;
+  cfg.async.flush_timeout_s = 0.5;
+  cfg.record_digests = true;
+  cfg.trace_out = "unused.jsonl";
+  cfg.defer_trace = true;
+  cfg.num_threads = 0;  // draw fan-out from the scheduler's budget
+  harness::Experiment exp(cfg);
+
+  const std::uint64_t timeouts_before = timeout_flushes();
+  Scheduler::instance().configure(/*budget=*/4, /*jobs=*/1);
+  auto s1 = harness::make_strategy("fedl", cfg);
+  const auto wide = exp.run(*s1);
+  const std::uint64_t timeouts = timeout_flushes() - timeouts_before;
+  Scheduler::instance().configure(/*budget=*/1, /*jobs=*/1);
+  auto s2 = harness::make_strategy("fedl", cfg);
+  const auto serial = exp.run(*s2);
+  Scheduler::instance().configure(0, 1);  // restore defaults
+
+  double opened_vt = -1.0;
+  std::uint64_t flushes = 0;
+  std::istringstream lines(wide.trace_jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"type\":\"event\"") == std::string::npos) continue;
+    const double vt = json_number(line, "vt");
+    if (line.find("\"kind\":\"complete\"") != std::string::npos &&
+        json_number(line, "buffer") == 1.0)
+      opened_vt = vt;
+    if (line.find("\"kind\":\"flush\"") == std::string::npos) continue;
+    ASSERT_GE(opened_vt, 0.0) << "a flush with no update buffered: " << line;
+    EXPECT_LT(json_number(line, "aggregated"),
+              static_cast<double>(cfg.async.buffer_k));
+    EXPECT_NEAR(vt, opened_vt + cfg.async.flush_timeout_s, 1e-9 * vt)
+        << line;
+    opened_vt = -1.0;
+    ++flushes;
+  }
+  EXPECT_GE(flushes, 2u);
+  EXPECT_EQ(timeouts, flushes);
+
+  EXPECT_LE(wide.trace.total_cost(), cfg.budget + 1e-9);
+  for (const auto& r : wide.trace.records)
+    EXPECT_LE(r.cost_spent, cfg.budget + 1e-9);
+  ASSERT_FALSE(wide.epoch_digests.empty());
+  EXPECT_EQ(wide.epoch_digests, serial.epoch_digests);
+  EXPECT_EQ(wide.trace_jsonl, serial.trace_jsonl);
 }
 
 // --- delayed feedback ------------------------------------------------------------

@@ -315,6 +315,5 @@ TEST(FedL, IndependentRoundingVariantRuns) {
   EXPECT_GE(d.selected.size(), 3u);
 }
 
-
 }  // namespace
 }  // namespace fedl::core
