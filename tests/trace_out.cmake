@@ -1,4 +1,4 @@
-# ctest driver for the `trace_out_*` tests (registered in
+# ctest script for the `trace_out_*` tests (registered in
 # tests/CMakeLists.txt). A binary that runs harness epochs and is given
 # --trace-out must write their decision trace there: exit 0 and leave a
 # non-empty file that scripts/validate_trace.py --trace accepts. With
