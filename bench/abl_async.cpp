@@ -68,9 +68,7 @@ void write_json(std::ostream& os, const std::vector<Cell>& cells,
   os << "\n";
 }
 
-int async_main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  obs::ObsSession session(flags, "warn");
+void async_main(const Flags& flags) {
   configure_scheduler_from_flags(flags);
 
   const std::vector<double> ks = flags.get_double_list("ks", {2, 4, 8});
@@ -108,7 +106,7 @@ int async_main(int argc, char** argv) {
   std::vector<std::unique_ptr<harness::RunResult>> results(specs.size());
   Scheduler::instance().run_trials(specs.size(), [&](std::size_t i) {
     harness::ScenarioConfig cfg = base;
-    cfg.defer_trace = true;
+    cfg.defer_trace = obs::trace_requested();
     cfg.async.enabled = specs[i].async;
     if (specs[i].async) {
       cfg.async.buffer_k = specs[i].k;
@@ -119,7 +117,7 @@ int async_main(int argc, char** argv) {
     auto strat = harness::make_strategy(strategy, cfg);
     results[i] = std::make_unique<harness::RunResult>(exp.run(*strat));
   });
-  commit_traces(base.trace_out, results);
+  commit_traces(results);
 
   const double target = std::isnan(target_flag)
                             ? results.front()->trace.final_accuracy()
@@ -171,17 +169,11 @@ int async_main(int argc, char** argv) {
 
   write_json(report.stream(), cells, target, base.budget);
   report.finish();
-  return 0;
 }
 
 }  // namespace
 }  // namespace fedl::bench
 
 int main(int argc, char** argv) {
-  try {
-    return fedl::bench::async_main(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  return fedl::obs::run_main(argc, argv, "warn", fedl::bench::async_main);
 }

@@ -15,9 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
     harness::ScenarioConfig base;
     base.num_clients = static_cast<std::size_t>(flags.get_int("clients", 12));
@@ -32,7 +30,6 @@ int main(int argc, char** argv) {
     base.eval_cap = 96;
     base.dane.sgd_steps = 2;
     base.seed = seed;
-    base.trace_out = session.trace_out();
     flags.require_all_read();
 
     const net::BandwidthPolicy policies[] = {
@@ -79,9 +76,5 @@ int main(int argc, char** argv) {
     }
     e2e.write(std::cout);
     std::cout << "\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

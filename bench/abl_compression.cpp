@@ -15,10 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
-
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     harness::ScenarioConfig base;
     base.num_clients = static_cast<std::size_t>(flags.get_int("clients", 12));
     base.n_min = 4;
@@ -32,7 +29,6 @@ int main(int argc, char** argv) {
     base.eval_cap = 96;
     base.dane.sgd_steps = 2;
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    base.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "== Table: uplink compression trade-off (FedL), lockstep "
@@ -57,9 +53,5 @@ int main(int argc, char** argv) {
       }
     table.write(std::cout);
     std::cout << "\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -14,10 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
-
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     harness::ScenarioConfig cfg;
     cfg.num_clients = static_cast<std::size_t>(flags.get_int("clients", 12));
     cfg.n_min = 4;
@@ -30,7 +27,6 @@ int main(int argc, char** argv) {
     cfg.eval_cap = 96;
     cfg.dane.sgd_steps = 2;
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    cfg.trace_out = session.trace_out();
     flags.require_all_read();
     harness::Experiment exp(cfg);
 
@@ -51,9 +47,5 @@ int main(int argc, char** argv) {
     }
     table.write(std::cout);
     std::cout << "\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -12,10 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
-
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     const std::vector<double> rates =
         flags.get_double_list("dropout", {0.0, 0.1, 0.3});
     harness::ScenarioConfig base;
@@ -31,7 +28,6 @@ int main(int argc, char** argv) {
     base.eval_cap = 96;
     base.dane.sgd_steps = 2;
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    base.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "== Table: accuracy/time under mid-epoch dropout\n";
@@ -52,9 +48,5 @@ int main(int argc, char** argv) {
     }
     table.write(std::cout);
     std::cout << "\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -12,10 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
-
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     harness::ScenarioConfig base;
     base.num_clients = static_cast<std::size_t>(flags.get_int("clients", 12));
     base.n_min = 4;
@@ -30,7 +27,6 @@ int main(int argc, char** argv) {
     base.iid = false;  // heterogeneity is where the rules differ
     base.dane.sgd_steps = 3;
     base.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    base.trace_out = session.trace_out();
     flags.require_all_read();
 
     struct Variant {
@@ -76,9 +72,5 @@ int main(int argc, char** argv) {
     std::cout << "\n== Table: variant legend\n";
     names.write(std::cout);
     std::cout << "\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -76,11 +76,9 @@ EpochTiming time_epochs(std::size_t clients, std::size_t threads,
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     // The sweep drives the engine directly: no harness epoch, no trace.
-    if (!session.trace_out().empty())
+    if (obs::trace_requested())
       throw ConfigError("--trace-out: abl_parallel runs no harness epochs");
 
     const std::size_t clients =
@@ -128,10 +126,8 @@ int main(int argc, char** argv) {
                      format_num(serial.seconds_per_epoch /
                                 t.seconds_per_epoch),
                      identical ? "yes" : "NO"});
-      if (!identical) {
-        std::cerr << "determinism violation at " << threads << " threads\n";
-        return 1;
-      }
+      FEDL_CHECK(identical)
+          << "determinism violation at " << threads << " threads";
     }
     table.write(std::cout);
     std::cout << "\n";
@@ -147,18 +143,10 @@ int main(int argc, char** argv) {
                                  scale, seed)
                          .final_params;
     });
-    for (std::size_t i = 0; i < jobs; ++i) {
-      if (per_trial[i] != serial.final_params) {
-        std::cerr << "determinism violation in concurrent trial " << i
-                  << "\n";
-        return 1;
-      }
-    }
+    for (std::size_t i = 0; i < jobs; ++i)
+      FEDL_CHECK(per_trial[i] == serial.final_params)
+          << "determinism violation in concurrent trial " << i;
     std::cout << "== Concurrent trials: " << jobs
               << " scheduler trials bit-identical to serial: yes\n\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

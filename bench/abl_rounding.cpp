@@ -83,20 +83,15 @@ void end_to_end(const harness::ScenarioConfig& cfg) {
 }  // namespace fedl
 
 int main(int argc, char** argv) {
-  try {
-    fedl::Flags flags(argc, argv);
-    fedl::obs::ObsSession session(flags, "warn");
+  using namespace fedl;
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     // Part 1's default seed is 7; part 2 takes the figure benches' flags
     // (default seed 1). One --seed sets both.
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-    const fedl::harness::ScenarioConfig cfg = fedl::bench::scenario_from_flags(
-        flags, fedl::harness::Task::kFmnistLike);
+    const harness::ScenarioConfig cfg =
+        bench::scenario_from_flags(flags, harness::Task::kFmnistLike);
     flags.require_all_read();
-    fedl::rounding_statistics(seed);
-    fedl::end_to_end(cfg);
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+    rounding_statistics(seed);
+    end_to_end(cfg);
+  });
 }

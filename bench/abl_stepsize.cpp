@@ -13,10 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
-
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     const std::vector<double> steps =
         flags.get_double_list("steps", {0.02, 0.1, 0.3, 1.0, 3.0});
 
@@ -32,7 +29,6 @@ int main(int argc, char** argv) {
     cfg.dane.sgd_steps = 2;
     cfg.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 25));
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    cfg.trace_out = session.trace_out();
     flags.require_all_read();
 
     harness::Experiment exp(cfg);
@@ -61,9 +57,5 @@ int main(int argc, char** argv) {
     }
     table.write(std::cout);
     std::cout << "\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -141,11 +141,9 @@ void write_json(std::ostream& os, const std::vector<Cell>& cells,
   os << "\n";
 }
 
-int scale_main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  obs::ObsSession session(flags, "warn");
+void scale_main(const Flags& flags) {
   // The sweep runs no harness epochs, so it has no decision trace to write.
-  if (!session.trace_out().empty())
+  if (obs::trace_requested())
     throw ConfigError("--trace-out: fig8_scale_sweep runs no harness epochs");
   const std::vector<double> ms_d =
       flags.get_double_list("ms", {1e3, 1e4, 1e5, 1e6});
@@ -205,17 +203,11 @@ int scale_main(int argc, char** argv) {
 
   write_json(report.stream(), cells, et_target, width);
   report.finish();
-  return 0;
 }
 
 }  // namespace
 }  // namespace fedl::bench
 
 int main(int argc, char** argv) {
-  try {
-    return fedl::bench::scale_main(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  return fedl::obs::run_main(argc, argv, "warn", fedl::bench::scale_main);
 }

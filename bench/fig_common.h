@@ -32,7 +32,6 @@
 #include "common/logging.h"
 #include "harness/experiment.h"
 #include "harness/report.h"
-#include "obs/event_trace.h"
 #include "obs/session.h"
 #include "parallel/scheduler.h"
 
@@ -68,9 +67,6 @@ inline harness::ScenarioConfig scenario_from_flags(const Flags& flags,
   // whole machine, and a bare run uses all cores); an explicit K pins it.
   // Thread count never changes the numbers, only the wall clock.
   cfg.num_threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  // Per-epoch JSONL decision telemetry (--trace-out; ObsSession truncates
-  // the file at startup, each trial's events are appended in grid order).
-  cfg.trace_out = flags.get_string("trace-out", "");
   // Live health plane: --monitor streams the run through the invariant
   // monitor (regret envelope, budget pacing, estimator drift, dropout
   // windows); --strict-monitor promotes any firing to FEDL_CHECK; --digest
@@ -133,15 +129,13 @@ struct FigureRun {
   std::vector<fl::TrainTrace> traces;
 };
 
-// Commits the deferred per-trial JSONL buffers to --trace-out in trial
-// order, making the shared file byte-identical for any --jobs value.
+// Appends the trials' deferred JSONL buffers (set defer_trace =
+// obs::trace_requested()) to --trace-out in trial order, making the shared
+// file byte-identical for any --jobs value.
 inline void commit_traces(
-    const std::string& trace_out,
     const std::vector<std::unique_ptr<harness::RunResult>>& results) {
-  if (trace_out.empty()) return;
-  obs::EventTraceWriter writer(trace_out, true);
   for (const auto& r : results)
-    if (r) writer.write_raw(r->trace_jsonl);
+    if (r) obs::append_trace(r->trace_jsonl);
 }
 
 // Runs the paper roster on both data distributions: one scheduler trial per
@@ -165,7 +159,7 @@ inline std::vector<FigureRun> run_roster(const Flags& flags,
   for (std::size_t si = 0; si < 2; ++si) {
     harness::ScenarioConfig cfg = base;
     cfg.iid = iids[si];
-    cfg.defer_trace = true;
+    cfg.defer_trace = obs::trace_requested();
     experiments.push_back(std::make_unique<harness::Experiment>(cfg));
     out[si].setting = iids[si] ? "IID" : "Non-IID";
     for (std::size_t ai = 0; ai < roster.size(); ++ai)
@@ -179,7 +173,7 @@ inline std::vector<FigureRun> run_roster(const Flags& flags,
     results[i] = std::make_unique<harness::RunResult>(exp.run(*strat));
   });
 
-  commit_traces(base.trace_out, results);
+  commit_traces(results);
   for (std::size_t i = 0; i < trials.size(); ++i)
     out[trials[i].setting].traces.push_back(std::move(results[i]->trace));
   return out;
@@ -256,12 +250,12 @@ inline void budget_impact_figure(const std::string& figure,
     harness::ScenarioConfig cfg = base;
     cfg.iid = trials[i].iid;
     cfg.budget = trials[i].budget;
-    cfg.defer_trace = true;
+    cfg.defer_trace = obs::trace_requested();
     harness::Experiment exp(cfg);
     auto strat = harness::make_strategy(roster[trials[i].alg], cfg);
     results[i] = std::make_unique<harness::RunResult>(exp.run(*strat));
   });
-  commit_traces(base.trace_out, results);
+  commit_traces(results);
 
   std::size_t cell = 0;
   for (bool iid : {true, false}) {
@@ -288,16 +282,10 @@ inline int figure_main(int argc, char** argv, const std::string& figure,
                        harness::Task task,
                        void (*fn)(const std::string&, harness::Task,
                                   const Flags&)) {
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
+  return obs::run_main(argc, argv, "warn", [&](const Flags& flags) {
     configure_scheduler_from_flags(flags);
     fn(figure, task, flags);
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "bench failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }
 
 }  // namespace fedl::bench

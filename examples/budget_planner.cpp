@@ -12,10 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "warn");
-
+  return obs::run_main(argc, argv, "warn", [](const Flags& flags) {
     const double target = flags.get_double("target-acc", 0.5);
     const auto budgets =
         flags.get_double_list("budgets", {150, 300, 600, 1200});
@@ -27,7 +24,6 @@ int main(int argc, char** argv) {
     cfg.train_samples = static_cast<std::size_t>(flags.get_int("samples", 500));
     cfg.width_scale = flags.get_double("scale", 0.08);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
-    cfg.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "Budget planning for target accuracy " << target << "\n\n";
@@ -70,9 +66,5 @@ int main(int argc, char** argv) {
     else
       std::cout << "No evaluated budget reaches the target; raise the budget "
                    "range or lower the target.\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "example failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -17,10 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "info");
-
+  return obs::run_main(argc, argv, "info", [](const Flags& flags) {
     harness::ScenarioConfig cfg;
     cfg.task = harness::Task::kFmnistLike;  // 10 "topics" instead of 10 classes
     cfg.iid = false;                        // users read a few principal topics
@@ -32,7 +29,6 @@ int main(int argc, char** argv) {
     cfg.width_scale = flags.get_double("scale", 0.08);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
     const double target_acc = flags.get_double("target-acc", 0.4);
-    cfg.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "Edge news recommendation: " << cfg.num_clients
@@ -68,9 +64,5 @@ int main(int argc, char** argv) {
                      format_num(learner->delta_estimate(k))});
     }
     table.write(std::cout);
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "example failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

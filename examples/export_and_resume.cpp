@@ -19,10 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "info");
-
+  return obs::run_main(argc, argv, "info", [](const Flags& flags) {
     const std::string dir = flags.get_string("dir", "/tmp");
     const std::string img = dir + "/fedl_demo-images-idx3-ubyte";
     const std::string lab = dir + "/fedl_demo-labels-idx1-ubyte";
@@ -37,7 +34,6 @@ int main(int argc, char** argv) {
     cfg.width_scale = flags.get_double("scale", 0.06);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 4));
     cfg.warm_start_path = ckpt;
-    cfg.trace_out = session.trace_out();
     flags.require_all_read();
     std::remove(ckpt.c_str());
 
@@ -79,9 +75,5 @@ int main(int argc, char** argv) {
     std::remove(img.c_str());
     std::remove(lab.c_str());
     std::remove(ckpt.c_str());
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "example failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -14,10 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "info");
-
+  return obs::run_main(argc, argv, "info", [](const Flags& flags) {
     harness::ScenarioConfig cfg;
     cfg.num_clients = static_cast<std::size_t>(flags.get_int("clients", 12));
     cfg.n_min = static_cast<std::size_t>(flags.get_int("n", 3));
@@ -28,7 +25,6 @@ int main(int argc, char** argv) {
     cfg.availability = 1.0;  // isolate the compute-heterogeneity effect
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
     const double target_acc = flags.get_double("target-acc", 0.5);
-    cfg.trace_out = session.trace_out();
     flags.require_all_read();
 
     std::cout << "Heterogeneity study: " << cfg.num_clients
@@ -68,9 +64,5 @@ int main(int argc, char** argv) {
     table.write(std::cout);
     std::cout << "\nFedL total simulated time: " << traces[0].total_time()
               << "s vs FedAvg " << traces[1].total_time() << "s\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "example failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -23,10 +23,7 @@
 
 int main(int argc, char** argv) {
   using namespace fedl;
-  try {
-    Flags flags(argc, argv);
-    obs::ObsSession session(flags, "info");
-
+  return obs::run_main(argc, argv, "info", [](const Flags& flags) {
     harness::ScenarioConfig cfg;
     cfg.task = harness::Task::kFmnistLike;
     cfg.iid = flags.get_bool("iid", true);
@@ -38,7 +35,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(flags.get_int("samples", 1200));
     cfg.width_scale = flags.get_double("scale", 0.15);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    cfg.trace_out = session.trace_out();
     cfg.monitor = flags.get_bool("monitor", false);
     cfg.strict_monitor = flags.get_bool("strict-monitor", false);
     if (cfg.strict_monitor) cfg.monitor = true;
@@ -64,9 +60,5 @@ int main(int argc, char** argv) {
     harness::print_time_to_accuracy_table(std::cout, 0.6, traces);
     harness::print_metrics_summary(std::cout,
                                    obs::MetricsRegistry::global().snapshot());
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "example failed: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

@@ -98,7 +98,7 @@ run_bench() {
   fi
 }
 
-# Runs an ObsSession bench ($1) that writes the JSON report $2 through
+# Runs a bench ($1) that writes the JSON report $2 through
 # --json-out, with its own manifest, and stamps the report.
 emit_json() {
   local b="$1" out="$2" mf
@@ -114,9 +114,10 @@ for b in build/bench/*; do
     echo "===== $(basename "$b") =====" >> bench_output.txt
     case "$(basename "$b")" in
       micro_kernels)
-        # google-benchmark parses this binary's flags and it runs no
-        # ObsSession, so it writes no manifest: its JSON keeps the scalar
-        # stamps and google-benchmark's own "context" block.
+        # google-benchmark parses this binary's flags and it opens no
+        # observability session (obs::run_main), so it writes no manifest:
+        # its JSON keeps the scalar stamps and google-benchmark's own
+        # "context" block.
         if [ "$EMIT_JSON" = "1" ]; then
           run_bench "$b" --benchmark_out=BENCH_micro_kernels.json \
                --benchmark_out_format=json &&

@@ -4,15 +4,15 @@
 #
 #   scripts/harness_diff.sh REV [WORKDIR]
 #
-# Builds tools/harness_dump (Release) twice — against the sources of REV,
-# extracted with `git archive`, and against the working tree — dumps the
-# 96-run matrix at thread budgets 1 and 4 with each, and compares the
-# dumps with cmp: REV against the working tree at each budget, and the
-# working tree's budget 1 against its budget 4. Exits 0 only when all three
-# match; a comparison that fails also names each cell (its `== …` header)
-# whose lines differ, with how many differ. No golden dump is stored:
-# digests depend on the GEMM kernel tier, so both sides are dumped on the
-# same host.
+# Builds tools/harness_dump (Release) twice — REV's own, against the
+# sources of REV extracted with `git archive`, and the working tree's,
+# against the working tree — dumps the 96-run matrix at thread budgets 1
+# and 4 with each, and compares the dumps with cmp: REV against the
+# working tree at each budget, and the working tree's budget 1 against its
+# budget 4. Exits 0 only when all three match; a comparison that fails
+# also names each cell (its `== …` header) whose lines differ, with how
+# many differ. No golden dump is stored: digests depend on the GEMM kernel
+# tier, so both sides are dumped on the same host.
 #
 # WORKDIR keeps the builds, the dumps (rev-{1,4}.txt, tree-{1,4}.txt) and
 # the runs' logs (*.log), for example to split a dump per cell afterwards;
@@ -38,8 +38,13 @@ if command -v ninja > /dev/null; then gen=(-G Ninja); fi
 for side in rev tree; do
   src=$work/rev-src
   if [ "$side" = tree ]; then src=$root; fi
+  # Each side builds its own dumper, which speaks its tree's harness API
+  # (how a run is asked to trace, for one); a REV older than tools/ gets
+  # the working tree's.
+  tools=$src/tools
+  if [ ! -f "$tools/harness_dump.cpp" ]; then tools=$root/tools; fi
   echo "building harness_dump against $side ($src)" >&2
-  cmake -S "$root/tools" -B "$work/build-$side" "${gen[@]}" \
+  cmake -S "$tools" -B "$work/build-$side" "${gen[@]}" \
     -DCMAKE_BUILD_TYPE=Release -DFEDL_SRC="$src" > /dev/null
   cmake --build "$work/build-$side" -j "$(nproc)" --target harness_dump \
     > /dev/null

@@ -30,9 +30,9 @@ class ConfigError : public std::runtime_error {
 // artifacts (trace, metrics, manifest) can be flushed even if the exception
 // is never caught — an uncaught throw terminates without unwinding, which
 // used to lose everything a run had recorded. The hook must be noexcept-ish
-// in spirit (it runs on the failure path); ObsSession registers one that
-// flushes partial artifacts with a "clean": false manifest marker. Passing
-// nullptr unregisters.
+// in spirit (it runs on the failure path); the observability session
+// (obs/session.h) registers one that flushes partial artifacts with a
+// "clean": false manifest marker. Passing nullptr unregisters.
 using CheckFailureHook = void (*)();
 void set_check_failure_hook(CheckFailureHook hook);
 CheckFailureHook check_failure_hook();

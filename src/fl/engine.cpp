@@ -178,21 +178,19 @@ CohortEval FlEngine::evaluate_cohort(const std::vector<std::size_t>& selected) {
   return ev;
 }
 
-void FlEngine::run_local_jobs(const std::vector<LocalTrainJob>& jobs,
+void FlEngine::run_local_jobs(const std::vector<std::size_t>& clients,
                               std::vector<LocalTrainResult>* results) {
   FEDL_PROFILE_SCOPE("fl.local_jobs");
   FEDL_CHECK(results != nullptr);
-  results->resize(jobs.size());
-  if (jobs.empty()) return;
-  const std::size_t s = jobs.size();
+  results->resize(clients.size());
+  if (clients.empty()) return;
+  const std::size_t s = clients.size();
   epoch_max_replicas_ = 0;
 
-  // Minibatches gathered serially in job order (fixed RNG consumption).
+  // Minibatches gathered serially in list order (fixed RNG consumption).
   if (batches_.size() < s) batches_.resize(s);
-  for (std::size_t i = 0; i < s; ++i) {
-    FEDL_CHECK_GT(jobs[i].iterations, 0u);
-    gather_client_batch(jobs[i].client, &batches_[i]);
-  }
+  for (std::size_t i = 0; i < s; ++i)
+    gather_client_batch(clients[i], &batches_[i]);
   if (local_w_.size() < s) local_w_.resize(s);
 
   job_idx_.resize(s);
@@ -201,28 +199,22 @@ void FlEngine::run_local_jobs(const std::vector<LocalTrainJob>& jobs,
     FEDL_PROFILE_SCOPE("fl.client_local_job");
     nn::Model* m = client_scratch(slot);
     LocalOracle oracle(m, &batches_[i]);
-    LocalTrainResult& res = (*results)[i];
-    res = LocalTrainResult{};
-    // Local trajectory: w_local starts at the dispatch-time global model
-    // and walks its own DANE steps with ḡ = ∇F_k(w_local) (empty
-    // global_grad).
+    // One DANE step from the dispatch-time global model with
+    // ḡ = ∇F_k(w_local) (empty global_grad).
     nn::ParamVec& w_local = local_w_[i];
     w_local = w_;
-    const nn::ParamVec no_global_grad;
-    for (std::size_t it = 0; it < jobs[i].iterations; ++it) {
-      const LocalUpdate u =
-          dane_local_step(oracle, w_local, no_global_grad, cfg_.dane);
-      axpy(1.0f, u.d, w_local);
-      res.eta = std::max(res.eta, u.eta);
-      res.loss_reduction += u.loss_before - u.loss_after;
-      ++res.completed_iters;
-    }
-    client_iterations_counter().add(res.completed_iters);
+    const LocalUpdate u =
+        dane_local_step(oracle, w_local, nn::ParamVec{}, cfg_.dane);
+    axpy(1.0f, u.d, w_local);
+    LocalTrainResult& res = (*results)[i];
+    res.eta = std::max(0.0, u.eta);
+    res.loss_reduction = u.loss_before - u.loss_after;
     // The uplink carries d = w_local − w_base through the compressor
     // (per-client state, concurrent-safe).
     for (std::size_t p = 0; p < w_local.size(); ++p) w_local[p] -= w_[p];
-    res.update = compressor_->apply(w_local, jobs[i].client);
+    res.update = compressor_->apply(w_local, clients[i]);
   });
+  client_iterations_counter().add(s);
   trim_replicas();
 }
 

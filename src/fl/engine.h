@@ -64,21 +64,15 @@ struct EngineConfig {
   std::uint64_t seed = 17;
 };
 
-// One unit of asynchronous local work: client `client` trains `iterations`
-// DANE steps starting from the engine's current global model, with ḡ taken
-// as its own local gradient (no cross-client gradient averaging — in the
-// event-driven mode there is no global barrier at which ḡ could be formed).
-struct LocalTrainJob {
-  std::size_t client = 0;
-  std::size_t iterations = 0;
-};
-
-// What one LocalTrainJob produced, measured against the dispatch-time model.
+// One client's asynchronous local step (FlEngine::run_local_jobs): one DANE
+// step from the engine's current global model, with ḡ taken as the
+// client's own local gradient (no cross-client gradient averaging — in the
+// event-driven mode there is no global barrier at which ḡ could be formed),
+// measured against that dispatch-time model.
 struct LocalTrainResult {
   nn::ParamVec update;          // compressed-restored d = w_local − w_base
-  double eta = 0.0;             // max η over the iterations
-  double loss_reduction = 0.0;  // Σ_i F_k(before) − F_k(after)
-  std::size_t completed_iters = 0;
+  double eta = 0.0;             // the step's η, floored at 0
+  double loss_reduction = 0.0;  // F_k(before) − F_k(after)
 };
 
 // End-of-cohort evaluation snapshot at the engine's current global model.
@@ -144,14 +138,15 @@ class FlEngine {
   // Loss/accuracy on the test set (capped at eval_cap samples).
   nn::EvalResult evaluate_test();
 
-  // Runs every job's local training independently from the current global
-  // model (the event-driven path: updates are NOT applied to w — the caller
-  // buffers them and aggregates on flush). Minibatches are gathered on the
-  // calling thread in job order, so the engine RNG stream is consumed
-  // deterministically; the training itself fans out across scheduler worker
-  // leases exactly like run_epoch's phases and is bit-identical at any
-  // thread count (per-job state only, results reduced nowhere).
-  void run_local_jobs(const std::vector<LocalTrainJob>& jobs,
+  // Trains one local step per listed client, each independently from the
+  // current global model (the event-driven path: updates are NOT applied to
+  // w — the caller buffers them and aggregates on flush). Minibatches are
+  // gathered on the calling thread in list order, so the engine RNG stream
+  // is consumed deterministically; the training itself fans out across
+  // scheduler worker leases exactly like run_epoch's phases and is
+  // bit-identical at any thread count (per-job state only, results reduced
+  // nowhere).
+  void run_local_jobs(const std::vector<std::size_t>& clients,
                       std::vector<LocalTrainResult>* results);
 
   // The end-of-epoch evaluation block of run_epoch, reusable at cohort

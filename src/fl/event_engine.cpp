@@ -140,7 +140,7 @@ void EventEngine::dispatch(std::size_t epoch,
     queue_.push(
         QueuedEvent{vt_ + (dropped ? latency : step_s[i]), k, seq_++, entry});
     if (!dropped) {
-      jobs_.push_back(LocalTrainJob{k, 1});
+      jobs_.push_back(k);
       job_member_.push_back(entry);
     }
 
@@ -211,7 +211,7 @@ bool EventEngine::run_until_flush() {
           std::max(c.out.client_eta[f.member], f.result.eta);
       c.out.eta_max = std::max(c.out.eta_max, f.result.eta);
       c.out.client_loss_reduction[f.member] += f.result.loss_reduction;
-      c.out.client_completed_iters[f.member] += f.result.completed_iters;
+      ++c.out.client_completed_iters[f.member];  // one unit step
       filled = buffer_.size() >= cfg_.buffer_k;
 
       AsyncEvent ev;
@@ -241,7 +241,7 @@ bool EventEngine::run_until_flush() {
     }
     if (!engagement_over) {
       jobs_.clear();
-      jobs_.push_back(LocalTrainJob{f.client, 1});
+      jobs_.push_back(f.client);
       engine_->run_local_jobs(jobs_, &job_results_);
       f.result = std::move(job_results_[0]);
       f.dispatch_version = version_;

@@ -196,7 +196,7 @@ class EventEngine {
 
   // Per-dispatch scratch (grow-only).
   std::vector<char> uploaded_;             // member index → not dropped
-  std::vector<LocalTrainJob> jobs_;
+  std::vector<std::size_t> jobs_;          // clients of one run_local_jobs
   std::vector<LocalTrainResult> job_results_;
   std::vector<std::size_t> job_member_;    // job index → cohort member index
   std::vector<std::size_t> stale_scratch_; // flush staleness batch

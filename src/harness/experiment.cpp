@@ -12,19 +12,13 @@
 #include "nn/factory.h"
 #include "nn/serialize.h"
 #include "obs/digest.h"
-#include "obs/event_trace.h"
 #include "obs/json_writer.h"
 #include "obs/manifest.h"
 #include "obs/profile.h"
+#include "obs/session.h"
 
 namespace fedl::harness {
 namespace {
-
-// Assumption-constant estimates feeding the monitor's regret envelope (the
-// scale bench/abl_regret_fit uses for this scenario family).
-constexpr core::TheoremConstants kTheoremConstants{
-    /*g_f=*/10.0, /*g_h=*/5.0, /*radius=*/4.0,
-    /*xi=*/20.0, /*beta=*/0.2, /*delta=*/0.5};
 
 data::SyntheticSpec dataset_spec(const ScenarioConfig& cfg) {
   data::SyntheticSpec s =
@@ -36,7 +30,7 @@ data::SyntheticSpec dataset_spec(const ScenarioConfig& cfg) {
 
 // FNV-1a over the scenario fields that shape the run, so the manifest can
 // tell two configurations apart without embedding the whole config. Not a
-// full serialization: flags that only steer artifact emission (trace paths,
+// full serialization: flags that only steer artifact emission (trace deferral,
 // monitor toggles) are deliberately excluded — they don't change the
 // decisions or the numerics.
 std::uint64_t scenario_config_hash(const ScenarioConfig& cfg) {
@@ -98,8 +92,9 @@ struct LearnerSnapshot {
 // ledger, and the realized outcome. scripts/validate_trace.py checks this
 // schema; DESIGN.md §Observability maps the fields to the paper's symbols.
 // Events are serialized into `sink` (one line each); the run commits the
-// whole buffer at the end — directly when it owns the file, or via
-// RunResult::trace_jsonl when the caller sequences trials (defer_trace).
+// whole buffer at the end — to the session's trace file (obs::append_trace),
+// or via RunResult::trace_jsonl when the caller sequences trials
+// (defer_trace).
 void write_epoch_event(std::string& sink,
                        const std::string& algorithm,
                        const sim::EpochContext& ctx,
@@ -385,9 +380,9 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
   obs::DigestChain digest;
 
   // Structured decision telemetry, buffered per run so the whole trial
-  // commits as one block (ObsSession truncated the shared file at startup;
-  // concurrent grid trials never interleave lines).
-  const bool tracing = !cfg_.trace_out.empty();
+  // commits as one block (the session truncated the shared file when it
+  // opened; concurrent grid trials never interleave lines).
+  const bool tracing = cfg_.defer_trace || obs::trace_requested();
   std::string trace_buffer;
 
   // Event-driven execution (cfg.async): cohorts overlap on a virtual clock
@@ -498,10 +493,10 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
         }
         if (!fired.empty() && cfg_.strict_monitor) {
           // Commit what we have before dying so the trace shows what tripped
-          // (the ObsSession crash hook flushes the artifacts it owns; the
+          // (the session's crash hook flushes the artifacts it owns; the
           // buffered trace is ours to write).
           if (tracing && !cfg_.defer_trace) {
-            obs::EventTraceWriter(cfg_.trace_out, true).write_raw(trace_buffer);
+            obs::append_trace(trace_buffer);
             trace_buffer.clear();
           }
           FEDL_CHECK(false) << "--strict-monitor: " << fired.front().monitor
@@ -642,12 +637,10 @@ RunResult Experiment::run(core::SelectionStrategy& strategy) {
   if (ledger.exhausted()) result.budget_exhausted = true;
   if (result.termination_reason.empty())
     result.termination_reason = "max_epochs";
-  if (tracing) {
-    if (cfg_.defer_trace)
-      result.trace_jsonl = std::move(trace_buffer);
-    else
-      obs::EventTraceWriter(cfg_.trace_out, true).write_raw(trace_buffer);
-  }
+  if (cfg_.defer_trace)
+    result.trace_jsonl = std::move(trace_buffer);
+  else if (tracing)
+    obs::append_trace(trace_buffer);
   // Fold this run's final chain value into the process-wide digest the
   // manifest reports (XOR-combined, so grid completion order is irrelevant).
   if (cfg_.record_digests) obs::note_run_digest(digest.value());

@@ -79,15 +79,16 @@ struct ScenarioConfig {
   // stream start afresh, so each run spends up to the full budget C — two
   // warm-started halves can spend 2C between them.
   std::string warm_start_path;
-  // When non-empty: append one JSONL decision event per epoch to this file
-  // (availability set, selection, ρ_t, duals, budget ledger, per-client
-  // observations and realized outcomes). Several runs may share the file;
-  // split downstream by the "algorithm" field.
-  std::string trace_out;
-  // When true, run() does not touch trace_out itself: the run's JSONL
-  // events are returned in RunResult::trace_jsonl instead, and the caller
-  // commits them (fig_common flushes trial buffers in roster order after a
-  // scheduler grid run, so the file is byte-identical at any --jobs).
+  // The decision trace: one JSONL event per epoch (availability set,
+  // selection, ρ_t, duals, budget ledger, per-client observations and
+  // realized outcomes). run() traces when the live observability session
+  // has a --trace-out file (obs/session.h) and appends the run's events
+  // there through obs::append_trace; several runs share the file, split
+  // downstream by the "algorithm" field. With defer_trace, run() traces
+  // whether or not a file is open and returns the events in
+  // RunResult::trace_jsonl instead; the caller commits them (the grid
+  // benches set it to obs::trace_requested() and append their trials in
+  // trial order, so the file is byte-identical at any --jobs).
   bool defer_trace = false;
   // Live health plane (obs/monitor.h): stream empirical dynamic regret
   // against the Theorem 2 envelope, budget-pacing deviation, estimator
@@ -125,6 +126,13 @@ struct RunResult {
   // Monitor firings in epoch order (cfg.monitor).
   std::vector<obs::AnomalyRecord> anomalies;
 };
+
+// Theorem 2's assumption constants estimated for this scenario family
+// (latencies of a few seconds, about n clients per epoch, losses O(1)): the
+// monitor's regret envelope and bench/abl_regret_fit's bound columns.
+inline constexpr core::TheoremConstants kTheoremConstants{
+    /*g_f=*/10.0, /*g_h=*/5.0, /*radius=*/4.0,
+    /*xi=*/20.0, /*beta=*/0.2, /*delta=*/0.5};
 
 class Experiment {
  public:

@@ -9,8 +9,9 @@
 // simd_dispatch registers the resolved gemm kernel on first GEMM, the
 // harness registers seed/config_hash/algorithm per run (a grid's manifest
 // therefore reflects the *last* run to start — per-run detail lives in the
-// trace; the manifest identifies the process). ObsSession writes the file
-// at exit (clean=true) and from the crash-flush path (clean=false).
+// trace; the manifest identifies the process). The session of
+// obs::run_main (obs/session.h) writes the file at exit (clean=true) and
+// from the crash-flush path (clean=false).
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <iostream>
+#include <mutex>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -13,9 +16,40 @@
 namespace fedl::obs {
 namespace {
 
-// The session the crash guards flush. One live session per binary is the
-// intended pattern (declared first in main); with nested sessions the most
-// recent wins.
+// The observability artifacts of one process, open for the body of
+// run_main.
+class ObsSession {
+ public:
+  ObsSession(const Flags& flags, const std::string& default_log_level);
+  ~ObsSession();
+
+  ObsSession(const ObsSession&) = delete;
+  ObsSession& operator=(const ObsSession&) = delete;
+
+  bool tracing() const { return !trace_out_.empty(); }
+  void append_trace(const std::string& lines);
+
+  // Writes every configured artifact. clean=false marks the manifest dirty
+  // permanently (crash path); clean=true is the normal exit path. Safe to
+  // call from any thread and more than once — later flushes overwrite with
+  // fresher snapshots. Never throws (failures are logged).
+  void flush(bool clean) noexcept;
+
+ private:
+  std::string trace_out_;
+  std::string metrics_out_;
+  std::string profile_out_;
+  std::string manifest_out_;
+
+  std::mutex trace_mutex_;
+  std::ofstream trace_;
+
+  std::mutex flush_mutex_;
+  bool dirty_ = false;  // latched by the first flush(false)
+};
+
+// The live session: the crash guards flush it and append_trace writes
+// through it.
 std::atomic<ObsSession*> g_active_session{nullptr};
 
 void crash_flush() {
@@ -26,16 +60,13 @@ void crash_flush() {
 void arm_atexit_guard() {
   // atexit stacks handlers; register ours once per process. On a normal
   // exit the destructor already cleared g_active_session, so this no-ops;
-  // it fires for std::exit() mid-run and for uncaught exceptions routed
-  // through the check-failure hook's terminate path.
+  // it fires for std::exit() mid-run.
   static const bool armed = [] {
     std::atexit(crash_flush);
     return true;
   }();
   (void)armed;
 }
-
-}  // namespace
 
 ObsSession::ObsSession(const Flags& flags,
                        const std::string& default_log_level) {
@@ -50,11 +81,11 @@ ObsSession::ObsSession(const Flags& flags,
   profile_out_ = flags.get_string("profile-out", "");
   manifest_out_ = flags.get_string("manifest-out", "");
 
-  if (!trace_out_.empty()) {
-    // Runs append per-epoch events; start every invocation from a clean
-    // file so stale epochs from a previous process never mix in.
-    std::ofstream truncate(trace_out_, std::ios::trunc);
-    if (!truncate) throw ConfigError("cannot open trace file: " + trace_out_);
+  if (tracing()) {
+    // Start every invocation from a clean file so stale epochs from a
+    // previous process never mix in.
+    trace_.open(trace_out_, std::ios::trunc);
+    if (!trace_) throw ConfigError("cannot open trace file: " + trace_out_);
   }
   if (!profile_out_.empty()) {
     Profiler::global().clear();
@@ -73,6 +104,13 @@ ObsSession::~ObsSession() {
   set_check_failure_hook(nullptr);
   if (!profile_out_.empty()) Profiler::global().set_enabled(false);
   flush(/*clean=*/true);
+}
+
+void ObsSession::append_trace(const std::string& lines) {
+  std::lock_guard<std::mutex> lock(trace_mutex_);
+  trace_ << lines;
+  trace_.flush();
+  if (!trace_) throw ConfigError("short write on trace file: " + trace_out_);
 }
 
 void ObsSession::flush(bool clean) noexcept {
@@ -96,11 +134,46 @@ void ObsSession::flush(bool clean) noexcept {
       FEDL_INFO << "wrote run manifest to " << manifest_out_
                 << (clean_now ? "" : " (clean: false)");
     }
-    if (!trace_out_.empty())
-      FEDL_INFO << "decision trace at " << trace_out_;
+    if (tracing()) FEDL_INFO << "decision trace at " << trace_out_;
   } catch (const std::exception& e) {
     FEDL_WARN << "failed to flush observability artifacts: " << e.what();
   }
+}
+
+// argv[0] without its directory, for the failure message.
+std::string binary_name(int argc, const char* const* argv) {
+  if (argc < 1 || argv[0] == nullptr) return "fedl";
+  const std::string path = argv[0];
+  return path.substr(path.find_last_of('/') + 1);
+}
+
+}  // namespace
+
+int run_main(int argc, const char* const* argv,
+             const std::string& default_log_level,
+             const std::function<void(const Flags&)>& body) {
+  try {
+    const Flags flags(argc, argv);
+    ObsSession session(flags, default_log_level);
+    body(flags);
+    return 0;
+  } catch (const std::exception& e) {
+    std::cerr << binary_name(argc, argv) << " failed: " << e.what() << "\n";
+    return 1;
+  }
+}
+
+bool trace_requested() {
+  const ObsSession* session = g_active_session.load(std::memory_order_acquire);
+  return session != nullptr && session->tracing();
+}
+
+void append_trace(const std::string& lines) {
+  if (lines.empty()) return;
+  ObsSession* session = g_active_session.load(std::memory_order_acquire);
+  if (session == nullptr || !session->tracing())
+    throw ConfigError("append_trace: no --trace-out file is open");
+  session->append_trace(lines);
 }
 
 }  // namespace fedl::obs

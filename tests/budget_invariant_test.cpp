@@ -272,8 +272,7 @@ TEST(PruningGolden, WideWidthReproducesDenseTraceByteForByte) {
   cfg.eval_cap = 48;
   cfg.dane.sgd_steps = 2;
   cfg.seed = 77;
-  cfg.trace_out = "unused-deferred.jsonl";  // buffered, never written
-  cfg.defer_trace = true;
+  cfg.defer_trace = true;  // the trace comes back in trace_jsonl
 
   auto run_with_width = [&](std::size_t width) {
     harness::ScenarioConfig c = cfg;

@@ -330,8 +330,7 @@ TEST(AsyncHarness, RunCompletesAndNeverOverdrawsTheBudget) {
 TEST(AsyncHarness, SameSeedIsByteIdentical) {
   harness::ScenarioConfig cfg = small_async_scenario(22);
   cfg.record_digests = true;
-  cfg.trace_out = "unused.jsonl";  // tracing on, buffer returned to us
-  cfg.defer_trace = true;
+  cfg.defer_trace = true;  // tracing on, buffer returned to us
   harness::Experiment exp(cfg);
   auto s1 = harness::make_strategy("fedl", cfg);
   auto s2 = harness::make_strategy("fedl", cfg);
@@ -347,7 +346,6 @@ TEST(AsyncHarness, DigestsEqualAcrossJobsAndThreads) {
   // and digest chains whether local training fans out or runs serial.
   harness::ScenarioConfig cfg = small_async_scenario(23);
   cfg.record_digests = true;
-  cfg.trace_out = "unused.jsonl";
   cfg.defer_trace = true;
   cfg.num_threads = 0;  // draw fan-out from the scheduler's budget
   harness::Experiment exp(cfg);
@@ -435,7 +433,6 @@ TEST(AsyncHarness, DeadlineFlushesFireTheTimeoutAfterTheBufferOpens) {
   cfg.async.buffer_k = 64;
   cfg.async.flush_timeout_s = 0.5;
   cfg.record_digests = true;
-  cfg.trace_out = "unused.jsonl";
   cfg.defer_trace = true;
   cfg.num_threads = 0;  // draw fan-out from the scheduler's budget
   harness::Experiment exp(cfg);

@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -320,18 +318,14 @@ TEST(Digest, EqualAcrossThreadAndJobCombinations) {
 // continuity (prev_t == digest_{t-1}), which scripts/validate_trace.py
 // checks offline.
 TEST(Digest, TraceRecordsChainContinuously) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "/obs_health_digest_trace.jsonl";
-  std::remove(path.c_str());
   harness::ScenarioConfig cfg = tiny_digest_config();
-  cfg.trace_out = path;
+  cfg.defer_trace = true;
   harness::Experiment exp(cfg);
   auto strat = harness::make_strategy("fedl", cfg);
   const auto res = exp.run(*strat);
   ASSERT_FALSE(res.epoch_digests.empty());
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
+  std::istringstream in(res.trace_jsonl);
   std::string line;
   std::vector<std::string> prevs;
   std::vector<std::string> digests;
@@ -355,7 +349,6 @@ TEST(Digest, TraceRecordsChainContinuously) {
       EXPECT_EQ(prevs[i], digests[i - 1]) << "chain broken at " << i;
     }
   }
-  std::remove(path.c_str());
 }
 
 // A healthy seeded run with the monitor armed must stay anomaly-free — the

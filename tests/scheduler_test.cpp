@@ -179,9 +179,7 @@ harness::ScenarioConfig tiny_scenario(std::size_t threads) {
   cfg.dane.sgd_steps = 1;
   cfg.seed = 5;
   cfg.num_threads = threads;
-  // Non-empty so decision events are recorded; defer_trace keeps them in
-  // RunResult::trace_jsonl and never touches the file.
-  cfg.trace_out = "scheduler_test_deferred.jsonl";
+  // Decision events are recorded and kept in RunResult::trace_jsonl.
   cfg.defer_trace = true;
   return cfg;
 }

@@ -11,7 +11,8 @@
 // ctests), and of two trees' dumps checks that a change keeps the
 // computation (scripts/harness_diff.sh). Digests depend on the GEMM kernel
 // tier, so no golden dump is stored. The dumper uses only the public
-// harness API, so it builds against older trees too.
+// harness API; scripts/harness_diff.sh builds each tree's own dumper, and
+// this one against trees that predate tools/.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -51,7 +52,6 @@ int main(int argc, char** argv) {
           cfg.num_threads = budget == 1 ? 1 : 0;
           cfg.monitor = true;
           cfg.record_digests = true;
-          cfg.trace_out = "unused.jsonl";
           cfg.defer_trace = true;
           harness::Experiment exp(cfg);
           for (const char* name : {"fedl", "fedavg", "fedcs", "powd"}) {
