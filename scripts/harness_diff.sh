@@ -12,7 +12,9 @@
 # budget 4. Exits 0 only when all three match; a comparison that fails
 # also names each cell (its `== …` header) whose lines differ, with how
 # many differ. No golden dump is stored: digests depend on the GEMM kernel
-# tier, so both sides are dumped on the same host.
+# tier, so both sides are dumped on the same host. A REV without
+# tools/harness_dump.cpp has no dumper of its own and cannot be compared;
+# the script then exits 1 before building anything.
 #
 # WORKDIR keeps the builds, the dumps (rev-{1,4}.txt, tree-{1,4}.txt) and
 # the runs' logs (*.log), for example to split a dump per cell afterwards;
@@ -32,6 +34,10 @@ fi
 rm -rf "$work/rev-src"
 mkdir -p "$work/rev-src"
 git -C "$root" archive "$rev" | tar -x -C "$work/rev-src"
+if [ ! -f "$work/rev-src/tools/harness_dump.cpp" ]; then
+  echo "harness_diff: $rev predates tools/harness_dump; cannot compare" >&2
+  exit 1
+fi
 
 gen=()
 if command -v ninja > /dev/null; then gen=(-G Ninja); fi
@@ -39,12 +45,9 @@ for side in rev tree; do
   src=$work/rev-src
   if [ "$side" = tree ]; then src=$root; fi
   # Each side builds its own dumper, which speaks its tree's harness API
-  # (how a run is asked to trace, for one); a REV older than tools/ gets
-  # the working tree's.
-  tools=$src/tools
-  if [ ! -f "$tools/harness_dump.cpp" ]; then tools=$root/tools; fi
+  # (how a run is asked to trace, for one).
   echo "building harness_dump against $side ($src)" >&2
-  cmake -S "$tools" -B "$work/build-$side" "${gen[@]}" \
+  cmake -S "$src/tools" -B "$work/build-$side" "${gen[@]}" \
     -DCMAKE_BUILD_TYPE=Release -DFEDL_SRC="$src" > /dev/null
   cmake --build "$work/build-$side" -j "$(nproc)" --target harness_dump \
     > /dev/null
